@@ -9,10 +9,21 @@ One caller, one thread: each verification instance is submitted only after
 the previous one has been checked.  With ``--trace 0`` the instances run
 for ``--seconds`` and the end-to-end metrics are printed.  With
 ``--trace 1`` a fixed number of instances (the workload's ``trace_size``)
-runs once untraced and once traced, and the per-layer metrics are printed;
-the spans go to ``perfbench/out/``.  The last line of the output is one
-JSON object with the keys ``correct``, ``attempted``, ``failed`` and
-``metrics``.  The library is imported from ``src/`` of the checkout only.
+runs, each once untraced and once traced, and the per-layer metrics are
+printed; the spans go to ``perfbench/out/``.  The last line of the output
+is one JSON object with the keys ``correct``, ``attempted``, ``failed``
+and ``metrics``.  The library is imported from ``src/`` of the checkout
+only.
+
+The machine's speed can drift by 20% over minutes, more than the
+benchmark's bounds.  So a fixed reference kernel (pure-Python Fraction and
+dict work, outside the library) is timed before the first instance and
+after each one, and every instance time is scaled by the nominal kernel
+time over the mean of the two kernel times around it.  Set-up times are
+scaled the same way.  The timings reported as end-to-end metrics are these
+scaled times: milliseconds or seconds at the speed at which the kernel
+takes ``REFERENCE_NOMINAL_S``.  The unscaled wall times are printed above
+the result.
 """
 
 from __future__ import annotations
@@ -28,16 +39,20 @@ import gc
 import json
 import resource
 import statistics
-import subprocess
 import sys
 import time
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_SAMPLES = 3  # set-ups per run: this process and two child processes
+SET_UPS = 3  # set-ups per run; setup_s is their median
 SHOWN_FAILURES = 5
+# the time unit of the scaled metrics: about the reference kernel's time
+# between instances on the machine of baseline.json (x86_64, 2 vCPUs,
+# Python 3.11.7)
+REFERENCE_NOMINAL_S = 0.00048
 
 # every per-layer op, in the order printed; an op a workload never calls
 # reads 0 calls and 0 s
@@ -71,14 +86,57 @@ def set_up(workload, seed):
     return wl, pool, time.perf_counter() - t0
 
 
-def child_set_up_s(workload, seed):
-    """Set-up time measured in a fresh interpreter, so that the import is
-    timed again."""
-    done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
-         "--workload", workload, "--seed", str(seed)],
-        capture_output=True, text=True, timeout=170, check=True)
-    return float(done.stdout.split()[-1])
+def forget_library():
+    """Drop the library and the modules built on it, so that the next
+    set-up imports them again."""
+    for name in list(sys.modules):
+        if name.split(".")[0] in ("fockboundary", "workloads", "spans"):
+            del sys.modules[name]
+
+
+def reference_kernel():
+    """Fixed pure-Python work of the kind the library does: Fraction
+    arithmetic, tuple keys and dict stores."""
+    total, table = Fraction(0), {}
+    for i in range(1, 160):
+        total += Fraction(i % 7 + 1, i)
+        table[(i, i % 5)] = total
+    return total
+
+
+def reference_s():
+    """One timed run of the reference kernel, with the cyclic garbage
+    collector held off so that it pays for no one else's garbage."""
+    gc.disable()
+    t0 = time.perf_counter()
+    reference_kernel()
+    t1 = time.perf_counter()
+    gc.enable()
+    return t1 - t0
+
+
+def speed(before, after):
+    """The factor that scales a time measured between two reference
+    timings to the nominal speed."""
+    return REFERENCE_NOMINAL_S / ((before + after) / 2)
+
+
+def timed_set_ups(workload, seed):
+    """SET_UPS set-ups, each a fresh import and generation, each between
+    two reference timings.  Returns the last set-up's (workload object,
+    instances) and the scaled and the wall set-up times."""
+    scaled, walls = [], []
+    ref = statistics.median(reference_s() for _ in range(11))
+    for k in range(SET_UPS):
+        if k:
+            forget_library()
+            gc.collect()
+        wl, pool, wall = set_up(workload, seed)
+        after = statistics.median(reference_s() for _ in range(11))
+        scaled.append(wall * speed(ref, after))
+        walls.append(wall)
+        ref = after
+    return wl, pool, scaled, walls
 
 
 def run_one(wl, inst, tr):
@@ -107,47 +165,59 @@ def shares(props):
 
 def timed_loop(wl, pool, seconds):
     """The closed loop: instances in pool order, repeating the pool if the
-    run outlasts it, until ``seconds`` have passed."""
+    run outlasts it, until ``seconds`` have passed.  A reference timing
+    precedes the first instance and follows each one.  Returns the wall
+    and the scaled instance times, the failures, the instances' input
+    properties and the wall time of the loop."""
     from spans import NoTrace
 
     tr = NoTrace()
-    times, failures, props = [], [], []
+    walls, scaled, failures, props = [], [], [], []
     start = time.perf_counter()
+    ref = reference_s()
     i = 0
     while True:
         inst = pool[i % len(pool)]
         t0 = time.perf_counter()
         why = run_one(wl, inst, tr)
         t1 = time.perf_counter()
-        times.append(t1 - t0)
+        after = reference_s()
+        walls.append(t1 - t0)
+        scaled.append((t1 - t0) * speed(ref, after))
+        ref = after
         props.append(inst["props"])
         if why is not None:
             failures.append((i % len(pool), why))
         i += 1
         if t1 - start >= seconds:
-            return times, failures, props, t1 - start
+            return walls, scaled, failures, props, time.perf_counter() - start
 
 
 def traced_loop(wl, sample):
-    """The sample once untraced, then once traced.  Returns the tracer,
-    the instance times of the traced pass, failures, and both wall times."""
+    """Each instance of the sample once untraced and then once traced, so
+    that a drift in the machine's speed hits both passes alike.  Returns
+    the tracer, the instance times of the traced pass, failures, and the
+    wall times of both passes."""
     from spans import NoTrace, Tracer
 
     tracer = Tracer()
-    failures, walls, times = [], [], []
-    for tr in (NoTrace(), tracer):
-        start = time.perf_counter()
-        for i, inst in enumerate(sample):
+    failures, times, walls = [], [], [0.0, 0.0]
+    for i, inst in enumerate(sample):
+        for k, tr in enumerate((NoTrace(), tracer)):
             t0 = time.perf_counter()
             why = run_one(wl, inst, tr)
             t1 = time.perf_counter()
             tr.end(i, t0, t1)
+            walls[k] += time.perf_counter() - t0
             if tr is tracer:
                 times.append(t1 - t0)
             if why is not None:
                 failures.append((i, why))
-        walls.append(time.perf_counter() - start)
     return tracer, times, failures, walls
+
+
+def p90(times):
+    return statistics.quantiles(times, n=10)[8] if len(times) >= 2 else times[0]
 
 
 def metric(value, unit):
@@ -190,33 +260,25 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--setup-probe", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     try:
-        wl, pool, setup_s = set_up(args.workload, args.seed)
+        wl, pool, setups, setup_walls = timed_set_ups(args.workload, args.seed)
     except (ImportError, KeyError) as exc:
         print("perfbench: cannot set up %r: %s" % (args.workload, exc),
               file=sys.stderr)
         return 2
-    if args.setup_probe:
-        print(setup_s)
-        return 0
-    setups = [setup_s] + [child_set_up_s(args.workload, args.seed)
-                          for _ in range(SETUP_SAMPLES - 1)]
     gc.collect()
     gc.freeze()  # the inputs live for the whole run; keep them out of GC scans
 
     header = "workload %s seed %d trace %d" % (args.workload, args.seed, args.trace)
     if args.trace == 0:
-        times, failures, props, elapsed = timed_loop(wl, pool, args.seconds)
+        walls, times, failures, props, elapsed = timed_loop(wl, pool, args.seconds)
         n = len(times)
-        p90 = statistics.quantiles(times, n=10)[8] if n >= 2 else times[0]
         metrics = {
-            "instances_per_s": metric(n / elapsed, "1/s"),
+            "instances_per_s": metric(n / sum(times), "1/s"),
             "instance_p50_ms": metric(statistics.median(times) * 1e3, "ms"),
-            "instance_p90_ms": metric(p90 * 1e3, "ms"),
+            "instance_p90_ms": metric(p90(times) * 1e3, "ms"),
             "passed_ratio": metric((n - len(failures)) / n, "1"),
             "setup_s": metric(statistics.median(setups), "s"),
             "peak_rss_mb": metric(
@@ -224,8 +286,14 @@ def main(argv=None):
         }
         lines = [
             header,
-            "instances %d in %.3f s; percentiles over n=%d; set-ups %s s"
-            % (n, elapsed, n, ", ".join("%.4f" % s for s in setups)),
+            "instances %d in %.3f s; percentiles over n=%d" % (n, elapsed, n),
+            "wall, unscaled: %.4f instances/s, p50 %.4f ms, p90 %.4f ms, set-ups %s s;"
+            " reference kernel median %.4f ms"
+            % (n / sum(walls), statistics.median(walls) * 1e3, p90(walls) * 1e3,
+               ", ".join("%.4f" % s for s in setup_walls),
+               statistics.median(REFERENCE_NOMINAL_S * w / t
+                                 for w, t in zip(walls, times)) * 1e3),
+            "scaled set-ups %s s" % ", ".join("%.4f" % s for s in setups),
             "failed_ratio %r 1 (%d/%d)" % (len(failures) / n, len(failures), n),
             "input shares " + json.dumps(shares(props), sort_keys=True),
         ]

@@ -7,13 +7,14 @@ constructors (``WeightVector``, ``CuntzElement``, ``TruncatedOperator``,
 generators, so that a change to ``verify`` cannot shift the inputs.
 
 The properties that set an instance's cost are stratified: d follows a
-fixed cycle; closed-form kinds and word lengths are drawn in balanced
-blocks; operator entries sit at fixed word lengths; and a unitary is drawn
-again until its count of nonzero entries is the one its slot asks for.
-Letters, coefficients, weights and the unitaries themselves are drawn at
-random.  Every seed, and every stretch of a run, then has nearly the same
-mix of costly and cheap instances, which keeps the figures steady across
-seeds.
+fixed cycle; closed-form kinds (jointly with their word lengths), element
+word lengths and unitaries are drawn in balanced blocks, which keep their
+uniform shares but make every stretch of a run see nearly the same mix;
+and operator entries sit at fixed word lengths.  Letters, coefficients
+and weights are drawn at random.  The one
+filter on a distribution is on the d=3 unitaries of ``rotated-basis`` and
+``symbolic``: they are the sparse half of ``random_exact_unitary``'s draws
+(see ``unitary_sets``).
 
 An instance returns True when its identity holds.  A library error raised
 inside it propagates and is counted as a failure by the runner.
@@ -21,11 +22,13 @@ inside it propagates and is counted as a failure by the runner.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from fockboundary import choi_effros, fock, modular, quantization, scalars
 from fockboundary.algebra import CuntzElement, Monomial
+from fockboundary.choi_effros import _down_shift, _up_shift
 from fockboundary.fock import TruncatedOperator, WeightVector
 from fockboundary.modular import PhasedElement
 
@@ -109,33 +112,35 @@ def unitary_nonzero_share(u):
 
 # -- closed forms vs the iterative product ----------------------------------------
 
-# (d, cut) slots: two thirds d=2, whose instances cost about a quarter of a
-# d=3 one, so that the median lies inside the d=2 instances and the 90th
-# percentile inside the d=3 ones, away from the jump between them
-CLOSED_FORM_SHAPES = ((2, 8), (3, 7), (2, 8))
+# (d, cut) slots: d=2 and d=3 in the ratio 3:2, as verify_multiplications
+# runs them
+CLOSED_FORM_SHAPES = ((2, 8), (3, 7), (2, 8), (3, 7), (2, 8))
 TWO_WORD_KINDS = ("iii", "vi", "vii")
+# a closed-form kind with the lengths of its words: every kind with every
+# pair of lengths 1-3 (a one-word kind uses the first), so that kinds and
+# lengths are uniform
+FORM_DRAWS = [(kind, lengths) for kind in choi_effros.FORM_KINDS
+              for lengths in itertools.product((1, 2, 3), repeat=2)]
 
 
 class ClosedForms:
     """Closed-form mixed products against the chain of iterative products."""
 
     name = "closed-forms"
-    pool_size = 350
+    pool_size = 600
     trace_size = 105
 
     def generate(self, seed):
         rng = random.Random(seed)
         # balanced per d, so that the costly d=3 instances have the full mix too
-        kinds = {d: Balanced(rng, choi_effros.FORM_KINDS) for d in (2, 3)}
-        word_lengths = {d: Balanced(rng, (1, 2, 3)) for d in (2, 3)}
+        forms = {d: Balanced(rng, FORM_DRAWS) for d in (2, 3)}
         element_lengths = {d: Balanced(rng, (0, 1, 2)) for d in (2, 3)}
         out = []
         for i in range(self.pool_size):
             d, cut = CLOSED_FORM_SHAPES[i % len(CLOSED_FORM_SHAPES)]
-            kind = kinds[d].draw()
+            kind, lengths = forms[d].draw()
             nwords = 2 if kind in TWO_WORD_KINDS else 1
-            words = tuple(random_word(d, rng, word_lengths[d].draw())
-                          for _ in range(nwords))
+            words = tuple(random_word(d, rng, n) for n in lengths[:nwords])
             weights = random_weights(d, rng)
             element = random_element(weights, rng, 2, element_lengths[d])
             out.append({
@@ -189,18 +194,11 @@ class ClosedForms:
                        closed, acc, degree, tol)
 
 
-def _up_shift(op):
-    return max([0] + [len(r) - len(c) for r, c in op.entries])
-
-
-def _down_shift(op):
-    return max([0] + [len(c) - len(r) for r, c in op.entries])
-
-
 class ClosedFormsFloat(ClosedForms):
     """The closed-forms instances, converted to float mode."""
 
     name = "closed-forms-float"
+    pool_size = 3000  # a run repeats the pool; the first 600 are closed-forms'
     trace_size = 350
 
     def generate(self, seed):
@@ -215,24 +213,43 @@ class ClosedFormsFloat(ClosedForms):
 
 # -- basis independence of the Markov step --------------------------------------
 
-# The cost of an instance is set by d and by how many entries of V are
-# nonzero.  At d=3, cut 4 a V with 5 of 9 nonzero entries costs about 0.05 s,
-# 8 of 9 about 0.5 s and 9 of 9 up to 2.4 s, too slow for 100 instances a
-# run; so d=3 draws V with at most 5 nonzero entries, and d=2 (cut 5) draws
-# it with all 4, about 0.3 s.  The slots fix the mix at 8 d=3 : 2 d=2, so
-# that the median lies among the d=3 instances and the 90th percentile in
-# the middle of the d=2 ones, away from the jump between them.
-ROTATED_SLOTS = (3, 3, 3, 3, 2, 3, 3, 3, 3, 2)
+# An instance of rotated-basis or symbolic costs most when its unitary is
+# dense.  At d=2, random_exact_unitary's unitary has all 4 entries nonzero
+# in 99% of draws.  At d=3, 48% of its draws have at most 5 of 9 entries
+# nonzero, 37% have 8 and 15% have 9.  A rotated-basis instance at d=3,
+# cut 4 costs about 0.045 s with a sparse V and 0.26-2 s with a denser
+# one; a symbolic instance at d=3 costs up to 0.04 s with a sparse U and up
+# to 0.8 s with a denser one.  At those costs the runs are too short for
+# 100 instances, and too few costly instances fall in a run to keep its
+# figures steady.  So d=3 keeps only the sparse draws.
+SPARSE_D3_NONZEROS = 5
+UNITARY_DRAWS = 40  # per d; a unitary costs milliseconds to draw, so instances share them
 
 
-def unitary_of_density(d, rng, dense):
-    """A random exact unitary, drawn again until all of its entries are
-    nonzero (``dense``) or at most d*d - 4 of them are."""
-    while True:
-        V = quantization.random_exact_unitary(d, rng)
-        nonzeros = nonzero_entries(V)
-        if (nonzeros == d * d) if dense else (nonzeros <= d * d - 4):
-            return V
+def unitary_sets(rng):
+    """For d = 2 and 3, the unitaries kept from UNITARY_DRAWS draws of
+    random_exact_unitary, drawn from in balanced blocks.  At d=3 only the
+    draws with at most SPARSE_D3_NONZEROS nonzero entries are kept.  A fixed
+    number of draws, rather than a fixed number kept, keeps the set-up cost
+    nearly the same for every seed."""
+    sets = {}
+    for d in (2, 3):
+        kept = []
+        while not kept:
+            draws = [quantization.random_exact_unitary(d, rng)
+                     for _ in range(UNITARY_DRAWS)]
+            kept = [U for U in draws
+                    if d == 2 or nonzero_entries(U) <= SPARSE_D3_NONZEROS]
+        sets[d] = Balanced(rng, kept)
+    return sets
+
+
+# A rotated-basis instance costs about 0.35 s at d=2, cut 5 and 0.045 s at
+# d=3, cut 4.  verify runs this check at d=2 alone; the slots put d=3 and
+# d=2 at 2:1, which keeps the rate above 100 instances a run and puts the
+# median among the d=3 instances and the 90th percentile among the d=2
+# ones, away from the jump in cost between them.
+ROTATED_SLOTS = (3, 3, 2)
 
 
 class RotatedBasis:
@@ -240,17 +257,18 @@ class RotatedBasis:
     <= cut - 1 block."""
 
     name = "rotated-basis"
-    pool_size = 150
-    trace_size = 50
+    pool_size = 240
+    trace_size = 45
 
     def generate(self, seed):
         rng = random.Random(seed)
         halves = WeightVector([Fraction(1, 3), Fraction(2, 3)])
+        unitaries = unitary_sets(rng)
         out = []
         for i in range(self.pool_size):
             d = ROTATED_SLOTS[i % len(ROTATED_SLOTS)]
             w, cut = (halves, 5) if d == 2 else (random_weights(3, rng), 4)
-            V = unitary_of_density(d, rng, dense=d == 2)
+            V = unitaries[d].draw()
             x = random_operator(w, cut, rng)
             out.append({
                 "weights": w, "cut": cut, "V": V, "x": x,
@@ -284,11 +302,8 @@ class RotatedBasis:
 # -- symbolic identities ----------------------------------------------------------
 
 
-# d slots: two thirds d=3, where U has at most 5 nonzero entries and an
-# instance costs about a third of a d=2 one (dense 2x2 U), so that the
-# median lies inside the d=3 instances and the 90th percentile inside the
-# d=2 ones, away from the jump between them
-SYMBOLIC_SLOTS = (3, 2, 3)
+# d slots: d=2 and d=3 alike, as verify_quantize runs them
+SYMBOLIC_SLOTS = (2, 3)
 
 
 class Symbolic:
@@ -298,18 +313,14 @@ class Symbolic:
     the generator substitution for a unitary on uniform weights."""
 
     name = "symbolic"
-    pool_size = 900
+    pool_size = 800
     trace_size = 150
-    unitaries_per_d = 48
 
     def generate(self, seed):
         rng = random.Random(seed)
         uniform = {d: WeightVector.uniform(d) for d in (2, 3)}
         lengths = Balanced(rng, (0, 1, 2, 3))
-        # a unitary costs milliseconds to draw, so instances share a set of them
-        unitaries = {d: Balanced(rng, [unitary_of_density(d, rng, dense=d == 2)
-                                       for _ in range(self.unitaries_per_d)])
-                     for d in (2, 3)}
+        unitaries = unitary_sets(rng)
         out = []
         for i in range(self.pool_size):
             d = SYMBOLIC_SLOTS[i % len(SYMBOLIC_SLOTS)]
@@ -353,11 +364,16 @@ class Symbolic:
         image = gamma(product(inst["xu"], inst["yu"]))
         images = product(gamma(inst["xu"]), gamma(inst["yu"]))
         multiplicative = equals(image, images)
-        # the normal form of the difference is a second zero test, one that
-        # does not go through phi
-        difference = tr.call("algebra.sub", CuntzElement.__sub__, image, images)
-        canonical = tr.call("algebra.normal_form", CuntzElement.normal_form,
-                            difference)
+
+        def normal_form(a):
+            return tr.call("algebra.normal_form", CuntzElement.normal_form, a)
+
+        # xy and its normal form are one element written in two ways: the
+        # normal form of their difference is empty, a zero test that does
+        # not go through phi
+        expanded = normal_form(xy)
+        difference = tr.call("algebra.sub", CuntzElement.__sub__, expanded, xy)
+        canonical = normal_form(difference)
         return associative and anti and flow and multiplicative and not canonical.terms
 
 
