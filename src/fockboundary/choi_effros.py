@@ -98,7 +98,7 @@ def product_iterative(x, y, weights, max_steps=None):
     guard = min(_down_shift(x), _up_shift(y))
     if max_steps is None:
         max_steps = z.cut - 1
-    prev = z
+    before, prev = None, z
     for n in range(max_steps + 1):
         if prev.cut < 1:
             break
@@ -108,9 +108,9 @@ def product_iterative(x, y, weights, max_steps=None):
             break
         if nxt.equal_on_block(prev, safe_degree):
             return nxt, n
-        prev = nxt
+        before, prev = prev, nxt
     raise StabilizationError(
-        "no stabilization within the cut budget", last=prev, previous=z
+        "no stabilization within the cut budget", last=prev, previous=before
     )
 
 

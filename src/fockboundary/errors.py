@@ -28,7 +28,8 @@ class StabilizationError(RuntimeError):
     """The iterated product failed to stabilize inside the cut budget.
 
     Carries the last two iterates so the caller can inspect the
-    residual drift.
+    residual drift: ``last`` is the Markov step of ``previous``
+    (``previous`` is None when no step was taken).
     """
 
     def __init__(self, message, last=None, previous=None):

@@ -589,6 +589,7 @@ def markov_step(x, weights):
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
     new_cut = x.cut - 1
+    w = [scalars.coerce_scalar(v, x.mode) for v in weights.values]
     entries = {}
     z = scalars.zero(x.mode)
     for (row, col), val in x.entries.items():
@@ -597,7 +598,7 @@ def markov_step(x, weights):
         if len(row) - 1 > new_cut or len(col) - 1 > new_cut:
             continue
         key = (row[1:], col[1:])
-        entries[key] = entries.get(key, z) + weights.values[row[0] - 1] * val
+        entries[key] = entries.get(key, z) + w[row[0] - 1] * val
     entries = {k: v for k, v in entries.items() if not scalars.is_zero_scalar(v, x.mode)}
     return TruncatedOperator(entries, new_cut, x.d, x.mode, _trusted=True)
 

@@ -310,19 +310,35 @@ class BasisIndependenceReport:
 def markov_step_in_basis(x, weights, V):
     """One step of the Markov operator built from the rotated basis
     f_i = V e_i: sum_i w_i l_{f_i}* x l_{f_i}, exact on the degree
-    <= cut - 1 block."""
-    from .choi_effros import op_left_creation
+    <= cut - 1 block.
 
-    cut, d, mode = x.cut, x.d, x.mode
-    out = TruncatedOperator.zero(cut, d, mode)
-    for i in range(1, d + 1):
-        coeffs = V.apply(i)
-        lf = TruncatedOperator.zero(cut, d, mode)
-        for j in range(1, d + 1):
-            if not scalars.is_zero_scalar(coeffs[j - 1], mode):
-                lf = lf + op_left_creation((j,), cut, d, mode).scale(coeffs[j - 1])
-        out = out + lf.adjoint().compose(x).compose(lf).scale(weights.values[i - 1])
-    return out.recut(cut - 1)
+    Since l_{f_i} = sum_j v_{ij} l_j, this is the direct sum
+    P_V(x)_{I,J} = sum_{j,k} C_{jk} x_{jI,kJ} with C = V* diag(w) V,
+    one pass over the entries of x."""
+    if x.d != weights.d or x.mode != weights.mode or V.d != x.d or V.mode != x.mode:
+        raise ModeMixError("operator, weights and unitary are incompatible")
+    d, mode = x.d, x.mode
+    w = [scalars.coerce_scalar(v, mode) for v in weights.values]
+    z = scalars.zero(mode)
+    c = {}
+    for j in range(d):
+        for k in range(d):
+            s = z
+            for i in range(d):
+                s = s + w[i] * scalars.conj(V.rows[i][j]) * V.rows[i][k]
+            if s:
+                c[(j + 1, k + 1)] = s
+    entries = {}
+    for (row, col), val in x.entries.items():
+        if not row or not col:
+            continue
+        cjk = c.get((row[0], col[0]))
+        if cjk is None:
+            continue
+        key = (row[1:], col[1:])
+        entries[key] = entries.get(key, z) + cjk * val
+    entries = {k: v for k, v in entries.items() if not scalars.is_zero_scalar(v, mode)}
+    return TruncatedOperator(entries, x.cut - 1, d, mode, _trusted=True)
 
 
 def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):

@@ -11,7 +11,7 @@ from fockboundary.choi_effros import (
     product_iterative,
 )
 from fockboundary.errors import StabilizationError
-from fockboundary.fock import TruncatedOperator
+from fockboundary.fock import TruncatedOperator, markov_step
 
 
 class TestGeneratorCompressions:
@@ -49,6 +49,16 @@ class TestIterativeProduct:
         with pytest.raises(StabilizationError) as exc:
             product_iterative(R1, R1.adjoint(), w13, max_steps=0)
         assert exc.value.last is not None
+
+    def test_failure_carries_the_last_two_iterates(self, w13):
+        # r_12 r_12* needs three Markov steps; stop it after one and after two
+        R = op_right_creation((1, 2), 6, 2)
+        for max_steps in (0, 1):
+            with pytest.raises(StabilizationError) as exc:
+                product_iterative(R, R.adjoint(), w13, max_steps=max_steps)
+            last, previous = exc.value.last, exc.value.previous
+            assert previous.cut == last.cut + 1
+            assert markov_step(previous, w13).equal_on_block(last, last.cut)
 
 
 class TestClosedForms:

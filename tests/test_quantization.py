@@ -4,18 +4,27 @@ from fractions import Fraction
 import pytest
 
 from fockboundary.algebra import CuntzElement
-from fockboundary.fock import WeightVector, is_harmonic, markov_step
+from fockboundary.choi_effros import op_left_creation
+from fockboundary.errors import ModeMixError
+from fockboundary.fock import (
+    TruncatedOperator,
+    WeightVector,
+    is_harmonic,
+    markov_step,
+    words_up_to,
+)
 from fockboundary.quantization import (
     UnitaryMatrix,
     basis_independence_check,
     conjugate,
     counterexample_report,
+    markov_step_in_basis,
     random_exact_unitary,
     random_float_unitary,
     second_quantize,
     symbolic_gamma,
 )
-from fockboundary.scalars import GaussianRational
+from fockboundary.scalars import EXACT, FLOAT, GaussianRational
 
 
 class TestUnitaryMatrix:
@@ -132,3 +141,65 @@ class TestBasisIndependence:
         # y is the compression of M((2),(2)) w.r.t. swapped weights
         assert is_harmonic(y, swapped).ok
         assert not is_harmonic(y, w13).ok
+
+
+def composition_form(x, weights, V):
+    """sum_i w_i l_{f_i}* x l_{f_i} with f_i = V e_i, built from the
+    left-creation compressions and recut to its exact block."""
+    cut, d, mode = x.cut, x.d, x.mode
+    out = TruncatedOperator.zero(cut, d, mode)
+    for i in range(1, d + 1):
+        lf = TruncatedOperator.zero(cut, d, mode)
+        for j, v in enumerate(V.apply(i), start=1):
+            lf = lf + op_left_creation((j,), cut, d, mode).scale(v)
+        out = out + lf.adjoint().compose(x).compose(lf).scale(weights.values[i - 1])
+    return out.recut(cut - 1)
+
+
+def random_dense_operator(weights, cut, rng, nonzeros):
+    basis = words_up_to(weights.d, cut)
+    entries = {}
+    for _ in range(nonzeros):
+        key = (rng.choice(basis), rng.choice(basis))
+        if weights.mode == EXACT:
+            entries[key] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        else:
+            entries[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return TruncatedOperator(entries, cut, weights.d, weights.mode)
+
+
+class TestRotatedMarkovStep:
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
+    def test_direct_sum_equals_composition_form_exactly(self, d, cut):
+        rng = random.Random(11 + d)
+        w = WeightVector([Fraction(k, d * (d + 1) // 2) for k in range(1, d + 1)])
+        for _ in range(4):
+            V = random_exact_unitary(d, rng)
+            x = random_dense_operator(w, cut, rng, nonzeros=40)
+            got = markov_step_in_basis(x, w, V)
+            want = composition_form(x, w, V)
+            assert got.cut == want.cut == cut - 1
+            assert got.entries == want.entries
+
+    def test_identity_basis_is_the_markov_step(self, w3):
+        x = random_dense_operator(w3, 3, random.Random(2), nonzeros=60)
+        got = markov_step_in_basis(x, w3, UnitaryMatrix.identity(3))
+        assert got.entries == markov_step(x, w3).entries
+
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
+    def test_float_mode_within_tolerance(self, d, cut):
+        rng = random.Random(5 + d)
+        w = WeightVector([k / (d * (d + 1) / 2) for k in range(1, d + 1)], mode=FLOAT)
+        for _ in range(3):
+            V = random_float_unitary(d, rng)
+            x = random_dense_operator(w, cut, rng, nonzeros=40)
+            got = markov_step_in_basis(x, w, V)
+            want = composition_form(x, w, V)
+            assert got.cut == want.cut == cut - 1
+            assert got.max_block_diff(want, cut - 1) <= 1e-12
+
+    def test_refuses_mixed_modes(self, w13):
+        x = random_dense_operator(w13, 3, random.Random(1), nonzeros=5)
+        V = random_float_unitary(2, random.Random(1))
+        with pytest.raises(ModeMixError):
+            markov_step_in_basis(x, w13, V)
