@@ -18,6 +18,8 @@ optimization cross-checked against it.
 from __future__ import annotations
 
 import os
+from functools import partial
+from operator import itemgetter
 
 from . import scalars
 from .errors import TermBudgetError
@@ -37,40 +39,48 @@ DEFAULT_TERM_CAP = 200000
 
 
 def term_cap():
-    """Symbolic term budget; override with the FOCK_TERM_CAP env var."""
+    """Symbolic term budget; override with the FOCK_TERM_CAP env var,
+    which must be a positive integer."""
     raw = os.environ.get("FOCK_TERM_CAP")
-    return int(raw) if raw else DEFAULT_TERM_CAP
+    if not raw:
+        return DEFAULT_TERM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError("FOCK_TERM_CAP must be a positive integer, got %r" % raw)
+    return cap
 
 
-class Monomial:
-    """The monomial r_I . r_J*; M((), ()) is the identity."""
+class Monomial(tuple):
+    """The monomial r_I . r_J*, stored as the pair (I, J) of words;
+    M((), ()) is the identity.  Hashing and equality are the tuple's."""
 
-    __slots__ = ("I", "J")
+    __slots__ = ()
 
-    def __init__(self, I, J):
-        object.__setattr__(self, "I", tuple(I))
-        object.__setattr__(self, "J", tuple(J))
+    def __new__(cls, I, J):
+        return tuple.__new__(cls, (tuple(I), tuple(J)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
+    I = property(itemgetter(0))
+    J = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def flip(self):
-        return Monomial(self.J, self.I)
+        return _monomial((self[1], self[0]))
 
     def sort_key(self):
-        return (len(self.I) - len(self.J), len(self.J), self.I, self.J)
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.I == other.I and self.J == other.J
-
-    def __hash__(self):
-        return hash((self.I, self.J))
+        I, J = self
+        return (len(I) - len(J), len(J), I, J)
 
     def __repr__(self):
-        return "M(%s,%s)" % (display_word(self.I), display_word(self.J))
+        return "M(%s,%s)" % (display_word(self[0]), display_word(self[1]))
 
+
+# Monomial from a pair of words that are already tuples
+_monomial = partial(tuple.__new__, Monomial)
 
 IDENTITY_MONOMIAL = Monomial(EMPTY_WORD, EMPTY_WORD)
 
@@ -78,14 +88,56 @@ IDENTITY_MONOMIAL = Monomial(EMPTY_WORD, EMPTY_WORD)
 def mono_product(a, b):
     """Contraction rule for M(I,J) . M(K,L); returns the resulting
     Monomial or None when the product vanishes."""
-    J, K = a.J, b.I
-    if len(K) >= len(J):
-        if K[: len(J)] == J:
-            return Monomial(a.I + K[len(J):], b.J)
+    (I, J), (K, L) = a, b
+    n = len(J)
+    if len(K) >= n:
+        if K[:n] == J:
+            return _monomial((I + K[n:], L))
         return None
     if J[: len(K)] == K:
-        return Monomial(a.I, b.J + J[len(K):])
+        return _monomial((I, L + J[len(K):]))
     return None
+
+
+def contractions(left, right):
+    """The nonzero monomial products of a left term with a right term.
+
+    ``left`` and ``right`` are iterables of (monomial, payload) pairs;
+    yields (product monomial, left payload, right payload).  Since
+    M(I,J) . M(K,L) is nonzero only when K extends J or K is a proper
+    prefix of J, the right terms are indexed by every prefix of K and by
+    K itself, and each left term visits only the pairs that contract."""
+    by_prefix = {}  # prefix P of K -> [(K with P removed, L, payload)]
+    by_word = {}  # K -> [(L, payload)]
+    for (K, L), b in right:
+        by_word.setdefault(K, []).append((L, b))
+        for n in range(len(K) + 1):
+            by_prefix.setdefault(K[:n], []).append((K[n:], L, b))
+    for (I, J), a in left:
+        for rest, L, b in by_prefix.get(J, ()):
+            yield _monomial((I + rest, L)), a, b
+        for n in range(len(J)):
+            for L, b in by_word.get(J[:n], ()):
+                yield _monomial((I, L + J[n:])), a, b
+
+
+def accumulate(pairs, mode, what):
+    """Sum (key, value) pairs into a dict, dropping a key whose sum
+    cancels to zero; raises TermBudgetError once the dict outgrows
+    ``term_cap()``."""
+    cap = term_cap()
+    terms = {}
+    for key, value in pairs:
+        s = terms.get(key)
+        s = value if s is None else s + value
+        if scalars.is_zero_scalar(s, mode):
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+            if len(terms) > cap:
+                raise TermBudgetError(
+                    "%s exceeded the term budget (%d)" % (what, cap))
+    return terms
 
 
 class CuntzElement:
@@ -173,23 +225,9 @@ class CuntzElement:
         """Fixed-point product, extended bilinearly from the monomial
         contraction rule."""
         same_weights(self.weights, other.weights)
-        cap = term_cap()
-        terms = {}
-        z = scalars.zero(self.mode)
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_product(ma, mb)
-                if m is None:
-                    continue
-                s = terms.get(m, z) + ca * cb
-                if scalars.is_zero_scalar(s, self.mode):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-                    if len(terms) > cap:
-                        raise TermBudgetError(
-                            "product exceeded the term budget (%d)" % cap
-                        )
+        pairs = contractions(self.terms.items(), other.terms.items())
+        terms = accumulate(
+            ((m, ca * cb) for m, ca, cb in pairs), self.mode, "product")
         return CuntzElement(terms, self.weights, _trusted=True)
 
     def adjoint(self):
@@ -205,22 +243,13 @@ class CuntzElement:
         """Apply M(I,J) = sum_{|K| = depth} M(IK, JK) to every term."""
         if depth == 0:
             return self
-        cap = term_cap()
-        d = self.weights.d
-        terms = {}
-        z = scalars.zero(self.mode)
-        for mono, coeff in self.terms.items():
-            for suffix in words_of_length(d, depth):
-                m = Monomial(mono.I + suffix, mono.J + suffix)
-                s = terms.get(m, z) + coeff
-                if scalars.is_zero_scalar(s, self.mode):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-                    if len(terms) > cap:
-                        raise TermBudgetError(
-                            "expansion exceeded the term budget (%d)" % cap
-                        )
+        suffixes = words_of_length(self.weights.d, depth)
+        pairs = (
+            (_monomial((I + suffix, J + suffix)), coeff)
+            for (I, J), coeff in self.terms.items()
+            for suffix in suffixes
+        )
+        terms = accumulate(pairs, self.mode, "expansion")
         return CuntzElement(terms, self.weights, _trusted=True)
 
     def normal_form(self):
@@ -234,25 +263,15 @@ class CuntzElement:
             k = len(mono.I) - len(mono.J)
             classes.setdefault(k, []).append((mono, coeff))
         d = self.weights.d
-        z = scalars.zero(self.mode)
-        cap = term_cap()
-        terms = {}
-        for k, items in classes.items():
-            target = max(len(m.J) for m, _ in items)
-            for mono, coeff in items:
-                depth = target - len(mono.J)
-                suffixes = words_of_length(d, depth) if depth else [EMPTY_WORD]
-                for suffix in suffixes:
-                    m = Monomial(mono.I + suffix, mono.J + suffix)
-                    s = terms.get(m, z) + coeff
-                    if scalars.is_zero_scalar(s, self.mode):
-                        terms.pop(m, None)
-                    else:
-                        terms[m] = s
-                        if len(terms) > cap:
-                            raise TermBudgetError(
-                                "normal form exceeded the term budget (%d)" % cap
-                            )
+
+        def pairs():
+            for items in classes.values():
+                target = max(len(m.J) for m, _ in items)
+                for (I, J), coeff in items:
+                    for suffix in words_of_length(d, target - len(J)):
+                        yield _monomial((I + suffix, J + suffix)), coeff
+
+        terms = accumulate(pairs(), self.mode, "normal form")
         return CuntzElement(terms, self.weights, _trusted=True)
 
     # -- state, inner product, zero test ----------------------------------------
@@ -266,9 +285,22 @@ class CuntzElement:
         return total
 
     def gns_inner(self, other):
-        """<x, y> = phi(y* . x)."""
+        """<x, y> = phi(y* . x), without forming y* . x.
+
+        phi(M(I',J')* . M(I,J)) is nonzero only when one of the two
+        monomials is the other extended by a common suffix, and its
+        value is then w_J of the longer one.  So each term of x is
+        looked up in y after stripping t >= 0 common trailing letters,
+        and each term of y in x after stripping t >= 1."""
         same_weights(self.weights, other.weights)
-        return (other.adjoint() * self).vacuum_state()
+        word_weight = self.weights.word_weight
+        conj = scalars.conj
+        total = scalars.zero(self.mode)
+        for cx, cy, J in _suffix_matches(self.terms, other.terms, 0):
+            total = total + conj(cy) * cx * word_weight(J)
+        for cy, cx, J in _suffix_matches(other.terms, self.terms, 1):
+            total = total + conj(cy) * cx * word_weight(J)
+        return total
 
     def gns_norm_sq(self):
         return self.gns_inner(self)
@@ -373,31 +405,15 @@ class CuntzElement:
         return cls(terms, weights)
 
 
-# functional-style aliases
-
-def product(x, y):
-    return x * y
-
-
-def adjoint(x):
-    return x.adjoint()
-
-
-def normal_form(x):
-    return x.normal_form()
-
-
-def vacuum_state(x):
-    return x.vacuum_state()
-
-
-def gns_inner(x, y):
-    return x.gns_inner(y)
-
-
-def is_zero(x, tol=1e-12):
-    return x.is_zero(tol)
-
-
-def to_truncated(x, cut):
-    return x.to_truncated(cut)
+def _suffix_matches(longer, shorter, first):
+    """(coeff in ``longer``, coeff in ``shorter``, J of the longer) for
+    every term M(IS, JS) of ``longer`` with M(I, J) a term of
+    ``shorter``, over common suffixes S with |S| >= first."""
+    for (I, J), c in longer.items():
+        for t in range(min(len(I), len(J)) + 1):
+            if t and I[-t] != J[-t]:
+                break
+            if t >= first:
+                hit = shorter.get((I[: len(I) - t], J[: len(J) - t]))
+                if hit is not None:
+                    yield c, hit, J

@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import scalars
-from .algebra import CuntzElement, Monomial
+from . import errors, scalars
+from .algebra import CuntzElement, Monomial, term_cap
 from .choi_effros import product_iterative
 from .classification import DEFAULT_TOLERANCE, classify
 from .errors import LetterRangeError
@@ -28,11 +28,31 @@ class UsageError(Exception):
     pass
 
 
+# library errors that reach the user as a one-line message and exit 2
+LIBRARY_ERRORS = (
+    errors.LetterRangeError,
+    errors.CutMismatchError,
+    errors.CutExhaustedError,
+    errors.ModeMixError,
+    errors.TermBudgetError,
+    errors.StabilizationError,
+    errors.SpectrumSizeError,
+    errors.InternalInconsistencyError,
+)
+
+
 def _weights_from_args(args):
     try:
         return WeightVector.parse(args.weights, mode=args.mode)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad --weights %r: %s" % (args.weights, exc))
+
+
+def _check_term_cap():
+    try:
+        term_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _load_element(path, weights):
@@ -95,6 +115,10 @@ def cmd_product(args):
             "result": result,
         }
     else:
+        longest = max(x.max_word_length(), y.max_word_length())
+        if args.cut < longest:
+            raise UsageError("--cut %d below the maximal word length %d"
+                             % (args.cut, longest))
         xt = x.to_truncated(args.cut)
         yt = y.to_truncated(args.cut)
         res, steps = product_iterative(xt, yt, weights)
@@ -275,8 +299,9 @@ def main(argv=None):
     if args.command == "probe" and args.kind == "masa" and args.max_len is None:
         args.max_len = 2
     try:
+        _check_term_cap()
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError,) + LIBRARY_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -41,10 +41,6 @@ def check_word(word, d):
     return word
 
 
-def word_concat(left, right):
-    return tuple(left) + tuple(right)
-
-
 def word_reverse(word):
     return tuple(reversed(word))
 
@@ -172,12 +168,6 @@ def same_weights(a, b):
     if a != b:
         raise ModeMixError("operands belong to different weight sessions")
     return a
-
-
-# convenience aliases matching the functional interface
-
-def word_weight(word, weights):
-    return weights.word_weight(word)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +451,6 @@ class TruncatedOperator:
         }
         return TruncatedOperator(entries, new_cut, self.d, self.mode, _trusted=True)
 
-    def max_degree(self):
-        if not self.entries:
-            return 0
-        return max(max(len(r), len(c)) for r, c in self.entries)
-
     # -- comparisons ------------------------------------------------------
 
     def equal_on_block(self, other, degree, tol=1e-12):
@@ -553,24 +538,6 @@ class TruncatedOperator:
             key = (parse_word(rec["row"]), parse_word(rec["col"]))
             entries[key] = scalars.scalar_from_json(rec, mode)
         return cls(entries, int(obj["cut"]), int(obj["d"]), mode)
-
-
-# functional aliases used by callers that prefer free functions
-
-def build_generator(side, kind, i, cut, d, mode=EXACT):
-    return TruncatedOperator.generator(side, kind, i, cut, d, mode)
-
-
-def build_vacuum_projection(cut, d, mode=EXACT):
-    return TruncatedOperator.vacuum_projection(cut, d, mode)
-
-
-def compose(x, y):
-    return x.compose(y)
-
-
-def adjoint(x):
-    return x.adjoint()
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from . import scalars
-from .algebra import CuntzElement, Monomial, mono_product
-from .errors import SpectrumSizeError, TermBudgetError
+from .algebra import CuntzElement, Monomial, accumulate, contractions
+from .errors import SpectrumSizeError
 from .fock import same_weights, words_up_to
 
 SPECTRUM_PAIR_CAP = 250000
@@ -246,21 +246,6 @@ def s_operator(v):
     return v.map_terms(act)
 
 
-def delta_imaginary(v, t):
-    """Imaginary power Delta^{it} on a GNS vector.  Exact mode returns
-    a PhasedElement-like dict keyed by (monomial, base) with the phase
-    base w_I/w_J carried symbolically; float mode evaluates."""
-    mode = v.weights.mode
-    if mode == scalars.FLOAT:
-        return v.map_terms(
-            lambda mono, coeff: (mono, coeff * float(v.ratio(mono)) ** complex(0, t))
-        )
-    terms = {}
-    for mono, coeff in v.terms.items():
-        terms[(mono, v.ratio(mono))] = coeff
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # the modular flow on elements: symbolic phases
 
@@ -323,26 +308,13 @@ class PhasedElement:
     def __mul__(self, other):
         """Product: monomials contract, phase bases multiply."""
         same_weights(self.weights, other.weights)
-        from .algebra import term_cap
-
-        cap = term_cap()
-        terms = {}
-        z = scalars.zero(self.mode)
-        for (ma, ba), ca in self.terms.items():
-            for (mb, bb), cb in other.terms.items():
-                m = mono_product(ma, mb)
-                if m is None:
-                    continue
-                key = (m, ba * bb)
-                s = terms.get(key, z) + ca * cb
-                if scalars.is_zero_scalar(s, self.mode):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-                    if len(terms) > cap:
-                        raise TermBudgetError(
-                            "phased product exceeded the term budget (%d)" % cap
-                        )
+        pairs = contractions(
+            ((m, (b, c)) for (m, b), c in self.terms.items()),
+            ((m, (b, c)) for (m, b), c in other.terms.items()),
+        )
+        terms = accumulate(
+            (((m, ba * bb), ca * cb) for m, (ba, ca), (bb, cb) in pairs),
+            self.mode, "phased product")
         return PhasedElement(terms, self.weights, _trusted=True)
 
     def adjoint(self):
@@ -470,12 +442,5 @@ def gram_matrix(weights, max_len):
     fam = monomial_family(weights.d, max_len)
     elems = [CuntzElement({m: scalars.one(weights.mode)}, weights, _trusted=True)
              for m in fam]
-    n = len(fam)
-    rows = []
-    for a in range(n):
-        xa = elems[a].adjoint()
-        row = []
-        for b in range(n):
-            row.append((xa * elems[b]).vacuum_state())
-        rows.append(row)
+    rows = [[xb.gns_inner(xa) for xb in elems] for xa in elems]
     return fam, rows

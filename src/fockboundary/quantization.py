@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalars
-from .algebra import CuntzElement, Monomial
+from .algebra import CuntzElement, Monomial, accumulate
 from .errors import LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator
 from .scalars import GaussianRational
@@ -185,19 +185,13 @@ def conjugate(U, x):
     return g.compose(x).compose(g.adjoint())
 
 
-def generator_image(U, weights, i):
-    """Image of the generator r_{e_i}: r_{U e_i} = sum_j u_{ij} r_{e_j}."""
-    terms = {}
-    for j in range(1, U.d + 1):
-        u = U.entry(i, j)
-        if not scalars.is_zero_scalar(u, U.mode):
-            terms[Monomial((j,), EMPTY_WORD)] = u
-    return CuntzElement(terms, weights)
-
-
 def symbolic_gamma(U, x):
-    """Generator substitution r_i -> r_{U e_i}, extended to monomials
-    multiplicatively in the fixed-point product and then linearly.
+    """The generator substitution r_i -> r_{U e_i}, extended to monomials
+    multiplicatively in the fixed-point product and then linearly.  On a
+    monomial it is the tensor-power substitution
+
+        Gamma(M(I, J)) = sum_{|K| = |I|, |L| = |J|}
+            prod_s u_{I_s K_s} . prod_s conj(u_{J_s L_s}) . M(K, L).
 
     Only valid for uniform weights: for non-uniform weights the
     conjugation fails to be multiplicative (see
@@ -210,19 +204,33 @@ def symbolic_gamma(U, x):
         )
     if U.d != weights.d or U.mode != weights.mode:
         raise ModeMixError("unitary does not match the weight session")
-    images = {i: generator_image(U, weights, i) for i in range(1, U.d + 1)}
+    mode = U.mode
+    rows = [
+        [(j, u) for j, u in enumerate(row, 1) if not scalars.is_zero_scalar(u, mode)]
+        for row in U.rows
+    ]
+    images = {EMPTY_WORD: {EMPTY_WORD: scalars.one(mode)}}
 
-    def word_image(word):
-        acc = CuntzElement.identity(weights)
-        for letter in word:
-            acc = acc * images[letter]
-        return acc
+    def image(word):
+        """{K: prod_s u_{word_s K_s}} over the words K with |K| = |word|."""
+        img = images.get(word)
+        if img is None:
+            head = image(word[:-1])
+            row = rows[word[-1] - 1]
+            img = {K + (j,): c * u for K, c in head.items() for j, u in row}
+            images[word] = img
+        return img
 
-    out = CuntzElement.zero(weights)
-    for mono, coeff in x.terms.items():
-        part = word_image(mono.I) * word_image(mono.J).adjoint()
-        out = out + part.scale(coeff)
-    return out
+    def pairs():
+        for (I, J), coeff in x.terms.items():
+            left = [(K, coeff * c) for K, c in image(I).items()]
+            right = [(L, scalars.conj(c)) for L, c in image(J).items()]
+            for K, a in left:
+                for L, b in right:
+                    yield Monomial(K, L), a * b
+
+    terms = accumulate(pairs(), mode, "substitution")
+    return CuntzElement(terms, weights, _trusted=True)
 
 
 class CounterexampleReport:

@@ -9,22 +9,10 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from fockboundary import verify
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.fock import WeightVector
-
-
-@pytest.fixture(scope="session")
-def multiplications_report():
-    return verify.verify_multiplications(trials=200, seed=7)
-
-
-@pytest.fixture(scope="session")
-def quantize_report():
-    return verify.verify_quantize(seed=7, unitaries_per_d=5, pairs=50, cut=6)
 
 
 class TestCriterion1CuntzRelations:

@@ -8,6 +8,7 @@ from fockboundary.algebra import (
     CuntzElement,
     Monomial,
     mono_product,
+    term_cap,
 )
 from fockboundary.errors import ModeMixError, TermBudgetError
 from fockboundary.fock import WeightVector, is_harmonic
@@ -98,6 +99,12 @@ class TestCuntzElement:
         x = CuntzElement.monomial(w13, (1,), (2,))
         with pytest.raises(TermBudgetError):
             x.expand(2)
+
+    @pytest.mark.parametrize("raw", ["1e5", "0", "-3", "many"])
+    def test_bad_term_cap_is_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("FOCK_TERM_CAP", raw)
+        with pytest.raises(ValueError, match="FOCK_TERM_CAP"):
+            term_cap()
 
     def test_json_roundtrip(self, w13):
         x = CuntzElement(

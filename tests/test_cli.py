@@ -135,3 +135,35 @@ class TestQuantizeAndProbe:
 
     def test_usage_error(self, capsys):
         assert main(["nonsense"]) == 2
+
+
+class TestLibraryErrors:
+    """Library errors leave as one line on stderr with exit 2."""
+
+    def assert_one_line_exit_2(self, capsys, argv, needle):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_spectrum_too_large(self, capsys):
+        self.assert_one_line_exit_2(
+            capsys, ["spectrum", "--weights", "1/2,1/2", "--max-len", "9"],
+            "exceed the cap")
+
+    def test_iterative_cut_below_word_length(self, capsys, tmp_path, w_half):
+        from fockboundary.algebra import CuntzElement
+
+        xp = tmp_path / "x.json"
+        xp.write_text(json.dumps(
+            CuntzElement.monomial(w_half, (1, 2, 1, 2), ()).to_json()))
+        self.assert_one_line_exit_2(
+            capsys, ["product", "--weights", "1/2,1/2", str(xp), str(xp),
+                     "--method", "iterative", "--cut", "3"],
+            "--cut 3 below the maximal word length 4")
+
+    def test_non_integer_term_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("FOCK_TERM_CAP", "1e5")
+        self.assert_one_line_exit_2(
+            capsys, ["classify", "--weights", "1/2,1/2"], "FOCK_TERM_CAP")
