@@ -17,12 +17,11 @@ optimization cross-checked against it.
 
 from __future__ import annotations
 
-import os
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 
 from . import scalars
-from .errors import TermBudgetError
 from .fock import (
     EMPTY_WORD,
     TruncatedOperator,
@@ -33,24 +32,9 @@ from .fock import (
     same_weights,
     word_reverse,
     words_of_length,
+    words_up_to,
 )
-
-DEFAULT_TERM_CAP = 200000
-
-
-def term_cap():
-    """Symbolic term budget; override with the FOCK_TERM_CAP env var,
-    which must be a positive integer."""
-    raw = os.environ.get("FOCK_TERM_CAP")
-    if not raw:
-        return DEFAULT_TERM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValueError("FOCK_TERM_CAP must be a positive integer, got %r" % raw)
-    return cap
+from .scalars import accumulate
 
 
 class Monomial(tuple):
@@ -81,8 +65,6 @@ class Monomial(tuple):
 
 # Monomial from a pair of words that are already tuples
 _monomial = partial(tuple.__new__, Monomial)
-
-IDENTITY_MONOMIAL = Monomial(EMPTY_WORD, EMPTY_WORD)
 
 
 def mono_product(a, b):
@@ -119,25 +101,6 @@ def contractions(left, right):
         for n in range(len(J)):
             for L, b in by_word.get(J[:n], ()):
                 yield _monomial((I, L + J[n:])), a, b
-
-
-def accumulate(pairs, mode, what):
-    """Sum (key, value) pairs into a dict, dropping a key whose sum
-    cancels to zero; raises TermBudgetError once the dict outgrows
-    ``term_cap()``."""
-    cap = term_cap()
-    terms = {}
-    for key, value in pairs:
-        s = terms.get(key)
-        s = value if s is None else s + value
-        if scalars.is_zero_scalar(s, mode):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-            if len(terms) > cap:
-                raise TermBudgetError(
-                    "%s exceeded the term budget (%d)" % (what, cap))
-    return terms
 
 
 class CuntzElement:
@@ -193,18 +156,15 @@ class CuntzElement:
 
     def __add__(self, other):
         same_weights(self.weights, other.weights)
-        terms = dict(self.terms)
-        z = scalars.zero(self.mode)
-        for mono, coeff in other.terms.items():
-            s = terms.get(mono, z) + coeff
-            if scalars.is_zero_scalar(s, self.mode):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
+        terms = accumulate(
+            chain(self.terms.items(), other.terms.items()), self.mode)
         return CuntzElement(terms, self.weights, _trusted=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        same_weights(self.weights, other.weights)
+        negated = ((m, -c) for m, c in other.terms.items())
+        terms = accumulate(chain(self.terms.items(), negated), self.mode)
+        return CuntzElement(terms, self.weights, _trusted=True)
 
     def __neg__(self):
         return CuntzElement(
@@ -351,38 +311,27 @@ class CuntzElement:
                 % (cut, self.max_word_length())
             )
         d = self.weights.d
-        mode = self.mode
-        entries = {}
-        z = scalars.zero(mode)
 
-        def bump(row, col, value):
-            key = (row, col)
-            s = entries.get(key, z) + value
-            if scalars.is_zero_scalar(s, mode):
-                entries.pop(key, None)
-            else:
-                entries[key] = s
+        def pairs():
+            for mono, coeff in self.terms.items():
+                i_op = word_reverse(mono.I)
+                j_op = word_reverse(mono.J)
+                # r_I r_J*: e_{W J^op} -> e_{W I^op}
+                room = cut - max(len(i_op), len(j_op))
+                for w in words_up_to(d, room):
+                    yield (w + i_op, w + j_op), coeff
+                # vacuum corrections: nonzero only when I^op starts with (J^op)_t
+                n = len(mono.J)
+                for t in range(1, n + 1):
+                    head = j_op[:t]
+                    if i_op[:t] != head:
+                        continue
+                    factor = self.weights.word_weight(head)
+                    col = word_reverse(mono.J[: n - t])
+                    yield (i_op[t:], col), coeff * factor
 
-        from .fock import words_up_to
-
-        for mono, coeff in self.terms.items():
-            i_op = word_reverse(mono.I)
-            j_op = word_reverse(mono.J)
-            # r_I r_J*: e_{W J^op} -> e_{W I^op}
-            room = cut - max(len(i_op), len(j_op))
-            for w in words_up_to(d, room):
-                bump(w + i_op, w + j_op, coeff)
-            # vacuum corrections: nonzero only when I^op starts with (J^op)_t
-            n = len(mono.J)
-            for t in range(1, n + 1):
-                head = j_op[:t]
-                if i_op[:t] != head:
-                    continue
-                factor = self.weights.word_weight(head)
-                col = word_reverse(mono.J[: n - t])
-                row = i_op[t:]
-                bump(row, col, coeff * factor)
-        return TruncatedOperator(entries, cut, d, mode, _trusted=True)
+        entries = accumulate(pairs(), self.mode)
+        return TruncatedOperator(entries, cut, d, self.mode, _trusted=True)
 
     # -- serialization -----------------------------------------------------
 

@@ -14,12 +14,13 @@ import sys
 from fractions import Fraction
 
 from . import errors, scalars
-from .algebra import CuntzElement, Monomial, term_cap
+from .algebra import CuntzElement, Monomial
 from .choi_effros import product_iterative
 from .classification import DEFAULT_TOLERANCE, classify
 from .errors import LetterRangeError
 from .fock import WeightVector, parse_word
 from .modular import spectrum_sample
+from .scalars import term_cap
 
 SCHEMA = 1
 
@@ -134,8 +135,14 @@ def cmd_product(args):
 
 
 def cmd_verify(args):
-    from .verify import run_suite
+    from .verify import run_suite, takes_weights
 
+    if args.mode != scalars.EXACT:
+        raise UsageError("verify runs in exact mode only; --mode %s is not "
+                         "supported" % args.mode)
+    if args.weights and not takes_weights(args.suite):
+        raise UsageError("verify %s draws its own weights; --weights is not "
+                         "accepted" % args.suite)
     weights = _weights_from_args(args) if args.weights else None
     report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        weights=weights)

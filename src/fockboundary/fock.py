@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     CutExhaustedError,
@@ -23,7 +24,7 @@ from .errors import (
     ModeMixError,
 )
 from . import scalars
-from .scalars import EXACT, FLOAT, check_mode, common_mode
+from .scalars import EXACT, accumulate, check_mode, common_mode
 
 # ---------------------------------------------------------------------------
 # words
@@ -231,13 +232,12 @@ def apply_creation(side, i, v):
     pushed past the cut are dropped."""
     if not (1 <= i <= v.d):
         raise LetterRangeError("letter %r out of range 1..%d" % (i, v.d))
-    out = {}
-    for word, amp in v.amplitudes.items():
-        if len(word) + 1 > v.cut:
-            continue
-        new = (i,) + word if side == "left" else word + (i,)
-        out[new] = out.get(new, scalars.zero(v.mode)) + amp
-    return FockVector(out, v.cut, v.d, v.mode)
+    pairs = (
+        ((i,) + word if side == "left" else word + (i,), amp)
+        for word, amp in v.amplitudes.items()
+        if len(word) < v.cut
+    )
+    return FockVector(accumulate(pairs, v.mode), v.cut, v.d, v.mode)
 
 
 def apply_annihilation(side, i, v):
@@ -245,20 +245,11 @@ def apply_annihilation(side, i, v):
     any word whose relevant end letter differs from i."""
     if not (1 <= i <= v.d):
         raise LetterRangeError("letter %r out of range 1..%d" % (i, v.d))
-    out = {}
-    for word, amp in v.amplitudes.items():
-        if not word:
-            continue
-        if side == "left":
-            if word[0] != i:
-                continue
-            new = word[1:]
-        else:
-            if word[-1] != i:
-                continue
-            new = word[:-1]
-        out[new] = out.get(new, scalars.zero(v.mode)) + amp
-    return FockVector(out, v.cut, v.d, v.mode)
+    if side == "left":
+        pairs = ((w[1:], amp) for w, amp in v.amplitudes.items() if w and w[0] == i)
+    else:
+        pairs = ((w[:-1], amp) for w, amp in v.amplitudes.items() if w and w[-1] == i)
+    return FockVector(accumulate(pairs, v.mode), v.cut, v.d, v.mode)
 
 
 def apply_vacuum_projection(v):
@@ -360,18 +351,15 @@ class TruncatedOperator:
 
     def __add__(self, other):
         self._check_compatible(other)
-        entries = dict(self.entries)
-        z = scalars.zero(self.mode)
-        for key, val in other.entries.items():
-            s = entries.get(key, z) + val
-            if scalars.is_zero_scalar(s, self.mode):
-                entries.pop(key, None)
-            else:
-                entries[key] = s
+        entries = accumulate(
+            chain(self.entries.items(), other.entries.items()), self.mode)
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        negated = ((k, -v) for k, v in other.entries.items())
+        entries = accumulate(chain(self.entries.items(), negated), self.mode)
+        return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def __neg__(self):
         entries = {k: -v for k, v in self.entries.items()}
@@ -396,19 +384,12 @@ class TruncatedOperator:
         by_mid = {}
         for (mid, col), val in other.entries.items():
             by_mid.setdefault(mid, []).append((col, val))
-        entries = {}
-        z = scalars.zero(self.mode)
-        for (row, mid), val in self.entries.items():
-            hits = by_mid.get(mid)
-            if not hits:
-                continue
-            for col, val2 in hits:
-                key = (row, col)
-                s = entries.get(key, z) + val * val2
-                entries[key] = s
-        entries = {
-            k: v for k, v in entries.items() if not scalars.is_zero_scalar(v, self.mode)
-        }
+        pairs = (
+            ((row, col), val * val2)
+            for (row, mid), val in self.entries.items()
+            for col, val2 in by_mid.get(mid, ())
+        )
+        entries = accumulate(pairs, self.mode)
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def adjoint(self):
@@ -422,14 +403,13 @@ class TruncatedOperator:
             raise ModeMixError("vector and operator are incompatible")
         if v.cut != self.cut:
             raise CutMismatchError("vector cut %d != operator cut %d" % (v.cut, self.cut))
-        out = {}
-        z = scalars.zero(self.mode)
-        for (row, col), val in self.entries.items():
-            amp = v.amplitudes.get(col)
-            if amp is None:
-                continue
-            out[row] = out.get(row, z) + val * amp
-        return FockVector(out, self.cut, self.d, self.mode)
+        amps = v.amplitudes
+        pairs = (
+            (row, val * amps[col])
+            for (row, col), val in self.entries.items()
+            if col in amps
+        )
+        return FockVector(accumulate(pairs, self.mode), self.cut, self.d, self.mode)
 
     def entry(self, row, col):
         return self.entries.get(
@@ -555,19 +535,14 @@ def markov_step(x, weights):
         raise ModeMixError("operator and weights are incompatible")
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
-    new_cut = x.cut - 1
     w = [scalars.coerce_scalar(v, x.mode) for v in weights.values]
-    entries = {}
-    z = scalars.zero(x.mode)
-    for (row, col), val in x.entries.items():
-        if not row or not col or row[0] != col[0]:
-            continue
-        if len(row) - 1 > new_cut or len(col) - 1 > new_cut:
-            continue
-        key = (row[1:], col[1:])
-        entries[key] = entries.get(key, z) + w[row[0] - 1] * val
-    entries = {k: v for k, v in entries.items() if not scalars.is_zero_scalar(v, x.mode)}
-    return TruncatedOperator(entries, new_cut, x.d, x.mode, _trusted=True)
+    pairs = (
+        ((row[1:], col[1:]), w[row[0] - 1] * val)
+        for (row, col), val in x.entries.items()
+        if row and col and row[0] == col[0]
+    )
+    return TruncatedOperator(
+        accumulate(pairs, x.mode), x.cut - 1, x.d, x.mode, _trusted=True)
 
 
 class HarmonicityReport:

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from . import scalars
-from .algebra import CuntzElement, Monomial, accumulate, contractions
+from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
 from .fock import same_weights, words_up_to
+from .scalars import accumulate
 
 SPECTRUM_PAIR_CAP = 250000
 
@@ -287,14 +289,8 @@ class PhasedElement:
 
     def __add__(self, other):
         same_weights(self.weights, other.weights)
-        terms = dict(self.terms)
-        z = scalars.zero(self.mode)
-        for key, coeff in other.terms.items():
-            s = terms.get(key, z) + coeff
-            if scalars.is_zero_scalar(s, self.mode):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+        terms = accumulate(
+            chain(self.terms.items(), other.terms.items()), self.mode)
         return PhasedElement(terms, self.weights, _trusted=True)
 
     def __neg__(self):
@@ -303,7 +299,10 @@ class PhasedElement:
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        same_weights(self.weights, other.weights)
+        negated = ((k, -c) for k, c in other.terms.items())
+        terms = accumulate(chain(self.terms.items(), negated), self.mode)
+        return PhasedElement(terms, self.weights, _trusted=True)
 
     def __mul__(self, other):
         """Product: monomials contract, phase bases multiply."""
@@ -331,16 +330,13 @@ class PhasedElement:
         by_base = {}
         for (mono, base), coeff in self.terms.items():
             by_base.setdefault(base, {})[mono] = coeff
-        terms = {}
-        for base, sub in by_base.items():
-            nf = CuntzElement(sub, self.weights, _trusted=True).normal_form()
-            for mono, coeff in nf.terms.items():
-                key = (mono, base)
-                if key in terms:
-                    terms[key] = terms[key] + coeff
-                else:
-                    terms[key] = coeff
-        return PhasedElement(terms, self.weights)
+        pairs = (
+            ((mono, base), coeff)
+            for base, sub in by_base.items()
+            for mono, coeff in CuntzElement(
+                sub, self.weights, _trusted=True).normal_form().terms.items()
+        )
+        return PhasedElement(accumulate(pairs, self.mode), self.weights)
 
     def same_flow(self, other, tol=1e-12):
         """Equality as functions of t: the functions b^{it} for distinct
@@ -353,14 +349,11 @@ class PhasedElement:
 
     def vacuum_state_by_base(self):
         """phi extended to phased terms, returned as {base: value}."""
-        out = {}
-        z = scalars.zero(self.mode)
-        for (mono, base), coeff in self.terms.items():
-            if mono.I == mono.J:
-                out[base] = out.get(base, z) + coeff * self.weights.word_weight(mono.J)
-        return {
-            b: v for b, v in out.items() if not scalars.is_zero_scalar(v, self.mode)
-        }
+        word_weight = self.weights.word_weight
+        return accumulate(
+            ((base, coeff * word_weight(J))
+             for ((I, J), base), coeff in self.terms.items() if I == J),
+            self.mode)
 
     def __repr__(self):
         bits = ", ".join(
@@ -375,22 +368,19 @@ def sigma_t(x):
     :class:`PhasedElement`; evaluate with ``evaluate_at`` in float mode.
     """
     w = x.weights
-    terms = {}
-    for mono, coeff in x.terms.items():
-        base = w.word_weight(mono.I) / w.word_weight(mono.J)
-        key = (mono, base)
-        terms[key] = terms.get(key, scalars.zero(w.mode)) + coeff
-    return PhasedElement(terms, w)
+    return PhasedElement(
+        {(m, w.word_weight(m.I) / w.word_weight(m.J)): c for m, c in x.terms.items()},
+        w)
 
 
 def evaluate_at(phased, t):
     """Evaluate the phases at a concrete real t; float-mode element."""
     if phased.mode != scalars.FLOAT:
         raise ValueError("evaluate_at requires a float-mode session")
-    terms = {}
-    for (mono, base), coeff in phased.terms.items():
-        val = coeff * base ** complex(0, t)
-        terms[mono] = terms.get(mono, 0j) + val
+    terms = accumulate(
+        ((mono, coeff * base ** complex(0, t))
+         for (mono, base), coeff in phased.terms.items()),
+        scalars.FLOAT)
     return CuntzElement(terms, phased.weights)
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalars
-from .algebra import CuntzElement, Monomial, accumulate
+from .algebra import CuntzElement, Monomial
 from .errors import LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator
-from .scalars import GaussianRational
+from .scalars import GaussianRational, accumulate
 
 
 class UnitaryMatrix:
@@ -336,17 +336,13 @@ def markov_step_in_basis(x, weights, V):
                 s = s + w[i] * scalars.conj(V.rows[i][j]) * V.rows[i][k]
             if s:
                 c[(j + 1, k + 1)] = s
-    entries = {}
-    for (row, col), val in x.entries.items():
-        if not row or not col:
-            continue
-        cjk = c.get((row[0], col[0]))
-        if cjk is None:
-            continue
-        key = (row[1:], col[1:])
-        entries[key] = entries.get(key, z) + cjk * val
-    entries = {k: v for k, v in entries.items() if not scalars.is_zero_scalar(v, mode)}
-    return TruncatedOperator(entries, x.cut - 1, d, mode, _trusted=True)
+    pairs = (
+        ((row[1:], col[1:]), cjk * val)
+        for (row, col), val in x.entries.items()
+        if row and col and (cjk := c.get((row[0], col[0]))) is not None
+    )
+    return TruncatedOperator(
+        accumulate(pairs, mode), x.cut - 1, d, mode, _trusted=True)
 
 
 def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):

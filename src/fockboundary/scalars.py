@@ -10,16 +10,20 @@ modes raises :class:`~fockboundary.errors.ModeMixError`.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from operator import not_
 
-from .errors import ModeMixError
+from .errors import ModeMixError, TermBudgetError
 
 EXACT = "exact"
 FLOAT = "float"
 
 MODES = (EXACT, FLOAT)
+
+DEFAULT_TERM_CAP = 200000
 
 
 def check_mode(mode):
@@ -253,6 +257,56 @@ def is_zero_scalar(value, mode, tol=1e-12):
     if mode == EXACT:
         return not bool(value)
     return abs(value) <= tol
+
+
+def _float_is_zero(value):
+    return abs(value) <= 1e-12
+
+
+_IS_ZERO = {EXACT: not_, FLOAT: _float_is_zero}
+
+
+def term_cap():
+    """Symbolic term budget; override with the FOCK_TERM_CAP env var,
+    which must be a positive integer."""
+    raw = os.environ.get("FOCK_TERM_CAP")
+    if not raw:
+        return DEFAULT_TERM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError("FOCK_TERM_CAP must be a positive integer, got %r" % raw)
+    return cap
+
+
+def accumulate(pairs, mode, what=None):
+    """Sum (key, value) pairs into a dict, cancelling as it goes: a key
+    whose running sum is zero in ``mode`` (exactly, or within 1e-12 in
+    float mode) is dropped, and comes back if a later pair brings it
+    back.  With a label ``what`` the dict is held to ``term_cap()``
+    keys, and TermBudgetError names ``what``."""
+    is_zero = _IS_ZERO[mode]
+    cap = term_cap() if what else None
+    terms = {}
+    get = terms.get
+    for key, value in pairs:
+        s = get(key)
+        if s is None:
+            if is_zero(value):
+                continue
+            terms[key] = value
+            if cap and len(terms) > cap:
+                raise TermBudgetError(
+                    "%s exceeded the term budget (%d)" % (what, cap))
+        else:
+            value = s + value
+            if is_zero(value):
+                del terms[key]
+            else:
+                terms[key] = value
+    return terms
 
 
 def scalars_equal(a, b, mode, tol=1e-12):

@@ -87,19 +87,17 @@ def joint_coordinates(elements, weights):
         for mono in el.terms:
             k = len(mono.I) - len(mono.J)
             levels[k] = max(levels.get(k, 0), len(mono.J))
-    rows = []
-    keys = []
-    index = {}
-    for el in elements:
-        row = {}
-        for mono, coeff in el.terms.items():
-            k = len(mono.I) - len(mono.J)
-            for piece in _expand_monomial(mono, weights.d, levels[k]):
-                if piece not in index:
-                    index[piece] = len(keys)
-                    keys.append(piece)
-                row[index[piece]] = row.get(index[piece], scalars.zero(weights.mode)) + coeff
-        rows.append(row)
+    index = {}  # piece -> column, in order of first appearance
+    rows = [
+        scalars.accumulate(
+            ((index.setdefault(piece, len(index)), coeff)
+             for mono, coeff in el.terms.items()
+             for piece in _expand_monomial(
+                 mono, weights.d, levels[len(mono.I) - len(mono.J)])),
+            weights.mode)
+        for el in elements
+    ]
+    keys = list(index)
     ncols = len(keys)
     out = []
     for row in rows:
@@ -247,19 +245,20 @@ class CenterProbeReport:
 
 
 def _random_element(weights, rng, max_len=2, nterms=3):
-    terms = {}
     words = words_up_to(weights.d, max_len)
-    for _ in range(nterms):
-        I = rng.choice(words)
-        J = rng.choice(words)
-        if weights.mode == scalars.EXACT:
-            coeff = scalars.GaussianRational(
-                Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-        else:
-            coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        mono = Monomial(I, J)
-        terms[mono] = terms.get(mono, scalars.zero(weights.mode)) + coeff
-    return CuntzElement(terms, weights)
+
+    def draws():
+        for _ in range(nterms):
+            I = rng.choice(words)
+            J = rng.choice(words)
+            if weights.mode == scalars.EXACT:
+                coeff = scalars.GaussianRational(
+                    Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+            else:
+                coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            yield Monomial(I, J), coeff
+
+    return CuntzElement(scalars.accumulate(draws(), weights.mode), weights)
 
 
 def center_probe(x, trials=20, rng=None, tol=1e-12):

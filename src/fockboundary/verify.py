@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from inspect import signature
 
 from . import scalars
 from .algebra import CuntzElement, Monomial
@@ -507,6 +508,13 @@ SUITES = {
 }
 
 
+def takes_weights(name):
+    """Whether suite ``name`` runs on given weights ('all': any of them);
+    the others draw their own."""
+    names = SUITES if name == "all" else [name]
+    return any("weights" in signature(SUITES[n]).parameters for n in names)
+
+
 def run_suite(name, seed=7, trials=None, weights=None):
     """Run one named suite (or 'all') with a fixed seed."""
     if name == "all":
@@ -521,9 +529,7 @@ def run_suite(name, seed=7, trials=None, weights=None):
         }
     fn = SUITES[name]
     kwargs = {}
-    import inspect
-
-    params = inspect.signature(fn).parameters
+    params = signature(fn).parameters
     if "seed" in params:
         kwargs["seed"] = seed
     if trials is not None and "trials" in params:

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from fockboundary import verify
-from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.fock import WeightVector
 

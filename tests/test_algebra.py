@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockboundary.algebra import (
-    CuntzElement,
-    Monomial,
-    mono_product,
-    term_cap,
-)
+from fockboundary.algebra import CuntzElement, Monomial, mono_product
 from fockboundary.errors import ModeMixError, TermBudgetError
 from fockboundary.fock import WeightVector, is_harmonic
-from fockboundary.scalars import GaussianRational
+from fockboundary.scalars import GaussianRational, term_cap
 
 words = st.lists(st.integers(1, 2), max_size=3).map(tuple)
 coeffs = st.builds(

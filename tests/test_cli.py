@@ -167,3 +167,21 @@ class TestLibraryErrors:
         monkeypatch.setenv("FOCK_TERM_CAP", "1e5")
         self.assert_one_line_exit_2(
             capsys, ["classify", "--weights", "1/2,1/2"], "FOCK_TERM_CAP")
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "--weights", "0.25,0.75"],
+        ["delta", "--weights", "0.25,0.75"],
+        ["harmonic", "--weights", "0.25,0.75"],
+        ["cesaro", "--weights", "0.25,0.75"],
+        ["relations"],
+        ["all"],
+    ])
+    def test_verify_refuses_float_mode(self, capsys, argv):
+        self.assert_one_line_exit_2(
+            capsys, ["verify", *argv, "--mode", "float"], "exact mode only")
+
+    @pytest.mark.parametrize("suite", ["relations", "multiplications", "quantize"])
+    def test_verify_refuses_weights_it_would_ignore(self, capsys, suite):
+        self.assert_one_line_exit_2(
+            capsys, ["verify", suite, "--weights", "1/2,1/2"],
+            "draws its own weights")

@@ -1,5 +1,5 @@
-"""Golden-output gate: four verify reports at seed 7 must serialize
-byte for byte as the committed files in ``tests/data``.
+"""Golden-output gate: the nine verify reports of ``verify all --seed 7``
+must serialize byte for byte as the committed files in ``tests/data``.
 
 The files were written by the kernel these reports predate, so a
 rewrite of the symbolic or truncated layers that changes any reported
@@ -34,9 +34,8 @@ def test_quantize(quantize_report):
     assert serialize(quantize_report) == golden("quantize")
 
 
-@pytest.mark.parametrize("name, suite", [
-    ("relations", verify.verify_relations),
-    ("delta", verify.verify_delta),
+@pytest.mark.parametrize("name", [
+    "relations", "phi", "delta", "masa", "dr", "harmonic", "cesaro",
 ])
-def test_suite(name, suite):
-    assert serialize(suite(seed=7)) == golden(name)
+def test_suite(name):
+    assert serialize(verify.run_suite(name, seed=7)) == golden(name)

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockboundary.errors import TermBudgetError
 from fockboundary.scalars import (
     EXACT,
+    FLOAT,
     GaussianRational,
+    accumulate,
     scalar_from_json,
     scalar_to_json,
 )
@@ -187,3 +190,43 @@ class TestJson:
     @settings(max_examples=50, deadline=None)
     def test_real_operands_serialize(self, r):
         assert scalar_to_json(r, EXACT) == {"re": str(Fraction(r)), "im": "0"}
+
+
+class TestAccumulate:
+    @given(st.lists(st.tuples(st.integers(0, 4), pairs), max_size=10),
+           st.integers(0, 4), pairs)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_fraction_pair_sums(self, items, key, again):
+        # cancel ``key`` to zero, then bring it back with ``again``
+        running = (Fraction(0), Fraction(0))
+        for k, x in items:
+            if k == key:
+                running = ref_add(running, x)
+        items = items + [(key, ref_sub((0, 0), running)), (key, again)]
+        ref = {}
+        for k, x in items:
+            ref[k] = ref_add(ref.get(k, (0, 0)), x)
+        ref = {k: v for k, v in ref.items() if v != (0, 0)}
+        got = accumulate(((k, make(x)) for k, x in items), EXACT)
+        assert set(got) == set(ref)
+        for k, g in got.items():
+            assert_is(g, ref[k])
+
+    @given(st.floats(-7e-13, 7e-13), st.floats(-7e-13, 7e-13),
+           st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_float_drops_sums_within_tolerance(self, re, im, c):
+        tiny = complex(re, im)
+        assert accumulate([("a", tiny)], FLOAT) == {}
+        assert accumulate([("a", c), ("a", tiny - c)], FLOAT) == {}
+        # a sum dropped on the way restarts from the next value
+        got = accumulate([("a", c), ("a", -c), ("a", 2e-12)], FLOAT)
+        assert got == {"a": 2e-12}
+
+    def test_budget_only_on_labelled_sums(self, monkeypatch):
+        monkeypatch.setenv("FOCK_TERM_CAP", "3")
+        items = [(k, GaussianRational(1)) for k in range(4)]
+        assert len(accumulate(items, EXACT)) == 4
+        assert len(accumulate(items[:3], EXACT, "sum")) == 3
+        with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
+            accumulate(items, EXACT, "sum")
