@@ -6,7 +6,8 @@ Three realizations are provided:
   until the iterates stabilize exactly on the surviving block; this is
   the defining SOT-limit evaluated at desk scale.
 * ``closed_form_mixed`` -- the seven exact closed forms for products
-  with right-creation words, valid for harmonic x.
+  with right-creation words, valid for harmonic x, computed by moving
+  x's entries to new row and column words.
 * ``cesaro_project`` -- Cesaro means of the Markov orbit, projecting
   onto harmonic elements.
 
@@ -32,7 +33,7 @@ from .fock import (
 from . import scalars
 
 
-# -- generator compressions used by the closed forms -------------------------
+# -- generator compressions --------------------------------------------------
 
 
 def op_right_creation(word, cut, d, mode=scalars.EXACT):
@@ -56,12 +57,62 @@ def op_left_creation(word, cut, d, mode=scalars.EXACT):
     return TruncatedOperator(entries, cut, d, mode, _trusted=True)
 
 
-def _prefixes(word):
-    # ((I^op)_t for t = 1..|I|) together with the complementary I_{|I|-t}
-    rev = word_reverse(word)
-    out = []
-    for t in range(1, len(word) + 1):
-        out.append((t, rev[:t], word[: len(word) - t]))
+# -- products with generators as word relabelings -------------------------------
+#
+# r_W, r_W*, l_W* and the vacuum projection are partial isometries with
+# 0/1 entries on injective word maps, so a product of one of them with
+# x moves x's entries to new row or column words and keeps their values.
+# Each map below returns the new word, or None where the product has no
+# entry (the word lacks the affix, or the appended word passes the cut).
+
+
+def _relabel(x, side, word_map):
+    """x with each row (side "row") or column (side "col") word v moved
+    to word_map(v); entries whose word maps to None are dropped."""
+    if side == "row":
+        entries = {(new, c): val for (r, c), val in x.entries.items()
+                   if (new := word_map(r)) is not None}
+    else:
+        entries = {(r, new): val for (r, c), val in x.entries.items()
+                   if (new := word_map(c)) is not None}
+    return TruncatedOperator(entries, x.cut, x.d, x.mode, _trusted=True)
+
+
+def _strip_suffix(s):
+    # x . r_W on columns, r_W* . x on rows, with s = W^op
+    k = len(s)
+    return lambda v: v[: len(v) - k] if v[len(v) - k:] == s else None
+
+
+def _strip_prefix(p):
+    # x . l_W on columns, l_W* . x on rows, with p = W
+    k = len(p)
+    return lambda v: v[k:] if v[:k] == p else None
+
+
+def _append(s, cut):
+    # r_W . x on rows, x . r_W* on columns, with s = W^op
+    k = len(s)
+    return lambda v: v + s if len(v) + k <= cut else None
+
+
+def _vacuum(v):
+    # the vacuum projection P on either side
+    return None if v else v
+
+
+def _creation_form(y, side, rev, weights):
+    """r_W . y + sum_t w(head) r_tail . P . y . l_head (side "row"), or
+    its mirror y . r_W* + sum_t w(head) l_head* . y . P . r_tail*
+    (side "col"), where rev = W^op, head = (W^op)_t for t = 1..|W| and
+    tail = W_{|W|-t}, so that tail^op = rev[t:]."""
+    other = "col" if side == "row" else "row"
+    out = _relabel(y, side, _append(rev, y.cut))
+    vac = _relabel(y, side, _vacuum)
+    for t in range(1, len(rev) + 1):
+        term = _relabel(vac, other, _strip_prefix(rev[:t]))
+        term = _relabel(term, side, _append(rev[t:], y.cut))
+        out = out + term.scale(weights.word_weight(rev[:t]))
     return out
 
 
@@ -139,55 +190,28 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
         raise ValueError("unknown form %r" % (kind,))
     if check_harmonic and not is_harmonic(x, weights):
         raise ValueError("closed forms require a harmonic operator")
-    cut, d, mode = x.cut, x.d, x.mode
-
-    def R(w):
-        return op_right_creation(w, cut, d, mode)
-
-    def L(w):
-        return op_left_creation(w, cut, d, mode)
-
-    P = TruncatedOperator.vacuum_projection(cut, d, mode)
+    if kind in ("iii", "vi", "vii"):
+        I, J = words
+        rj = word_reverse(check_word(J, x.d))
+    else:
+        (I,) = words
+    ri = word_reverse(check_word(I, x.d))
 
     if kind == "i":
-        (I,) = words
-        return x.compose(R(I))
+        return _relabel(x, "col", _strip_suffix(ri))
     if kind == "ii":
-        (I,) = words
-        return R(I).adjoint().compose(x)
+        return _relabel(x, "row", _strip_suffix(ri))
     if kind == "iii":
-        I, J = words
-        return R(J).adjoint().compose(x).compose(R(I))
+        rx = _relabel(x, "row", _strip_suffix(rj))
+        return _relabel(rx, "col", _strip_suffix(ri))
     if kind == "iv":
-        (I,) = words
-        out = R(I).compose(x)
-        for t, head, tail in _prefixes(I):
-            term = R(tail).compose(P).compose(x).compose(L(head))
-            out = out + term.scale(weights.word_weight(head))
-        return out
+        return _creation_form(x, "row", ri, weights)
     if kind == "v":
-        (I,) = words
-        out = x.compose(R(I).adjoint())
-        for t, head, tail in _prefixes(I):
-            term = L(head).adjoint().compose(x).compose(P).compose(R(tail).adjoint())
-            out = out + term.scale(weights.word_weight(head))
-        return out
+        return _creation_form(x, "col", ri, weights)
     if kind == "vi":
-        I, J = words
-        xr = x.compose(R(I))
-        out = xr.compose(R(J).adjoint())
-        for t, head, tail in _prefixes(J):
-            term = L(head).adjoint().compose(xr).compose(P).compose(R(tail).adjoint())
-            out = out + term.scale(weights.word_weight(head))
-        return out
+        return _creation_form(_relabel(x, "col", _strip_suffix(ri)), "col", rj, weights)
     # kind == "vii"
-    I, J = words
-    rx = R(J).adjoint().compose(x)
-    out = R(I).compose(rx)
-    for t, head, tail in _prefixes(I):
-        term = R(tail).compose(P).compose(rx).compose(L(head))
-        out = out + term.scale(weights.word_weight(head))
-    return out
+    return _creation_form(_relabel(x, "row", _strip_suffix(rj)), "row", ri, weights)
 
 
 # -- Cesaro projection -----------------------------------------------------------

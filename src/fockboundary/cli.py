@@ -135,14 +135,16 @@ def cmd_product(args):
 
 
 def cmd_verify(args):
-    from .verify import run_suite, takes_weights
+    from .verify import run_suite, suites_drawing_weights
 
     if args.mode != scalars.EXACT:
         raise UsageError("verify runs in exact mode only; --mode %s is not "
                          "supported" % args.mode)
-    if args.weights and not takes_weights(args.suite):
-        raise UsageError("verify %s draws its own weights; --weights is not "
-                         "accepted" % args.suite)
+    own = suites_drawing_weights(args.suite)
+    if args.weights and own:
+        where = "" if own == [args.suite] else " in %s" % ", ".join(own)
+        raise UsageError("verify %s draws its own weights%s; --weights is not "
+                         "accepted" % (args.suite, where))
     weights = _weights_from_args(args) if args.weights else None
     report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        weights=weights)

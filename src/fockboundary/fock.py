@@ -65,7 +65,7 @@ def display_word(word):
 
 
 def words_of_length(d, n):
-    return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=n)]
+    return list(itertools.product(range(1, d + 1), repeat=n))
 
 
 def words_up_to(d, max_len):

@@ -25,7 +25,6 @@ from .choi_effros import (
 )
 from .exact_linalg import RowReducer, is_psd
 from .fock import (
-    EMPTY_WORD,
     TruncatedOperator,
     WeightVector,
     is_harmonic,
@@ -42,7 +41,6 @@ from .modular import (
     sigma_t,
 )
 from .quantization import (
-    UnitaryMatrix,
     basis_independence_check,
     counterexample_report,
     random_exact_unitary,
@@ -508,11 +506,11 @@ SUITES = {
 }
 
 
-def takes_weights(name):
-    """Whether suite ``name`` runs on given weights ('all': any of them);
-    the others draw their own."""
+def suites_drawing_weights(name):
+    """The suites among ``name`` (every suite for 'all') that draw their
+    own weights and so cannot run on given ones."""
     names = SUITES if name == "all" else [name]
-    return any("weights" in signature(SUITES[n]).parameters for n in names)
+    return [n for n in names if "weights" not in signature(SUITES[n]).parameters]
 
 
 def run_suite(name, seed=7, trials=None, weights=None):

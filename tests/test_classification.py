@@ -11,7 +11,6 @@ from fockboundary.classification import (
     exponent_decomposition,
     rational_lambda_check,
 )
-from fockboundary.errors import InternalInconsistencyError
 from fockboundary.fock import WeightVector
 
 

@@ -185,3 +185,8 @@ class TestLibraryErrors:
         self.assert_one_line_exit_2(
             capsys, ["verify", suite, "--weights", "1/2,1/2"],
             "draws its own weights")
+
+    def test_verify_all_refuses_weights_some_suites_ignore(self, capsys):
+        self.assert_one_line_exit_2(
+            capsys, ["verify", "all", "--weights", "1/4,3/4"],
+            "draws its own weights in multiplications, relations, quantize")

@@ -1,10 +1,12 @@
-"""The symbolic kernel against the direct formulations it replaces.
+"""The kernels against the direct formulations they replace.
 
 Each reference below is the textbook form of an operation: the product
 as a double loop of the monomial contraction rule, the GNS inner
-product as phi(y* . x) through that product, and the generator
-substitution as chained products of generator images.  Exact mode must
-agree term for term; float mode within 1e-9.
+product as phi(y* . x) through that product, the generator
+substitution as chained products of generator images, and the closed
+forms as compositions of generator compressions.  Exact mode must
+agree term for term; float mode within 1e-9 (1e-12 for the closed
+forms, which only move entries).
 """
 
 import copy
@@ -18,8 +20,14 @@ from hypothesis import strategies as st
 
 from fockboundary import scalars
 from fockboundary.algebra import CuntzElement, Monomial, mono_product
-from fockboundary.errors import TermBudgetError
-from fockboundary.fock import EMPTY_WORD, WeightVector
+from fockboundary.choi_effros import (
+    FORM_KINDS,
+    closed_form_mixed,
+    op_left_creation,
+    op_right_creation,
+)
+from fockboundary.errors import LetterRangeError, TermBudgetError
+from fockboundary.fock import EMPTY_WORD, TruncatedOperator, WeightVector, word_reverse
 from fockboundary.modular import PhasedElement, sigma_t
 from fockboundary.quantization import (
     UnitaryMatrix,
@@ -66,12 +74,12 @@ def session_weights(d, mode, uniform=False):
     return (EXACT_WEIGHTS if mode == scalars.EXACT else FLOAT_WEIGHTS)[d]
 
 
-def assert_terms_agree(got, want, mode):
+def assert_terms_agree(got, want, mode, tol=1e-9):
     if mode == scalars.EXACT:
         assert got == want
         return
     for key in set(got) | set(want):
-        assert abs(got.get(key, 0j) - want.get(key, 0j)) <= 1e-9, key
+        assert abs(got.get(key, 0j) - want.get(key, 0j)) <= tol, key
 
 
 def assert_scalars_agree(got, want, mode):
@@ -132,7 +140,65 @@ def substitution_by_generators(U, x):
     return out
 
 
-# -- the kernel against the references ----------------------------------------
+def closed_form_by_compose(kind, words, x, weights):
+    """The seven closed forms as products of full generator compressions."""
+    cut, d, mode = x.cut, x.d, x.mode
+
+    def R(w):
+        return op_right_creation(w, cut, d, mode)
+
+    def L(w):
+        return op_left_creation(w, cut, d, mode)
+
+    def prefixes(word):
+        # ((I^op)_t, I_{|I|-t}) for t = 1..|I|
+        rev = word_reverse(word)
+        return [(rev[:t], word[: len(word) - t]) for t in range(1, len(word) + 1)]
+
+    P = TruncatedOperator.vacuum_projection(cut, d, mode)
+
+    if kind == "i":
+        (I,) = words
+        return x.compose(R(I))
+    if kind == "ii":
+        (I,) = words
+        return R(I).adjoint().compose(x)
+    if kind == "iii":
+        I, J = words
+        return R(J).adjoint().compose(x).compose(R(I))
+    if kind == "iv":
+        (I,) = words
+        out = R(I).compose(x)
+        for head, tail in prefixes(I):
+            term = R(tail).compose(P).compose(x).compose(L(head))
+            out = out + term.scale(weights.word_weight(head))
+        return out
+    if kind == "v":
+        (I,) = words
+        out = x.compose(R(I).adjoint())
+        for head, tail in prefixes(I):
+            term = L(head).adjoint().compose(x).compose(P).compose(R(tail).adjoint())
+            out = out + term.scale(weights.word_weight(head))
+        return out
+    if kind == "vi":
+        I, J = words
+        xr = x.compose(R(I))
+        out = xr.compose(R(J).adjoint())
+        for head, tail in prefixes(J):
+            term = L(head).adjoint().compose(xr).compose(P).compose(R(tail).adjoint())
+            out = out + term.scale(weights.word_weight(head))
+        return out
+    # kind == "vii"
+    I, J = words
+    rx = R(J).adjoint().compose(x)
+    out = R(I).compose(rx)
+    for head, tail in prefixes(I):
+        term = R(tail).compose(P).compose(rx).compose(L(head))
+        out = out + term.scale(weights.word_weight(head))
+    return out
+
+
+# -- the kernels against the references ----------------------------------------
 
 
 class TestProduct:
@@ -206,6 +272,56 @@ class TestSubstitution:
         monkeypatch.setenv("FOCK_TERM_CAP", "5")
         with pytest.raises(TermBudgetError):
             symbolic_gamma(U, x)
+
+
+def operators(weights, cut, max_entries=12):
+    """Operators with arbitrary entries within the cut: not harmonic in
+    general."""
+    words = st.lists(st.integers(1, weights.d), max_size=cut).map(tuple)
+    return st.dictionaries(
+        st.tuples(words, words), coefficients(weights.mode), max_size=max_entries,
+    ).map(lambda e: TruncatedOperator(e, cut, weights.d, weights.mode))
+
+
+class TestClosedForms:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_compositions(self, data):
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode)
+        cut = data.draw(st.integers(2, 5 if d == 2 else 4))
+        kind = data.draw(st.sampled_from(FORM_KINDS))
+        # words from empty (and one letter: the empty tail) to past the cut
+        word = st.lists(st.integers(1, d), max_size=cut + 1).map(tuple)
+        words = tuple(data.draw(word) for _ in range(
+            2 if kind in ("iii", "vi", "vii") else 1))
+        harmonic = data.draw(st.booleans())
+        if harmonic:
+            x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
+        else:
+            x = data.draw(operators(w, cut))
+        got = closed_form_mixed(kind, words, x, w, check_harmonic=harmonic)
+        want = closed_form_by_compose(kind, words, x, w)
+        assert (got.cut, got.d, got.mode) == (want.cut, want.d, want.mode)
+        assert_terms_agree(got.entries, want.entries, mode, tol=1e-12)
+
+    @pytest.mark.parametrize("kind", FORM_KINDS)
+    def test_bad_letter(self, kind, w13):
+        x = TruncatedOperator.identity(4, 2)
+        words = ((1, 3),) if kind in ("i", "ii", "iv", "v") else ((1,), (0,))
+        with pytest.raises(LetterRangeError):
+            closed_form_mixed(kind, words, x, w13)
+        with pytest.raises(LetterRangeError):
+            closed_form_by_compose(kind, words, x, w13)
+
+    def test_word_count_and_kind(self, w13):
+        x = TruncatedOperator.identity(4, 2)
+        with pytest.raises(ValueError):
+            closed_form_mixed("i", ((1,), (2,)), x, w13)
+        with pytest.raises(ValueError):
+            closed_form_mixed("vi", ((1,),), x, w13)
+        with pytest.raises(ValueError):
+            closed_form_mixed("viii", ((1,),), x, w13)
 
 
 class TestMonomialValue:

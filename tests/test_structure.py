@@ -4,7 +4,6 @@ import pytest
 
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.exact_linalg import is_psd, nullspace, rank, span_equal
-from fockboundary.fock import WeightVector
 from fockboundary.structure import (
     alpha_endo,
     canonical_basis,
