@@ -21,7 +21,6 @@ from functools import partial
 from itertools import chain
 from operator import itemgetter
 
-from . import scalars
 from .fock import (
     EMPTY_WORD,
     TruncatedOperator,
@@ -113,12 +112,13 @@ class CuntzElement:
         if _trusted:
             clean = terms
         else:
+            mode = weights.mode
             clean = {}
             for mono, coeff in terms.items():
                 check_word(mono.I, weights.d)
                 check_word(mono.J, weights.d)
-                coeff = scalars.coerce_scalar(coeff, weights.mode)
-                if not scalars.is_zero_scalar(coeff, weights.mode):
+                coeff = mode.coerce(coeff)
+                if not mode.near_zero(coeff):
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "weights", weights)
@@ -144,10 +144,6 @@ class CuntzElement:
     def right_creation(cls, weights, i):
         return cls.monomial(weights, (i,), EMPTY_WORD)
 
-    @classmethod
-    def right_annihilation(cls, weights, i):
-        return cls.monomial(weights, EMPTY_WORD, (i,))
-
     # -- linear structure ----------------------------------------------------
 
     @property
@@ -172,8 +168,8 @@ class CuntzElement:
         )
 
     def scale(self, c):
-        c = scalars.coerce_scalar(c, self.mode)
-        if scalars.is_zero_scalar(c, self.mode):
+        c = self.mode.coerce(c)
+        if self.mode.near_zero(c):
             return CuntzElement.zero(self.weights)
         return CuntzElement(
             {m: c * v for m, v in self.terms.items()}, self.weights, _trusted=True
@@ -192,7 +188,7 @@ class CuntzElement:
 
     def adjoint(self):
         return CuntzElement(
-            {m.flip(): scalars.conj(c) for m, c in self.terms.items()},
+            {m.flip(): c.conjugate() for m, c in self.terms.items()},
             self.weights,
             _trusted=True,
         )
@@ -238,7 +234,7 @@ class CuntzElement:
 
     def vacuum_state(self):
         """phi(M(I,J)) = w_J when I = J, else 0; extended linearly."""
-        total = scalars.zero(self.mode)
+        total = self.mode.zero
         for mono, coeff in self.terms.items():
             if mono.I == mono.J:
                 total = total + coeff * self.weights.word_weight(mono.J)
@@ -254,12 +250,11 @@ class CuntzElement:
         and each term of y in x after stripping t >= 1."""
         same_weights(self.weights, other.weights)
         word_weight = self.weights.word_weight
-        conj = scalars.conj
-        total = scalars.zero(self.mode)
+        total = self.mode.zero
         for cx, cy, J in _suffix_matches(self.terms, other.terms, 0):
-            total = total + conj(cy) * cx * word_weight(J)
+            total = total + cy.conjugate() * cx * word_weight(J)
         for cy, cx, J in _suffix_matches(other.terms, self.terms, 1):
-            total = total + conj(cy) * cx * word_weight(J)
+            total = total + cy.conjugate() * cx * word_weight(J)
         return total
 
     def gns_norm_sq(self):
@@ -269,7 +264,7 @@ class CuntzElement:
         """Zero test via faithfulness of the vacuum state: x = 0 iff
         phi(x* . x) = 0 (exact in exact mode, toleranced otherwise)."""
         value = self.gns_norm_sq()
-        return scalars.is_zero_scalar(value, self.mode, tol)
+        return self.mode.near_zero(value, tol)
 
     def equals(self, other, tol=1e-12):
         return (self - other).is_zero(tol)
@@ -339,7 +334,7 @@ class CuntzElement:
         items = []
         for mono, coeff in self.sorted_terms():
             rec = {"I": format_word(mono.I), "J": format_word(mono.J)}
-            rec.update(scalars.scalar_to_json(coeff, self.mode))
+            rec.update(self.mode.to_json(coeff))
             items.append(rec)
         return {"d": self.weights.d, "mode": self.mode, "terms": items}
 
@@ -350,7 +345,7 @@ class CuntzElement:
         terms = {}
         for rec in obj["terms"]:
             mono = Monomial(parse_word(rec["I"]), parse_word(rec["J"]))
-            terms[mono] = scalars.scalar_from_json(rec, weights.mode)
+            terms[mono] = weights.mode.from_json(rec)
         return cls(terms, weights)
 
 

@@ -40,7 +40,7 @@ def op_right_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of r_W = r_{w1} .. r_{wk}: e_V -> e_{V . W^op}."""
     word = check_word(word, d)
     rev = word_reverse(word)
-    one = scalars.one(mode)
+    one = scalars.field(mode).one
     entries = {}
     for v in words_up_to(d, cut - len(word)):
         entries[(v + rev, v)] = one
@@ -50,7 +50,7 @@ def op_right_creation(word, cut, d, mode=scalars.EXACT):
 def op_left_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of l_W: e_V -> e_{W . V}."""
     word = check_word(word, d)
-    one = scalars.one(mode)
+    one = scalars.field(mode).one
     entries = {}
     for v in words_up_to(d, cut - len(word)):
         entries[(word + v, v)] = one
@@ -184,7 +184,7 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
       "vi"  (I, J)  x . r_I . r_J*
       "vii" (I, J)  r_I . r_J* . x
     """
-    if isinstance(kind, int):
+    if isinstance(kind, int) and 1 <= kind <= len(FORM_KINDS):
         kind = FORM_KINDS[kind - 1]
     if kind not in FORM_KINDS:
         raise ValueError("unknown form %r" % (kind,))
@@ -242,7 +242,7 @@ def cesaro_project(x, weights, max_n=None):
             # P^n(x) = 0 from here on: means decay like (constant)/n -> 0
             return TruncatedOperator.zero(orbit.cut, x.d, x.mode), True
         total = total.recut(orbit.cut) + orbit
-        mean = total.scale(Fraction(1, n + 1) if x.mode == scalars.EXACT else 1.0 / (n + 1))
+        mean = total.scale(Fraction(1, n + 1))
         if mean.equal_on_block(prev_mean, mean.cut):
             return mean, True
         prev_mean = mean

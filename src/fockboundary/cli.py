@@ -166,8 +166,7 @@ def cmd_quantize(args):
         try:
             with open(args.unitary) as fh:
                 rows = json.load(fh)
-            if weights.mode == scalars.EXACT:
-                rows = [[Fraction(str(v)) for v in row] for row in rows]
+            rows = [[Fraction(str(v)) for v in row] for row in rows]
             u = UnitaryMatrix(rows, weights.mode)
         except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             raise UsageError("bad --unitary %s: %s" % (args.unitary, exc))

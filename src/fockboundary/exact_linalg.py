@@ -50,9 +50,6 @@ class RowReducer:
     def rank(self):
         return len(self.rows)
 
-    def pivot_columns(self):
-        return [pc for pc, _ in self.rows]
-
     def nullspace(self):
         """Basis of the right nullspace, one vector per free column."""
         pivots = dict((pc, row) for pc, row in self.rows)

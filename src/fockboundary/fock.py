@@ -23,8 +23,7 @@ from .errors import (
     LetterRangeError,
     ModeMixError,
 )
-from . import scalars
-from .scalars import EXACT, accumulate, check_mode, common_mode
+from .scalars import EXACT, accumulate, common_mode, field
 
 # ---------------------------------------------------------------------------
 # words
@@ -50,7 +49,7 @@ def parse_word(text):
     """Parse the digit-string serialization of a word ("" or "()" = empty)."""
     if text in ("", "()"):
         return EMPTY_WORD
-    if not text.isdigit() or "0" in text:
+    if not isinstance(text, str) or not text.isdigit() or "0" in text:
         raise LetterRangeError("malformed word string %r" % (text,))
     return tuple(int(c) for c in text)
 
@@ -83,9 +82,10 @@ def words_up_to(d, max_len):
 class WeightVector:
     """A strictly positive weight vector summing to one.
 
-    Mode "exact" keeps the weights as Fractions and all downstream
-    arithmetic is exact; mode "float" keeps floats and downstream
-    comparisons are toleranced.  ``minpoly``, if given in float mode,
+    ``mode`` is the coefficient field, given as a field or its name.
+    EXACT keeps the weights as Fractions and all downstream arithmetic
+    is exact; FLOAT keeps floats and downstream comparisons are
+    toleranced.  ``minpoly``, if given in float mode,
     records integer coefficients (c_0, c_1, .., c_n) of a polynomial
     sum c_k x^k vanishing on a distinguished algebraic weight; it is
     only used as a certificate check by the classifier.
@@ -94,21 +94,16 @@ class WeightVector:
     __slots__ = ("d", "values", "mode", "minpoly")
 
     def __init__(self, values, mode=EXACT, minpoly=None):
-        check_mode(mode)
+        mode = field(mode)
         values = tuple(values)
         d = len(values)
         if d < 2:
             raise ValueError("weight vector needs at least two entries")
         if d > 9:
             raise ValueError("at most 9 weights supported (single-digit letters)")
-        if mode == EXACT:
-            values = tuple(Fraction(v) for v in values)
-            if sum(values) != 1:
-                raise ValueError("exact weights must sum to exactly 1")
-        else:
-            values = tuple(float(v) for v in values)
-            if abs(sum(values) - 1.0) > 1e-12:
-                raise ValueError("float weights must sum to 1 within 1e-12")
+        values = tuple(mode.real(v) for v in values)
+        if not mode.eq(sum(values), 1):
+            raise ValueError("%s weights must sum to 1" % mode)
         for v in values:
             if not (0 < v < 1):
                 raise ValueError("every weight must lie strictly in (0, 1)")
@@ -122,17 +117,14 @@ class WeightVector:
 
     @classmethod
     def parse(cls, text, mode=EXACT):
-        """Parse "1/3,2/3" (exact) or "0.5,0.5" (either mode)."""
+        """Parse "1/3,2/3" or "0.5,0.5" in either field; a float weight
+        is the nearest float to the written value."""
         parts = [p.strip() for p in text.split(",") if p.strip()]
-        if mode == EXACT:
-            return cls([Fraction(p) for p in parts], mode)
-        return cls([float(Fraction(p)) if "/" in p else float(p) for p in parts], mode)
+        return cls([Fraction(p) for p in parts], mode)
 
     @classmethod
     def uniform(cls, d, mode=EXACT):
-        if mode == EXACT:
-            return cls([Fraction(1, d)] * d, mode)
-        return cls([1.0 / d] * d, mode)
+        return cls([Fraction(1, d)] * d, mode)
 
     def is_uniform(self):
         return all(v == self.values[0] for v in self.values)
@@ -144,7 +136,7 @@ class WeightVector:
 
     def word_weight(self, word):
         """Product of the letter weights; 1 on the empty word."""
-        w = Fraction(1) if self.mode == EXACT else 1.0
+        w = self.mode.real_one
         for letter in check_word(word, self.d):
             w = w * self.values[letter - 1]
         return w
@@ -181,14 +173,14 @@ class FockVector:
     __slots__ = ("amplitudes", "cut", "d", "mode")
 
     def __init__(self, amplitudes, cut, d, mode=EXACT):
-        check_mode(mode)
+        mode = field(mode)
         clean = {}
         for word, amp in amplitudes.items():
             word = check_word(word, d)
             if len(word) > cut:
                 raise ValueError("word %r exceeds cut %d" % (word, cut))
-            amp = scalars.coerce_scalar(amp, mode)
-            if not scalars.is_zero_scalar(amp, mode):
+            amp = mode.coerce(amp)
+            if not mode.near_zero(amp):
                 clean[word] = amp
         object.__setattr__(self, "amplitudes", clean)
         object.__setattr__(self, "cut", cut)
@@ -200,7 +192,7 @@ class FockVector:
 
     @classmethod
     def basis(cls, word, cut, d, mode=EXACT):
-        return cls({tuple(word): scalars.one(mode)}, cut, d, mode)
+        return cls({tuple(word): 1}, cut, d, mode)
 
     @classmethod
     def vacuum(cls, cut, d, mode=EXACT):
@@ -211,14 +203,7 @@ class FockVector:
             return NotImplemented
         if self.mode != other.mode or self.d != other.d:
             return False
-        keys = set(self.amplitudes) | set(other.amplitudes)
-        z = scalars.zero(self.mode)
-        return all(
-            scalars.scalars_equal(
-                self.amplitudes.get(k, z), other.amplitudes.get(k, z), self.mode
-            )
-            for k in keys
-        )
+        return self.mode.same_entries(self.amplitudes, other.amplitudes)
 
     def __repr__(self):
         items = ", ".join(
@@ -263,6 +248,12 @@ def apply_vacuum_projection(v):
 # truncated operators
 
 
+def _block(entries, degree):
+    """The entries whose row and column words have length <= degree."""
+    return {k: v for k, v in entries.items()
+            if len(k[0]) <= degree and len(k[1]) <= degree}
+
+
 class TruncatedOperator:
     """Sparse compression of an operator to the degree <= cut block.
 
@@ -273,7 +264,7 @@ class TruncatedOperator:
     __slots__ = ("entries", "cut", "d", "mode")
 
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False):
-        check_mode(mode)
+        mode = field(mode)
         if _trusted:
             clean = entries
         else:
@@ -285,8 +276,8 @@ class TruncatedOperator:
                     raise ValueError(
                         "entry (%r, %r) exceeds cut %d" % (row, col, cut)
                     )
-                val = scalars.coerce_scalar(val, mode)
-                if not scalars.is_zero_scalar(val, mode):
+                val = mode.coerce(val)
+                if not mode.near_zero(val):
                     clean[(row, col)] = val
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "cut", cut)
@@ -304,14 +295,14 @@ class TruncatedOperator:
 
     @classmethod
     def identity(cls, cut, d, mode=EXACT):
-        one = scalars.one(mode)
+        one = field(mode).one
         entries = {(w, w): one for w in words_up_to(d, cut)}
         return cls(entries, cut, d, mode, _trusted=True)
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
         return cls(
-            {(EMPTY_WORD, EMPTY_WORD): scalars.one(mode)}, cut, d, mode, _trusted=True
+            {(EMPTY_WORD, EMPTY_WORD): field(mode).one}, cut, d, mode, _trusted=True
         )
 
     @classmethod
@@ -325,7 +316,7 @@ class TruncatedOperator:
             raise ValueError("kind must be 'creation' or 'annihilation'")
         if not (1 <= i <= d):
             raise LetterRangeError("letter %r out of range 1..%d" % (i, d))
-        one = scalars.one(mode)
+        one = field(mode).one
         entries = {}
         if kind == "creation":
             for w in words_up_to(d, cut - 1):
@@ -366,8 +357,8 @@ class TruncatedOperator:
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def scale(self, c):
-        c = scalars.coerce_scalar(c, self.mode)
-        if scalars.is_zero_scalar(c, self.mode):
+        c = self.mode.coerce(c)
+        if self.mode.near_zero(c):
             return TruncatedOperator.zero(self.cut, self.d, self.mode)
         entries = {k: c * v for k, v in self.entries.items()}
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
@@ -394,7 +385,7 @@ class TruncatedOperator:
 
     def adjoint(self):
         entries = {
-            (col, row): scalars.conj(val) for (row, col), val in self.entries.items()
+            (col, row): val.conjugate() for (row, col), val in self.entries.items()
         }
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
@@ -412,9 +403,7 @@ class TruncatedOperator:
         return FockVector(accumulate(pairs, self.mode), self.cut, self.d, self.mode)
 
     def entry(self, row, col):
-        return self.entries.get(
-            (tuple(row), tuple(col)), scalars.zero(self.mode)
-        )
+        return self.entries.get((tuple(row), tuple(col)), self.mode.zero)
 
     # -- cut management ---------------------------------------------------
 
@@ -437,37 +426,17 @@ class TruncatedOperator:
         """Entrywise equality on the degree <= ``degree`` block (exact in
         exact mode, within tol otherwise)."""
         common_mode(self.mode, other.mode)
-        keys = set(self.entries) | set(other.entries)
-        z = scalars.zero(self.mode)
-        for row, col in keys:
-            if len(row) > degree or len(col) > degree:
-                continue
-            a = self.entries.get((row, col), z)
-            b = other.entries.get((row, col), z)
-            if not scalars.scalars_equal(a, b, self.mode, tol):
-                return False
-        return True
+        return self.mode.same_entries(
+            _block(self.entries, degree), _block(other.entries, degree), tol)
 
     def max_block_diff(self, other, degree):
         """Largest |entry difference| on the degree <= degree block."""
-        keys = set(self.entries) | set(other.entries)
-        z = scalars.zero(self.mode)
+        a, b = _block(self.entries, degree), _block(other.entries, degree)
+        z = self.mode.zero
         best = 0.0
-        for row, col in keys:
-            if len(row) > degree or len(col) > degree:
-                continue
-            a = self.entries.get((row, col), z)
-            b = other.entries.get((row, col), z)
-            best = max(best, abs(scalars.to_complex(a) - scalars.to_complex(b)))
+        for key in a.keys() | b.keys():
+            best = max(best, abs(complex(a.get(key, z)) - complex(b.get(key, z))))
         return best
-
-    def is_zero_on_block(self, degree, tol=1e-12):
-        for (row, col), val in self.entries.items():
-            if len(row) > degree or len(col) > degree:
-                continue
-            if not scalars.is_zero_scalar(val, self.mode, tol):
-                return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedOperator):
@@ -497,7 +466,7 @@ class TruncatedOperator:
         index = {w: k for k, w in enumerate(basis)}
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
         for (row, col), val in self.entries.items():
-            mat[index[row], index[col]] = scalars.to_complex(val)
+            mat[index[row], index[col]] = complex(val)
         return mat
 
     def to_json(self):
@@ -506,17 +475,17 @@ class TruncatedOperator:
             self.entries, key=lambda rc: (len(rc[0]), rc[0], len(rc[1]), rc[1])
         ):
             rec = {"row": format_word(row), "col": format_word(col)}
-            rec.update(scalars.scalar_to_json(self.entries[(row, col)], self.mode))
+            rec.update(self.mode.to_json(self.entries[(row, col)]))
             items.append(rec)
         return {"d": self.d, "cut": self.cut, "mode": self.mode, "entries": items}
 
     @classmethod
     def from_json(cls, obj):
-        mode = check_mode(obj["mode"])
+        mode = field(obj["mode"])
         entries = {}
         for rec in obj["entries"]:
             key = (parse_word(rec["row"]), parse_word(rec["col"]))
-            entries[key] = scalars.scalar_from_json(rec, mode)
+            entries[key] = mode.from_json(rec)
         return cls(entries, int(obj["cut"]), int(obj["d"]), mode)
 
 
@@ -535,7 +504,7 @@ def markov_step(x, weights):
         raise ModeMixError("operator and weights are incompatible")
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
-    w = [scalars.coerce_scalar(v, x.mode) for v in weights.values]
+    w = [x.mode.coerce(v) for v in weights.values]
     pairs = (
         ((row[1:], col[1:]), w[row[0] - 1] * val)
         for (row, col), val in x.entries.items()
@@ -578,17 +547,18 @@ def is_harmonic(x, weights, tol=1e-12):
         raise CutExhaustedError("need cut >= 1 to test harmonicity")
     stepped = markov_step(x, weights)
     degree = x.cut - 1
+    inner = _block(x.entries, degree)
+    mode = x.mode
+    if mode.same_entries(stepped.entries, inner, tol):
+        return HarmonicityReport(True, {}, degree, 0.0)
     defects = {}
-    z = scalars.zero(x.mode)
-    keys = set(stepped.entries) | {
-        k for k in x.entries if len(k[0]) <= degree and len(k[1]) <= degree
-    }
+    z = mode.zero
     worst = 0.0
-    for key in keys:
+    for key in stepped.entries.keys() | inner.keys():
         a = stepped.entries.get(key, z)
-        b = x.entries.get(key, z)
-        if not scalars.scalars_equal(a, b, x.mode, tol):
+        b = inner.get(key, z)
+        if not mode.eq(a, b, tol):
             diff = a - b
             defects[key] = diff
-            worst = max(worst, abs(scalars.to_complex(diff)))
-    return HarmonicityReport(not defects, defects, degree, worst)
+            worst = max(worst, abs(complex(diff)))
+    return HarmonicityReport(False, defects, degree, worst)

@@ -3,21 +3,20 @@ vectors xi(I, J).
 
 The monomial vectors are eigenvectors of the modular operator with
 eigenvalue w_I / w_J; the modular conjugation and the S operator act by
-the eigen-formulas.  Exact mode carries the square roots that J and
-half powers of the modular operator introduce as quadratic surds
-(coefficient times sqrt of a positive rational) so that identities like
-S = J . Delta^{1/2} are verified with exact cancellation.  Imaginary
+the eigen-formulas.  The exact field carries the square roots that J
+and half powers of the modular operator introduce as quadratic surds
+(:class:`~fockboundary.scalars.Surd`, coefficient times sqrt of a
+positive rational) so that identities like S = J . Delta^{1/2} are
+verified with exact cancellation.  Imaginary
 powers are carried as symbolic phase bases: a stored base b stands for
 the modulus-one factor b^{it}.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
 
-from . import scalars
 from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
 from .fock import same_weights, words_up_to
@@ -27,106 +26,14 @@ SPECTRUM_PAIR_CAP = 250000
 
 
 # ---------------------------------------------------------------------------
-# quadratic surds: value = coeff * sqrt(radicand), radicand > 0 rational
-
-
-def _rational_sqrt(q):
-    """Exact square root of a positive Fraction, or None."""
-    if q <= 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-class Surd:
-    """An exact value coeff * sqrt(radicand) with Gaussian-rational
-    coeff and positive rational radicand.  Perfect-square radicands
-    are folded into the coefficient on construction."""
-
-    __slots__ = ("coeff", "radicand")
-
-    def __init__(self, coeff, radicand=1):
-        coeff = scalars.coerce_scalar(coeff, scalars.EXACT)
-        radicand = Fraction(radicand)
-        if radicand <= 0:
-            raise ValueError("radicand must be positive")
-        root = _rational_sqrt(radicand)
-        if root is not None:
-            coeff = coeff * root
-            radicand = Fraction(1)
-        if not bool(coeff):
-            radicand = Fraction(1)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Surd is immutable")
-
-    def is_zero(self):
-        return not bool(self.coeff)
-
-    def conjugate(self):
-        return Surd(self.coeff.conjugate(), self.radicand)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
-        return Surd(self.coeff * scalars.coerce_scalar(other, scalars.EXACT), self.radicand)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Surd(-self.coeff, self.radicand)
-
-    def __eq__(self, other):
-        if not isinstance(other, Surd):
-            other = Surd(other)
-        if self.is_zero() and other.is_zero():
-            return True
-        if self.is_zero() or other.is_zero():
-            return False
-        ratio = _rational_sqrt(other.radicand / self.radicand)
-        if ratio is None:
-            return False
-        return self.coeff == other.coeff * ratio
-
-    def __hash__(self):
-        return hash((self.coeff, self.radicand))
-
-    def __complex__(self):
-        return complex(self.coeff) * math.sqrt(self.radicand)
-
-    def __repr__(self):
-        if self.radicand == 1:
-            return "Surd(%r)" % (self.coeff,)
-        return "Surd(%r, sqrt %s)" % (self.coeff, self.radicand)
-
-
-def _as_value(c, mode):
-    return Surd(c) if mode == scalars.EXACT else complex(c)
-
-
-def _values_equal(a, b, mode, tol=1e-12):
-    if mode == scalars.EXACT:
-        if not isinstance(a, Surd):
-            a = Surd(a)
-        if not isinstance(b, Surd):
-            b = Surd(b)
-        return a == b
-    return abs(a - b) <= tol
-
-
-# ---------------------------------------------------------------------------
 # GNS vectors
 
 
 class GnsVector:
     """A combination sum c * xi(I, J) of monomial GNS vectors.
 
-    Exact-mode coefficients may be :class:`Surd` values.  Equality is
+    Exact-mode coefficients are :class:`~fockboundary.scalars.Surd`
+    values, float-mode ones complex.  Equality is
     tested coefficientwise on combined like terms; this is the form in
     which the modular eigen-identities hold (each monomial vector is
     treated as a separate eigenvector)."""
@@ -137,14 +44,8 @@ class GnsVector:
         mode = weights.mode
         clean = {}
         for mono, coeff in terms.items():
-            if not isinstance(coeff, Surd) or mode != scalars.EXACT:
-                coeff = _as_value(coeff, mode) if not isinstance(coeff, (Surd, complex)) else coeff
-            if mode == scalars.EXACT and not isinstance(coeff, Surd):
-                coeff = Surd(coeff)
-            if mode == scalars.FLOAT and isinstance(coeff, Surd):
-                coeff = complex(coeff)
-            zero = coeff.is_zero() if isinstance(coeff, Surd) else abs(coeff) <= 1e-15
-            if not zero:
+            coeff = mode.gns_value(coeff)
+            if not mode.near_zero(coeff):
                 clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "weights", weights)
@@ -176,13 +77,7 @@ class GnsVector:
 
     def same_terms(self, other, tol=1e-12):
         same_weights(self.weights, other.weights)
-        keys = set(self.terms) | set(other.terms)
-        mode = self.weights.mode
-        zero = Surd(0) if mode == scalars.EXACT else 0j
-        return all(
-            _values_equal(self.terms.get(k, zero), other.terms.get(k, zero), mode, tol)
-            for k in keys
-        )
+        return self.weights.mode.same_entries(self.terms, other.terms, tol)
 
     def __eq__(self, other):
         if not isinstance(other, GnsVector):
@@ -203,37 +98,20 @@ def delta_apply(v, power):
     powers exactly (half powers become surds); other denominators are
     accepted only when the exact root is rational."""
     power = Fraction(power)
-    mode = v.weights.mode
+    ratio_power = v.weights.mode.ratio_power
 
     def scale(mono, coeff):
-        ratio = v.ratio(mono)
-        if mode == scalars.FLOAT:
-            return mono, coeff * float(ratio) ** float(power)
-        if power.denominator == 1:
-            return mono, coeff * Surd(ratio ** power)
-        if power.denominator == 2:
-            whole = power.numerator // 2
-            rem = power.numerator - 2 * whole
-            factor = Surd(ratio ** whole) * Surd(1, ratio if rem == 1 else 1)
-            if rem == -1:
-                factor = Surd(ratio ** whole) * Surd(1, 1 / ratio)
-            return mono, coeff * factor
-        raise ValueError(
-            "exact mode supports integer and half-integer powers; got %s" % power
-        )
+        return mono, coeff * ratio_power(v.ratio(mono), power)
 
     return v.map_terms(scale)
 
 
 def modular_conjugation(v):
     """J: c * xi(I,J) -> conj(c) * sqrt(w_J/w_I) * xi(J,I)."""
-    mode = v.weights.mode
+    sqrt = v.weights.mode.sqrt
 
     def act(mono, coeff):
-        inv = 1 / v.ratio(mono)
-        if mode == scalars.EXACT:
-            return mono.flip(), coeff.conjugate() * Surd(1, inv)
-        return mono.flip(), coeff.conjugate() * math.sqrt(inv)
+        return mono.flip(), coeff.conjugate() * sqrt(1 / v.ratio(mono))
 
     return v.map_terms(act)
 
@@ -267,9 +145,9 @@ class PhasedElement:
         else:
             clean = {}
             for (mono, base), coeff in terms.items():
-                base = Fraction(base) if mode == scalars.EXACT else float(base)
-                coeff = scalars.coerce_scalar(coeff, mode)
-                if not scalars.is_zero_scalar(coeff, mode):
+                base = mode.real(base)
+                coeff = mode.coerce(coeff)
+                if not mode.near_zero(coeff):
                     clean[(mono, base)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "weights", weights)
@@ -280,8 +158,7 @@ class PhasedElement:
     @classmethod
     def from_element(cls, x):
         w = x.weights
-        return cls({(m, Fraction(1) if w.mode == scalars.EXACT else 1.0): c
-                    for m, c in x.terms.items()}, w)
+        return cls({(m, w.mode.real_one): c for m, c in x.terms.items()}, w)
 
     @property
     def mode(self):
@@ -320,7 +197,7 @@ class PhasedElement:
         """(c b^{it} M(I,J))* = conj(c) (1/b)^{it} M(J,I)."""
         terms = {}
         for (mono, base), coeff in self.terms.items():
-            terms[(mono.flip(), 1 / base)] = scalars.conj(coeff)
+            terms[(mono.flip(), 1 / base)] = coeff.conjugate()
         return PhasedElement(terms, self.weights, _trusted=True)
 
     def normal_form(self):
@@ -343,9 +220,7 @@ class PhasedElement:
         positive bases are linearly independent, so the normal forms
         must agree base by base."""
         diff = (self - other).normal_form()
-        return all(
-            scalars.is_zero_scalar(c, self.mode, tol) for c in diff.terms.values()
-        )
+        return all(self.mode.near_zero(c, tol) for c in diff.terms.values())
 
     def vacuum_state_by_base(self):
         """phi extended to phased terms, returned as {base: value}."""
@@ -374,13 +249,14 @@ def sigma_t(x):
 
 
 def evaluate_at(phased, t):
-    """Evaluate the phases at a concrete real t; float-mode element."""
-    if phased.mode != scalars.FLOAT:
-        raise ValueError("evaluate_at requires a float-mode session")
+    """Evaluate the phases at a concrete real t.  The phase b^{it} is
+    complex, so only a float session can hold it: in an exact session
+    the coercion raises ModeMixError."""
+    mode = phased.mode
     terms = accumulate(
-        ((mono, coeff * base ** complex(0, t))
+        ((mono, coeff * mode.coerce(base ** complex(0, t)))
          for (mono, base), coeff in phased.terms.items()),
-        scalars.FLOAT)
+        mode)
     return CuntzElement(terms, phased.weights)
 
 
@@ -390,12 +266,7 @@ def is_centralizer(x, tol=1e-12):
     nf = x.normal_form()
     w = x.weights
     for mono in nf.terms:
-        a = w.word_weight(mono.I)
-        b = w.word_weight(mono.J)
-        if w.mode == scalars.EXACT:
-            if a != b:
-                return False
-        elif abs(a - b) > tol:
+        if not w.mode.eq(w.word_weight(mono.I), w.word_weight(mono.J), tol):
             return False
     return True
 
@@ -430,7 +301,7 @@ def gram_matrix(weights, max_len):
     max_len: G[a][b] = <xi_b, xi_a>... ordered so that
     G[a][b] = phi(M_a* . M_b), which is PSD and conjugate-symmetric."""
     fam = monomial_family(weights.d, max_len)
-    elems = [CuntzElement({m: scalars.one(weights.mode)}, weights, _trusted=True)
+    elems = [CuntzElement({m: weights.mode.one}, weights, _trusted=True)
              for m in fam]
     rows = [[xb.gns_inner(xa) for xb in elems] for xa in elems]
     return fam, rows

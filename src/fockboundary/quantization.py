@@ -28,10 +28,8 @@ class UnitaryMatrix:
     __slots__ = ("rows", "d", "mode")
 
     def __init__(self, rows, mode=scalars.EXACT, tol=1e-12):
-        scalars.check_mode(mode)
-        rows = tuple(
-            tuple(scalars.coerce_scalar(v, mode) for v in row) for row in rows
-        )
+        mode = scalars.field(mode)
+        rows = tuple(tuple(mode.coerce(v) for v in row) for row in rows)
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("unitary matrix must be square")
@@ -40,11 +38,11 @@ class UnitaryMatrix:
         object.__setattr__(self, "mode", mode)
         for i in range(d):
             for j in range(d):
-                s = scalars.zero(mode)
+                s = mode.zero
                 for k in range(d):
-                    s = s + scalars.conj(rows[k][i]) * rows[k][j]
-                expected = scalars.one(mode) if i == j else scalars.zero(mode)
-                if not scalars.scalars_equal(s, expected, mode, tol):
+                    s = s + rows[k][i].conjugate() * rows[k][j]
+                expected = mode.one if i == j else mode.zero
+                if not mode.eq(s, expected, tol):
                     raise ValueError("matrix is not unitary")
 
     def __setattr__(self, name, value):
@@ -57,15 +55,11 @@ class UnitaryMatrix:
 
     @classmethod
     def identity(cls, d, mode=scalars.EXACT):
-        one, zero = scalars.one(mode), scalars.zero(mode)
-        return cls(
-            [[one if i == j else zero for j in range(d)] for i in range(d)], mode
-        )
+        return cls(_identity_rows(d), mode)
 
     @classmethod
     def swap(cls, d, a, b, mode=scalars.EXACT):
-        one, zero = scalars.one(mode), scalars.zero(mode)
-        rows = [[one if i == j else zero for j in range(d)] for i in range(d)]
+        rows = _identity_rows(d)
         rows[a - 1], rows[b - 1] = rows[b - 1], rows[a - 1]
         return cls(rows, mode)
 
@@ -81,7 +75,7 @@ class UnitaryMatrix:
         for i in range(d):
             row = []
             for j in range(d):
-                s = scalars.zero(self.mode)
+                s = self.mode.zero
                 for k in range(d):
                     s = s + other.rows[i][k] * self.rows[k][j]
                 row.append(s)
@@ -90,7 +84,7 @@ class UnitaryMatrix:
 
     def adjoint(self):
         rows = [
-            [scalars.conj(self.rows[j][i]) for j in range(self.d)]
+            [self.rows[j][i].conjugate() for j in range(self.d)]
             for i in range(self.d)
         ]
         return UnitaryMatrix(rows, self.mode)
@@ -108,6 +102,11 @@ class UnitaryMatrix:
         return "UnitaryMatrix(d=%d, mode=%r)" % (self.d, self.mode)
 
 
+def _identity_rows(d):
+    """The identity as int rows; a UnitaryMatrix coerces them."""
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+
 # rational points on the unit circle used for exact random unitaries
 _EXACT_COSSIN = [
     (Fraction(3, 5), Fraction(4, 5)),
@@ -121,11 +120,9 @@ _EXACT_COSSIN = [
 def random_exact_unitary(d, rng):
     """Random product of Gaussian-rational Givens rotations, phase
     flips, and a permutation; exactly unitary."""
-    u = UnitaryMatrix.identity(d)
     perm = list(range(1, d + 1))
     rng.shuffle(perm)
-    rows = [[scalars.one(scalars.EXACT) if perm[i] == j + 1 else scalars.zero(scalars.EXACT)
-             for j in range(d)] for i in range(d)]
+    rows = [[1 if perm[i] == j + 1 else 0 for j in range(d)] for i in range(d)]
     u = UnitaryMatrix(rows)
     for _ in range(rng.randrange(1, 4)):
         a, b = rng.sample(range(d), 2)
@@ -134,12 +131,11 @@ def random_exact_unitary(d, rng):
             s_entry = GaussianRational(0, s)  # rotate through a phase
         else:
             s_entry = GaussianRational(s)
-        rows = [[scalars.one(scalars.EXACT) if i == j else scalars.zero(scalars.EXACT)
-                 for j in range(d)] for i in range(d)]
+        rows = _identity_rows(d)
         rows[a][a] = GaussianRational(c)
         rows[b][b] = GaussianRational(c)
         rows[a][b] = s_entry
-        rows[b][a] = -scalars.conj(s_entry)
+        rows[b][a] = -s_entry.conjugate()
         u = u.compose(UnitaryMatrix(rows))
     return u
 
@@ -161,8 +157,7 @@ def second_quantize(U, cut):
     on degree-n words (and fixing the vacuum)."""
     mode = U.mode
     d = U.d
-    one = scalars.one(mode)
-    level = {(EMPTY_WORD, EMPTY_WORD): one}
+    level = {(EMPTY_WORD, EMPTY_WORD): mode.one}
     entries = dict(level)
     for _ in range(cut):
         nxt = {}
@@ -171,7 +166,7 @@ def second_quantize(U, cut):
                 coeffs = U.apply(j)  # U e_j = sum_i u_{ji} e_i
                 for i in range(1, d + 1):
                     u = coeffs[i - 1]
-                    if scalars.is_zero_scalar(u, mode):
+                    if mode.near_zero(u):
                         continue
                     nxt[(row + (i,), col + (j,))] = val * u
         entries.update(nxt)
@@ -206,10 +201,10 @@ def symbolic_gamma(U, x):
         raise ModeMixError("unitary does not match the weight session")
     mode = U.mode
     rows = [
-        [(j, u) for j, u in enumerate(row, 1) if not scalars.is_zero_scalar(u, mode)]
+        [(j, u) for j, u in enumerate(row, 1) if not mode.near_zero(u)]
         for row in U.rows
     ]
-    images = {EMPTY_WORD: {EMPTY_WORD: scalars.one(mode)}}
+    images = {EMPTY_WORD: {EMPTY_WORD: mode.one}}
 
     def image(word):
         """{K: prod_s u_{word_s K_s}} over the words K with |K| = |word|."""
@@ -224,7 +219,7 @@ def symbolic_gamma(U, x):
     def pairs():
         for (I, J), coeff in x.terms.items():
             left = [(K, coeff * c) for K, c in image(I).items()]
-            right = [(L, scalars.conj(c)) for L, c in image(J).items()]
+            right = [(L, c.conjugate()) for L, c in image(J).items()]
             for K, a in left:
                 for L, b in right:
                     yield Monomial(K, L), a * b
@@ -258,8 +253,7 @@ class CounterexampleReport:
         return {
             "i0": self.i0,
             "j0": self.j0,
-            "coefficient": scalars.scalar_to_json(
-                self.coefficient, self.difference.mode),
+            "coefficient": self.difference.mode.to_json(self.coefficient),
             "truncated_norm": self.truncated_norm,
             "difference_entries": len(self.difference.entries),
         }
@@ -326,14 +320,14 @@ def markov_step_in_basis(x, weights, V):
     if x.d != weights.d or x.mode != weights.mode or V.d != x.d or V.mode != x.mode:
         raise ModeMixError("operator, weights and unitary are incompatible")
     d, mode = x.d, x.mode
-    w = [scalars.coerce_scalar(v, mode) for v in weights.values]
-    z = scalars.zero(mode)
+    w = [mode.coerce(v) for v in weights.values]
+    z = mode.zero
     c = {}
     for j in range(d):
         for k in range(d):
             s = z
             for i in range(d):
-                s = s + w[i] * scalars.conj(V.rows[i][j]) * V.rows[i][k]
+                s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
             if s:
                 c[(j + 1, k + 1)] = s
     pairs = (
@@ -365,13 +359,7 @@ def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):
         for _ in range(6):
             row = rng.choice(basis)
             col = rng.choice(basis)
-            if weights.mode == scalars.EXACT:
-                val = GaussianRational(
-                    Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4))
-                )
-            else:
-                val = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            entries[(row, col)] = val
+            entries[(row, col)] = weights.mode.random_coeff(rng)
         x = TruncatedOperator(entries, cut, weights.d, weights.mode)
         lhs = gamma_small.compose(markov_step(x, weights)).compose(
             gamma_small.adjoint()

@@ -1,15 +1,21 @@
-"""Coefficient arithmetic for the two supported modes.
+"""Coefficient arithmetic: the two coefficient fields.
 
-Mode ``"exact"`` works over the Gaussian rationals Q(i): coefficients
-are :class:`GaussianRational` instances, reduced integer triples, and
-every comparison is exact.
-Mode ``"float"`` uses the builtin ``complex`` type and toleranced
-comparisons.  An object never changes mode after construction; mixing
-modes raises :class:`~fockboundary.errors.ModeMixError`.
+``EXACT`` works over the Gaussian rationals Q(i): coefficients are
+:class:`GaussianRational` instances, reduced integer triples, and every
+comparison is exact.  The square roots that the modular data brings in
+are :class:`Surd` values.
+``FLOAT`` uses the builtin ``complex`` type and toleranced comparisons.
+
+An object's ``mode`` is one of these two :class:`Field` objects, and
+every layer asks it for its zero, one, coercions, tests and JSON.  A
+field is the string of its name, "exact" or "float".  An object never
+changes field after construction; mixing fields raises
+:class:`~fockboundary.errors.ModeMixError`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from math import gcd
@@ -18,18 +24,7 @@ from operator import not_
 
 from .errors import ModeMixError, TermBudgetError
 
-EXACT = "exact"
-FLOAT = "float"
-
-MODES = (EXACT, FLOAT)
-
 DEFAULT_TERM_CAP = 200000
-
-
-def check_mode(mode):
-    if mode not in MODES:
-        raise ValueError("unknown mode %r, expected 'exact' or 'float'" % (mode,))
-    return mode
 
 
 def common_mode(a, b):
@@ -224,17 +219,129 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-def one(mode):
-    return _ONE if mode == EXACT else complex(1.0)
+# ---------------------------------------------------------------------------
+# quadratic surds: value = coeff * sqrt(radicand), radicand > 0 rational
 
 
-def zero(mode):
-    return _ZERO if mode == EXACT else complex(0.0)
+def _rational_sqrt(q):
+    """Exact square root of a positive Fraction, or None."""
+    if q <= 0:
+        return None
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
-def coerce_scalar(value, mode):
-    """Bring ``value`` into the coefficient domain of ``mode``."""
-    if mode == EXACT:
+class Surd:
+    """An exact value coeff * sqrt(radicand) with Gaussian-rational
+    coeff and positive rational radicand: the exact field's square
+    roots.  Perfect-square radicands are folded into the coefficient
+    on construction."""
+
+    __slots__ = ("coeff", "radicand")
+
+    def __init__(self, coeff, radicand=1):
+        coeff = EXACT.coerce(coeff)
+        radicand = Fraction(radicand)
+        if radicand <= 0:
+            raise ValueError("radicand must be positive")
+        root = _rational_sqrt(radicand)
+        if root is not None:
+            coeff = coeff * root
+            radicand = Fraction(1)
+        if not coeff:
+            radicand = Fraction(1)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", radicand)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Surd is immutable")
+
+    def __bool__(self):
+        return bool(self.coeff)
+
+    def conjugate(self):
+        return Surd(self.coeff.conjugate(), self.radicand)
+
+    def __mul__(self, other):
+        if isinstance(other, Surd):
+            return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
+        return Surd(self.coeff * EXACT.coerce(other), self.radicand)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Surd(-self.coeff, self.radicand)
+
+    def __eq__(self, other):
+        if not isinstance(other, Surd):
+            other = Surd(other)
+        if not self and not other:
+            return True
+        if not self or not other:
+            return False
+        ratio = _rational_sqrt(other.radicand / self.radicand)
+        if ratio is None:
+            return False
+        return self.coeff == other.coeff * ratio
+
+    def __hash__(self):
+        return hash((self.coeff, self.radicand))
+
+    def __complex__(self):
+        return complex(self.coeff) * math.sqrt(self.radicand)
+
+    def __repr__(self):
+        if self.radicand == 1:
+            return "Surd(%r)" % (self.coeff,)
+        return "Surd(%r, sqrt %s)" % (self.coeff, self.radicand)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient fields
+
+
+class Field(str):
+    """A coefficient field.  A field is the string of its name, so it
+    compares, hashes and serializes as "exact" or "float".
+
+    Members: the constants ``zero``, ``one`` and ``real_one``;
+    ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
+    coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
+    ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
+    tol)`` on dicts whose stored values are never zero; ``rational(v)``
+    for a real coefficient; ``to_json``/``from_json``;
+    ``random_coeff(rng)``; and, for the modular data, ``sqrt(q)``,
+    ``ratio_power(q, p)`` and ``gns_value(c)``.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # the module-level name of the instance, so copy and pickle
+        # return the instance itself
+        return self.upper()
+
+    def eq(self, a, b, tol=1e-12):
+        return self.near_zero(a - b, tol)
+
+
+class _Exact(Field):
+    """Q(i), with :class:`Surd` square roots; every test is exact."""
+
+    __slots__ = ()
+    zero = _ZERO
+    one = _ONE
+    real_one = Fraction(1)
+    # a builtin, so the exact accumulate loop gains no Python frame
+    is_zero = not_
+
+    def real(self, value):
+        return Fraction(value)
+
+    def coerce(self, value):
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, Rational):
@@ -242,28 +349,117 @@ def coerce_scalar(value, mode):
         if isinstance(value, complex):
             raise ModeMixError("float coefficient %r in exact mode" % (value,))
         raise TypeError("cannot coerce %r to an exact coefficient" % (value,))
-    if isinstance(value, GaussianRational):
+
+    def near_zero(self, value, tol=1e-12):
+        return not value
+
+    def same_entries(self, a, b, tol=1e-12):
+        # no stored value is zero, so a key missing on one side differs
+        return a == b
+
+    def rational(self, value):
+        if value.im:
+            raise ValueError("coefficient %r is not real" % (value,))
+        return value.re
+
+    def to_json(self, value):
+        value = self.coerce(value)
+        return {"re": str(value.re), "im": str(value.im)}
+
+    def from_json(self, obj):
+        return GaussianRational(Fraction(str(obj["re"])), Fraction(str(obj["im"])))
+
+    def random_coeff(self, rng):
+        """A Gaussian integer with parts in -3..3."""
+        return GaussianRational(
+            Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+
+    def sqrt(self, q):
+        return Surd(1, q)
+
+    def ratio_power(self, q, p):
+        """q ** p for a positive rational q and an integer or
+        half-integer power p."""
+        if p.denominator == 1:
+            return Surd(q ** p)
+        if p.denominator == 2:
+            return Surd(q ** (p.numerator // 2), q)
+        raise ValueError(
+            "exact mode supports integer and half-integer powers; got %s" % p)
+
+    def gns_value(self, c):
+        return c if isinstance(c, Surd) else Surd(c)
+
+
+class _Float(Field):
+    """C as the builtin ``complex``; tests hold within a tolerance,
+    1e-12 unless the caller gives one."""
+
+    __slots__ = ()
+    zero = complex(0.0)
+    one = complex(1.0)
+    real_one = 1.0
+
+    @staticmethod
+    def is_zero(value):
+        return abs(value) <= 1e-12
+
+    def real(self, value):
+        return float(value)
+
+    def coerce(self, value):
+        if isinstance(value, GaussianRational):
+            return complex(value)
+        if isinstance(value, Rational):
+            return complex(float(value))
         return complex(value)
-    if isinstance(value, Rational):
-        return complex(float(value))
-    return complex(value)
+
+    def near_zero(self, value, tol=1e-12):
+        return abs(value) <= tol
+
+    def same_entries(self, a, b, tol=1e-12):
+        z = self.zero
+        return all(abs(a.get(k, z) - b.get(k, z)) <= tol for k in a.keys() | b.keys())
+
+    def rational(self, value):
+        """The nearest fraction with denominator at most 10**12."""
+        if abs(value.imag) > 1e-12:
+            raise ValueError("coefficient %r is not real" % (value,))
+        return Fraction(value.real).limit_denominator(10 ** 12)
+
+    def to_json(self, value):
+        value = complex(value)
+        return {"re": value.real, "im": value.imag}
+
+    def from_json(self, obj):
+        return complex(float(obj["re"]), float(obj["im"]))
+
+    def random_coeff(self, rng):
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    def sqrt(self, q):
+        return math.sqrt(q)
+
+    def ratio_power(self, q, p):
+        return float(q) ** float(p)
+
+    def gns_value(self, c):
+        return complex(c)
 
 
-def conj(value):
-    return value.conjugate()
+EXACT = _Exact("exact")
+FLOAT = _Float("float")
+
+_FIELDS = {EXACT: EXACT, FLOAT: FLOAT}
 
 
-def is_zero_scalar(value, mode, tol=1e-12):
-    if mode == EXACT:
-        return not bool(value)
-    return abs(value) <= tol
-
-
-def _float_is_zero(value):
-    return abs(value) <= 1e-12
-
-
-_IS_ZERO = {EXACT: not_, FLOAT: _float_is_zero}
+def field(spec):
+    """The field named by ``spec``: "exact", "float" or a field."""
+    try:
+        return _FIELDS[spec]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "unknown mode %r, expected 'exact' or 'float'" % (spec,)) from None
 
 
 def term_cap():
@@ -283,11 +479,11 @@ def term_cap():
 
 def accumulate(pairs, mode, what=None):
     """Sum (key, value) pairs into a dict, cancelling as it goes: a key
-    whose running sum is zero in ``mode`` (exactly, or within 1e-12 in
-    float mode) is dropped, and comes back if a later pair brings it
+    whose running sum is zero in the field ``mode`` (exactly, or within
+    1e-12 in FLOAT) is dropped, and comes back if a later pair brings it
     back.  With a label ``what`` the dict is held to ``term_cap()``
     keys, and TermBudgetError names ``what``."""
-    is_zero = _IS_ZERO[mode]
+    is_zero = mode.is_zero
     cap = term_cap() if what else None
     terms = {}
     get = terms.get
@@ -307,27 +503,3 @@ def accumulate(pairs, mode, what=None):
             else:
                 terms[key] = value
     return terms
-
-
-def scalars_equal(a, b, mode, tol=1e-12):
-    if mode == EXACT:
-        return a == b
-    return abs(a - b) <= tol
-
-
-def to_complex(value):
-    return complex(value)
-
-
-def scalar_to_json(value, mode):
-    if mode == EXACT:
-        v = coerce_scalar(value, EXACT)
-        return {"re": str(v.re), "im": str(v.im)}
-    c = complex(value)
-    return {"re": c.real, "im": c.imag}
-
-
-def scalar_from_json(obj, mode):
-    if mode == EXACT:
-        return GaussianRational(Fraction(str(obj["re"])), Fraction(str(obj["im"])))
-    return complex(float(obj["re"]), float(obj["im"]))

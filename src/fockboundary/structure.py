@@ -47,7 +47,7 @@ def is_diagonal(x, tol=1e-12):
                         continue
                     val = (left * CuntzElement.monomial(weights, L, EMPTY_WORD)
                            ).vacuum_state()
-                    if not scalars.is_zero_scalar(val, weights.mode, tol):
+                    if not weights.mode.near_zero(val, tol):
                         return False
     return True
 
@@ -80,8 +80,9 @@ def _expand_monomial(mono, d, level):
 def joint_coordinates(elements, weights):
     """Express several elements in one common coordinate system: per
     degree class, everything is expanded to the largest |J| occurring
-    in any of the elements.  Returns (keys, rows) with rational rows;
-    coefficients must be real (the structure constants here are)."""
+    in any of the elements.  Returns (keys, rows) with rational rows
+    (``rational`` of the field); coefficients must be real (the
+    structure constants here are)."""
     levels = {}
     for el in elements:
         for mono in el.terms:
@@ -103,14 +104,7 @@ def joint_coordinates(elements, weights):
     for row in rows:
         vec = [Fraction(0)] * ncols
         for j, c in row.items():
-            if weights.mode == scalars.EXACT:
-                if c.im != 0:
-                    raise ValueError("coordinates require real coefficients")
-                vec[j] = c.re
-            else:
-                if abs(c.imag) > 1e-12:
-                    raise ValueError("coordinates require real coefficients")
-                vec[j] = Fraction(c.real).limit_denominator(10 ** 12)
+            vec[j] = weights.mode.rational(c)
         out.append(vec)
     return keys, out
 
@@ -251,12 +245,7 @@ def _random_element(weights, rng, max_len=2, nterms=3):
         for _ in range(nterms):
             I = rng.choice(words)
             J = rng.choice(words)
-            if weights.mode == scalars.EXACT:
-                coeff = scalars.GaussianRational(
-                    Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-            else:
-                coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            yield Monomial(I, J), coeff
+            yield Monomial(I, J), weights.mode.random_coeff(rng)
 
     return CuntzElement(scalars.accumulate(draws(), weights.mode), weights)
 
@@ -280,7 +269,7 @@ def center_probe(x, trials=20, rng=None, tol=1e-12):
         for J in words_of_length(weights.d, m):
             val = (x * CuntzElement.monomial(weights, J, EMPTY_WORD)
                    ).vacuum_state()
-            if not scalars.is_zero_scalar(val, weights.mode, tol):
+            if not weights.mode.near_zero(val, tol):
                 vacuum_failures.append(J)
 
     # the contraction identity is only asserted for equal-length words
@@ -299,10 +288,7 @@ def center_probe(x, trials=20, rng=None, tol=1e-12):
         y = _random_element(weights, rng)
         lhs = (x * y).vacuum_state()
         rhs = (y * x).vacuum_state()
-        if not scalars.is_zero_scalar(
-                scalars.coerce_scalar(lhs, weights.mode)
-                - scalars.coerce_scalar(rhs, weights.mode),
-                weights.mode, tol):
+        if not weights.mode.eq(lhs, rhs, tol):
             phi_failures.append(t)
 
     r1 = CuntzElement.right_creation(weights, 1)
@@ -330,7 +316,7 @@ def alpha_endo(x):
 
 def _flip_element(weights):
     terms = {}
-    one = scalars.one(weights.mode)
+    one = weights.mode.one
     for i in range(1, weights.d + 1):
         for j in range(1, weights.d + 1):
             terms[Monomial((i, j), (j, i))] = one
@@ -393,8 +379,7 @@ def dr_convergence(R, weights, n_max=6):
             u = flip_unitary(weights, n)
             delta = target - u * R * u.adjoint()
             nsq = delta.gns_norm_sq()
-            norms.append(math.sqrt(float(scalars.to_complex(
-                scalars.coerce_scalar(nsq, weights.mode)).real)))
+            norms.append(math.sqrt(complex(nsq).real))
             if delta.is_zero():
                 if first_zero is None:
                     first_zero = n
@@ -467,22 +452,15 @@ def minimal_projection_probe(q, L, tol=1e-12):
     for m in range(1, L + 1):
         positives = []
         for I in words_of_length(weights.d, m):
-            val = scalars.to_complex(
-                scalars.coerce_scalar(compression(I), weights.mode)).real
+            val = complex(compression(I)).real
             if val > tol:
                 positives.append(I)
         if len(positives) >= 2:
             return MinimalProjectionReport(
-                True, m, positives, growth, phi_value=float(
-                    scalars.to_complex(
-                        scalars.coerce_scalar(phi_q, weights.mode)).real))
+                True, m, positives, growth, phi_value=complex(phi_q).real)
         if not positives:
             break
         branch = positives[0]
-        growth.append(
-            scalars.to_complex(
-                scalars.coerce_scalar(compression(branch), weights.mode)).real)
+        growth.append(complex(compression(branch)).real)
     return MinimalProjectionReport(
-        True, None, None, growth, phi_value=float(
-            scalars.to_complex(
-                scalars.coerce_scalar(phi_q, weights.mode)).real))
+        True, None, None, growth, phi_value=complex(phi_q).real)

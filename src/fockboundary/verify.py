@@ -72,11 +72,9 @@ def random_element(weights, rng, max_len=2, nterms=2, min_terms=1):
                 random_word(weights.d, rng, max_len),
                 random_word(weights.d, rng, max_len),
             )
-            coeff = scalars.GaussianRational(
-                Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+            coeff = weights.mode.random_coeff(rng)
             if bool(coeff):
-                terms[mono] = terms.get(
-                    mono, scalars.zero(weights.mode)) + coeff
+                terms[mono] = terms.get(mono, weights.mode.zero) + coeff
     return CuntzElement(terms, weights)
 
 
@@ -304,7 +302,7 @@ def verify_delta(trials=100, seed=7, max_len=3, weights=None):
         x = random_element(weights, rng)
         by_base = sigma_t(x).vacuum_state_by_base()
         phi = x.vacuum_state()
-        expected = {} if scalars.is_zero_scalar(phi, weights.mode) else {
+        expected = {} if weights.mode.near_zero(phi) else {
             Fraction(1): phi}
         if set(by_base) != set(expected):
             state_fail += 1

@@ -67,6 +67,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_mixed("iv", ((1,),), l1, w13)
 
+    @pytest.mark.parametrize("kind", [0, 8, -1])
+    def test_rejects_out_of_range_int_kind(self, kind, w13):
+        x = TruncatedOperator.identity(4, 2)
+        with pytest.raises(ValueError, match="unknown form %d" % kind):
+            closed_form_mixed(kind, ((1,),), x, w13)
+
     def test_form_iv_single_letter(self, w13):
         # r_1 . (r_1 r_1*) = M((1,1),(1)) symbolically
         cut = 6

@@ -186,6 +186,21 @@ class TestLibraryErrors:
             capsys, ["verify", suite, "--weights", "1/2,1/2"],
             "draws its own weights")
 
+    @pytest.mark.parametrize("word", [12, [1]])
+    @pytest.mark.parametrize("command", ["product", "quantize", "probe"])
+    def test_non_string_word_in_element_file(self, capsys, tmp_path, word,
+                                             command):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"d": 2, "mode": "exact", "terms": [
+            {"I": word, "J": "", "re": "1", "im": "0"}]}))
+        argv = {
+            "product": ["product", str(path), str(path)],
+            "quantize": ["quantize", "--element", str(path), "--swap", "1", "2"],
+            "probe": ["probe", "center", "--element", str(path)],
+        }[command]
+        self.assert_one_line_exit_2(
+            capsys, argv + ["--weights", "1/3,2/3"], "malformed word string")
+
     def test_verify_all_refuses_weights_some_suites_ignore(self, capsys):
         self.assert_one_line_exit_2(
             capsys, ["verify", "all", "--weights", "1/4,3/4"],

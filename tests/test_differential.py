@@ -99,7 +99,7 @@ def pairwise_product(x, y):
         for mb, cb in y.terms.items():
             m = mono_product(ma, mb)
             if m is not None:
-                terms[m] = terms.get(m, scalars.zero(x.mode)) + ca * cb
+                terms[m] = terms.get(m, x.mode.zero) + ca * cb
     return CuntzElement(terms, x.weights)
 
 
@@ -110,7 +110,7 @@ def pairwise_phased_product(x, y):
             m = mono_product(ma, mb)
             if m is not None:
                 key = (m, ba * bb)
-                terms[key] = terms.get(key, scalars.zero(x.mode)) + ca * cb
+                terms[key] = terms.get(key, x.mode.zero) + ca * cb
     return PhasedElement(terms, x.weights)
 
 

@@ -42,6 +42,9 @@ class TestWords:
             parse_word("1a")
         with pytest.raises(LetterRangeError):
             parse_word("102")
+        for not_text in (12, [1], None):
+            with pytest.raises(LetterRangeError, match="malformed word string"):
+                parse_word(not_text)
 
     def test_enumeration_order(self):
         ws = words_up_to(2, 2)

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockboundary.algebra import CuntzElement, Monomial
+from fockboundary.errors import ModeMixError
 from fockboundary.fock import WeightVector
 from fockboundary.modular import (
     GnsVector,
-    Surd,
     delta_apply,
     evaluate_at,
     gram_matrix,
@@ -18,7 +19,7 @@ from fockboundary.modular import (
     sigma_t,
     spectrum_sample,
 )
-from fockboundary.scalars import GaussianRational
+from fockboundary.scalars import GaussianRational, Surd
 
 words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
 coeffs = st.builds(
@@ -99,6 +100,11 @@ class TestModularFlow:
         base = 0.5  # w_11 / w_2 = 0.25 / 0.5
         coeff = list(flowed.terms.values())[0]
         assert abs(coeff - base ** 0.7j) < 1e-12
+
+    def test_exact_session_cannot_hold_the_phases(self, w13):
+        x = CuntzElement.monomial(w13, (1, 1), (2,))
+        with pytest.raises(ModeMixError):
+            evaluate_at(sigma_t(x), 0.7)
 
 
 class TestSpectrumAndGram:

@@ -1,21 +1,28 @@
-"""The Gaussian-rational kernel against a reference pair of Fractions."""
+"""The Gaussian-rational kernel against a reference pair of Fractions,
+and the two coefficient fields."""
 
+import ast
+import copy
+import json
 import operator
+import pickle
+import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockboundary
 from fockboundary.errors import TermBudgetError
 from fockboundary.scalars import (
     EXACT,
     FLOAT,
     GaussianRational,
     accumulate,
-    scalar_from_json,
-    scalar_to_json,
+    field,
 )
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=60)
@@ -180,16 +187,16 @@ class TestJson:
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, x):
         g = make(x)
-        obj = scalar_to_json(g, EXACT)
+        obj = EXACT.to_json(g)
         assert obj == {"re": str(x[0]), "im": str(x[1])}
-        back = scalar_from_json(obj, EXACT)
+        back = EXACT.from_json(obj)
         assert_is(back, x)
         assert back == g
 
     @given(reals)
     @settings(max_examples=50, deadline=None)
     def test_real_operands_serialize(self, r):
-        assert scalar_to_json(r, EXACT) == {"re": str(Fraction(r)), "im": "0"}
+        assert EXACT.to_json(r) == {"re": str(Fraction(r)), "im": "0"}
 
 
 class TestAccumulate:
@@ -230,3 +237,110 @@ class TestAccumulate:
         assert len(accumulate(items[:3], EXACT, "sum")) == 3
         with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
             accumulate(items, EXACT, "sum")
+
+
+class TestFields:
+    def test_field_maps_names_and_fields_to_the_singletons(self):
+        assert field("exact") is EXACT and field("float") is FLOAT
+        assert field(EXACT) is EXACT and field(FLOAT) is FLOAT
+
+    @pytest.mark.parametrize("spec", ["Exact", "", None, 1, ["exact"]])
+    def test_unknown_spec(self, spec):
+        with pytest.raises(ValueError) as exc:
+            field(spec)
+        assert str(exc.value) == (
+            "unknown mode %r, expected 'exact' or 'float'" % (spec,))
+
+    @pytest.mark.parametrize("f", [EXACT, FLOAT])
+    def test_copy_and_pickle_keep_identity(self, f):
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert copy.deepcopy({"mode": f})["mode"] is f
+
+    def test_spelled_as_its_name(self):
+        assert json.dumps(EXACT) == '"exact"'
+        assert json.dumps({"mode": FLOAT}) == '{"mode": "float"}'
+        assert EXACT == "exact" and hash(FLOAT) == hash("float")
+        assert repr(EXACT) == "'exact'" and "%s" % FLOAT == "float"
+
+    @given(pairs)
+    @settings(max_examples=50, deadline=None)
+    def test_json_round_trip_in_both_fields(self, x):
+        g = make(x)
+        assert EXACT.from_json(json.loads(json.dumps(EXACT.to_json(g)))) == g
+        c = complex(g)
+        assert FLOAT.from_json(json.loads(json.dumps(FLOAT.to_json(c)))) == c
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_coeff_makes_the_old_inline_draws(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert EXACT.random_coeff(rng) == GaussianRational(
+                Fraction(ref.randrange(-3, 4)), Fraction(ref.randrange(-3, 4)))
+            assert FLOAT.random_coeff(rng) == complex(
+                ref.uniform(-1, 1), ref.uniform(-1, 1))
+
+    def test_same_entries(self):
+        a = {"x": GaussianRational(1), "y": GaussianRational(0, 2)}
+        assert EXACT.same_entries(a, dict(a))
+        assert not EXACT.same_entries(a, {"x": GaussianRational(1)})
+        f = {"x": 1 + 0j, "y": 2j}
+        assert FLOAT.same_entries(f, {"x": 1 + 5e-13j, "y": 2j, "z": 1e-13})
+        assert not FLOAT.same_entries(f, {"x": 1 + 0j})
+        assert not FLOAT.same_entries(f, {"x": 1 + 0j, "y": 2j}, tol=-1)
+
+
+# -- no module outside scalars.py asks which field it holds ------------------
+
+FIELD_NAMES = {"EXACT", "FLOAT"}
+FIELD_SPELLINGS = {"exact", "float"}
+
+# classify picks an algorithm per field; verify refuses float mode
+ALLOWED_FIELD_TESTS = {("classification.py", "classify"), ("cli.py", "cmd_verify")}
+
+
+def _names_a_field(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_field(n) for n in node.elts)
+    if isinstance(node, ast.Name):
+        return node.id in FIELD_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FIELD_NAMES
+    return isinstance(node, ast.Constant) and node.value in FIELD_SPELLINGS
+
+
+def field_tests(source):
+    """The enclosing function names of the comparisons in ``source``
+    that have a field, or a field's name, as an operand."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+                _names_a_field(n) for n in [node.left, *node.comparators]):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestFieldGuard:
+    def test_finds_each_spelling(self):
+        source = (
+            "def f(w, mode):\n"
+            "    if w.mode == scalars.EXACT or mode is FLOAT:\n"
+            "        return 'float' != mode\n"
+            "x = mode in (EXACT,)\n")
+        assert field_tests(source) == ["f", "f", "f", None]
+
+    def test_no_module_outside_scalars_tests_its_field(self):
+        src = Path(fockboundary.__file__).parent
+        modules = sorted(p for p in src.glob("*.py") if p.name != "scalars.py")
+        assert len(modules) >= 10
+        found = {(p.name, function) for p in modules
+                 for function in field_tests(p.read_text())}
+        assert found <= ALLOWED_FIELD_TESTS
