@@ -3,8 +3,8 @@ Markov operator on full Fock space.
 
 The package exposes four layers:
 
-* :mod:`fockboundary.fock` -- truncated Fock space, creation and
-  annihilation operators, the Markov operator and harmonicity checks.
+* :mod:`fockboundary.fock` -- words, weights, truncated operators on
+  the Fock space, the Markov operator and harmonicity checks.
 * :mod:`fockboundary.algebra` -- exact symbolic arithmetic for the
   fixed-point algebra, spanned by monomials ``M(I, J) = r_I . r_J*``
   under the fixed-point product.

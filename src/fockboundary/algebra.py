@@ -33,7 +33,7 @@ from .fock import (
     words_of_length,
     words_up_to,
 )
-from .scalars import accumulate
+from .scalars import Frozen, accumulate
 
 
 class Monomial(tuple):
@@ -102,7 +102,7 @@ def contractions(left, right):
                 yield _monomial((I, L + J[n:])), a, b
 
 
-class CuntzElement:
+class CuntzElement(Frozen):
     """A finite linear combination of monomials tied to one weight
     session.  All operations are pure and mode-consistent."""
 
@@ -120,11 +120,7 @@ class CuntzElement:
                 coeff = mode.coerce(coeff)
                 if not mode.near_zero(coeff):
                     clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CuntzElement is immutable")
+        Frozen.__init__(self, clean, weights)
 
     # -- constructors -------------------------------------------------------
 

@@ -28,20 +28,15 @@ KIND_LAMBDA = "III_lambda"
 KIND_ONE = "III_one"
 
 
-class TypeVerdict:
+class TypeVerdict(scalars.Frozen):
     """Classification outcome."""
 
     __slots__ = ("kind", "lam", "exponents", "witness", "numeric")
 
     def __init__(self, kind, lam=None, exponents=None, witness="", numeric=False):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "exponents", tuple(exponents) if exponents else None)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "numeric", numeric)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeVerdict is immutable")
+        scalars.Frozen.__init__(
+            self, kind, lam, tuple(exponents) if exponents else None,
+            witness, numeric)
 
     def to_json(self):
         lam = self.lam

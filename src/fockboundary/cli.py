@@ -200,13 +200,15 @@ def cmd_probe(args):
         import random
 
         rep = structure.center_probe(
-            x, trials=args.trials or 20, rng=random.Random(args.seed))
+            x, trials=20 if args.trials is None else args.trials,
+            rng=random.Random(args.seed))
         body = rep.to_json()
         ok = True  # reporting, not asserting
     elif args.kind == "dr":
         word = parse_word(args.word or "1")
         rep = structure.dr_convergence(
-            Monomial(word, word), weights, n_max=args.max_len or 6)
+            Monomial(word, word), weights,
+            n_max=6 if args.max_len is None else args.max_len)
         body = rep.to_json()
         ok = rep.first_zero is not None
     else:  # diffuse
@@ -215,7 +217,8 @@ def cmd_probe(args):
         else:
             q = CuntzElement.identity(weights)
         try:
-            rep = structure.minimal_projection_probe(q, args.max_len or 3)
+            rep = structure.minimal_projection_probe(
+                q, 3 if args.max_len is None else args.max_len)
         except ValueError as exc:
             raise UsageError(str(exc))
         body = rep.to_json()
@@ -227,6 +230,23 @@ def cmd_probe(args):
 
 
 # -- parser --------------------------------------------------------------------
+
+
+def _at_least(least):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (least, value))
+        return value
+
+    return count
+
+
+LENGTH = _at_least(0)
+TRIALS = _at_least(1)
 
 
 def build_parser():
@@ -252,7 +272,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="finite modular-spectrum sample")
     common(p)
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=LENGTH, default=2)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("product", help="product of two elements")
@@ -270,7 +290,7 @@ def build_parser():
     p.add_argument("suite", choices=[
         "multiplications", "relations", "phi", "delta", "masa", "dr",
         "quantize", "harmonic", "cesaro", "all"])
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=TRIALS, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_verify)
 
@@ -288,10 +308,10 @@ def build_parser():
     p = sub.add_parser("probe", help="structural probes on finite spans")
     common(p)
     p.add_argument("kind", choices=["masa", "center", "dr", "diffuse"])
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=LENGTH, default=None)
     p.add_argument("--element", help="JSON element file (center/diffuse)")
     p.add_argument("--word", help="diagonal word for the dr probe")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=TRIALS, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_probe)
 

@@ -23,7 +23,7 @@ from .errors import (
     LetterRangeError,
     ModeMixError,
 )
-from .scalars import EXACT, accumulate, common_mode, field
+from .scalars import EXACT, Frozen, accumulate, common_mode, field
 
 # ---------------------------------------------------------------------------
 # words
@@ -79,7 +79,7 @@ def words_up_to(d, max_len):
 # weight vectors
 
 
-class WeightVector:
+class WeightVector(Frozen):
     """A strictly positive weight vector summing to one.
 
     ``mode`` is the coefficient field, given as a field or its name.
@@ -107,13 +107,7 @@ class WeightVector:
         for v in values:
             if not (0 < v < 1):
                 raise ValueError("every weight must lie strictly in (0, 1)")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "minpoly", tuple(minpoly) if minpoly else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
+        Frozen.__init__(self, d, values, mode, tuple(minpoly) if minpoly else None)
 
     @classmethod
     def parse(cls, text, mode=EXACT):
@@ -164,87 +158,6 @@ def same_weights(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Fock vectors
-
-
-class FockVector:
-    """Sparse vector in the degree <= cut part of the Fock space."""
-
-    __slots__ = ("amplitudes", "cut", "d", "mode")
-
-    def __init__(self, amplitudes, cut, d, mode=EXACT):
-        mode = field(mode)
-        clean = {}
-        for word, amp in amplitudes.items():
-            word = check_word(word, d)
-            if len(word) > cut:
-                raise ValueError("word %r exceeds cut %d" % (word, cut))
-            amp = mode.coerce(amp)
-            if not mode.near_zero(amp):
-                clean[word] = amp
-        object.__setattr__(self, "amplitudes", clean)
-        object.__setattr__(self, "cut", cut)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockVector is immutable")
-
-    @classmethod
-    def basis(cls, word, cut, d, mode=EXACT):
-        return cls({tuple(word): 1}, cut, d, mode)
-
-    @classmethod
-    def vacuum(cls, cut, d, mode=EXACT):
-        return cls.basis(EMPTY_WORD, cut, d, mode)
-
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        if self.mode != other.mode or self.d != other.d:
-            return False
-        return self.mode.same_entries(self.amplitudes, other.amplitudes)
-
-    def __repr__(self):
-        items = ", ".join(
-            "%s: %r" % (display_word(w), a) for w, a in sorted(self.amplitudes.items())
-        )
-        return "FockVector({%s}, cut=%d)" % (items, self.cut)
-
-
-def apply_creation(side, i, v):
-    """l_i (side="left") or r_i (side="right") with compression: terms
-    pushed past the cut are dropped."""
-    if not (1 <= i <= v.d):
-        raise LetterRangeError("letter %r out of range 1..%d" % (i, v.d))
-    pairs = (
-        ((i,) + word if side == "left" else word + (i,), amp)
-        for word, amp in v.amplitudes.items()
-        if len(word) < v.cut
-    )
-    return FockVector(accumulate(pairs, v.mode), v.cut, v.d, v.mode)
-
-
-def apply_annihilation(side, i, v):
-    """l_i* (side="left") or r_i* (side="right"); kills the vacuum and
-    any word whose relevant end letter differs from i."""
-    if not (1 <= i <= v.d):
-        raise LetterRangeError("letter %r out of range 1..%d" % (i, v.d))
-    if side == "left":
-        pairs = ((w[1:], amp) for w, amp in v.amplitudes.items() if w and w[0] == i)
-    else:
-        pairs = ((w[:-1], amp) for w, amp in v.amplitudes.items() if w and w[-1] == i)
-    return FockVector(accumulate(pairs, v.mode), v.cut, v.d, v.mode)
-
-
-def apply_vacuum_projection(v):
-    out = {}
-    if EMPTY_WORD in v.amplitudes:
-        out[EMPTY_WORD] = v.amplitudes[EMPTY_WORD]
-    return FockVector(out, v.cut, v.d, v.mode)
-
-
-# ---------------------------------------------------------------------------
 # truncated operators
 
 
@@ -254,7 +167,7 @@ def _block(entries, degree):
             if len(k[0]) <= degree and len(k[1]) <= degree}
 
 
-class TruncatedOperator:
+class TruncatedOperator(Frozen):
     """Sparse compression of an operator to the degree <= cut block.
 
     ``entries[(I, J)]`` is the matrix element <x e_J, e_I>.  Values are
@@ -279,13 +192,7 @@ class TruncatedOperator:
                 val = mode.coerce(val)
                 if not mode.near_zero(val):
                     clean[(row, col)] = val
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "cut", cut)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedOperator is immutable")
+        Frozen.__init__(self, clean, cut, d, mode)
 
     # -- constructors -----------------------------------------------------
 
@@ -388,19 +295,6 @@ class TruncatedOperator:
             (col, row): val.conjugate() for (row, col), val in self.entries.items()
         }
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
-
-    def apply(self, v):
-        if v.d != self.d or v.mode != self.mode:
-            raise ModeMixError("vector and operator are incompatible")
-        if v.cut != self.cut:
-            raise CutMismatchError("vector cut %d != operator cut %d" % (v.cut, self.cut))
-        amps = v.amplitudes
-        pairs = (
-            (row, val * amps[col])
-            for (row, col), val in self.entries.items()
-            if col in amps
-        )
-        return FockVector(accumulate(pairs, self.mode), self.cut, self.d, self.mode)
 
     def entry(self, row, col):
         return self.entries.get((tuple(row), tuple(col)), self.mode.zero)
@@ -514,19 +408,10 @@ def markov_step(x, weights):
         accumulate(pairs, x.mode), x.cut - 1, x.d, x.mode, _trusted=True)
 
 
-class HarmonicityReport:
+class HarmonicityReport(Frozen):
     """Per-entry verdict of the fixed-point identity for P_omega."""
 
     __slots__ = ("ok", "defects", "checked_degree", "max_abs_defect")
-
-    def __init__(self, ok, defects, checked_degree, max_abs_defect):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "defects", defects)
-        object.__setattr__(self, "checked_degree", checked_degree)
-        object.__setattr__(self, "max_abs_defect", max_abs_defect)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HarmonicityReport is immutable")
 
     def __bool__(self):
         return self.ok

@@ -20,7 +20,7 @@ from itertools import chain
 from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
 from .fock import same_weights, words_up_to
-from .scalars import accumulate
+from .scalars import Frozen, accumulate
 
 SPECTRUM_PAIR_CAP = 250000
 
@@ -29,7 +29,7 @@ SPECTRUM_PAIR_CAP = 250000
 # GNS vectors
 
 
-class GnsVector:
+class GnsVector(Frozen):
     """A combination sum c * xi(I, J) of monomial GNS vectors.
 
     Exact-mode coefficients are :class:`~fockboundary.scalars.Surd`
@@ -47,19 +47,11 @@ class GnsVector:
             coeff = mode.gns_value(coeff)
             if not mode.near_zero(coeff):
                 clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GnsVector is immutable")
+        Frozen.__init__(self, clean, weights)
 
     @classmethod
     def monomial(cls, weights, I, J, coeff=1):
         return cls({Monomial(I, J): coeff}, weights)
-
-    @classmethod
-    def from_element(cls, x):
-        return cls(dict(x.terms), x.weights)
 
     def map_terms(self, f):
         """New vector with (mono, coeff) -> (new mono, new coeff)."""
@@ -130,7 +122,7 @@ def s_operator(v):
 # the modular flow on elements: symbolic phases
 
 
-class PhasedElement:
+class PhasedElement(Frozen):
     """A combination sum c * b^{it} * M(I,J) where each term carries a
     positive rational phase base b; bases multiply when terms multiply,
     so the flow at symbolic t stays exact.  The parameter t itself is
@@ -149,16 +141,7 @@ class PhasedElement:
                 coeff = mode.coerce(coeff)
                 if not mode.near_zero(coeff):
                     clean[(mono, base)] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhasedElement is immutable")
-
-    @classmethod
-    def from_element(cls, x):
-        w = x.weights
-        return cls({(m, w.mode.real_one): c for m, c in x.terms.items()}, w)
+        Frozen.__init__(self, clean, weights)
 
     @property
     def mode(self):

@@ -18,10 +18,10 @@ from . import scalars
 from .algebra import CuntzElement, Monomial
 from .errors import LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator
-from .scalars import GaussianRational, accumulate
+from .scalars import Frozen, GaussianRational, accumulate
 
 
-class UnitaryMatrix:
+class UnitaryMatrix(Frozen):
     """A d x d unitary; entry(i, j) is u_{ij} in f_i = sum_j u_{ij} e_j.
     Exact mode demands Gaussian-rational entries and exact unitarity."""
 
@@ -33,9 +33,6 @@ class UnitaryMatrix:
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("unitary matrix must be square")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "mode", mode)
         for i in range(d):
             for j in range(d):
                 s = mode.zero
@@ -44,9 +41,7 @@ class UnitaryMatrix:
                 expected = mode.one if i == j else mode.zero
                 if not mode.eq(s, expected, tol):
                     raise ValueError("matrix is not unitary")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryMatrix is immutable")
+        Frozen.__init__(self, rows, d, mode)
 
     def entry(self, i, j):
         if not (1 <= i <= self.d and 1 <= j <= self.d):
@@ -228,7 +223,7 @@ def symbolic_gamma(U, x):
     return CuntzElement(terms, weights, _trusted=True)
 
 
-class CounterexampleReport:
+class CounterexampleReport(Frozen):
     """Witness that conjugation by a swap fails to be multiplicative
     for non-uniform weights."""
 
@@ -236,18 +231,6 @@ class CounterexampleReport:
         "i0", "j0", "coefficient", "truncated_norm", "difference",
         "harmonicity_defect",
     )
-
-    def __init__(self, i0, j0, coefficient, truncated_norm, difference,
-                 harmonicity_defect):
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "j0", j0)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "truncated_norm", truncated_norm)
-        object.__setattr__(self, "difference", difference)
-        object.__setattr__(self, "harmonicity_defect", harmonicity_defect)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CounterexampleReport is immutable")
 
     def to_json(self):
         return {
@@ -294,16 +277,8 @@ def counterexample_report(weights, i0, j0, cut=5):
     )
 
 
-class BasisIndependenceReport:
+class BasisIndependenceReport(Frozen):
     __slots__ = ("cases", "max_abs_diff", "ok")
-
-    def __init__(self, cases, max_abs_diff, ok):
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "max_abs_diff", max_abs_diff)
-        object.__setattr__(self, "ok", ok)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisIndependenceReport is immutable")
 
     def __bool__(self):
         return self.ok

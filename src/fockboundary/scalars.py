@@ -27,6 +27,39 @@ from .errors import ModeMixError, TermBudgetError
 DEFAULT_TERM_CAP = 200000
 
 
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``; ``Frozen.__init__``
+    fills them, positionally in slot order or by name, and after that
+    no field can be set or deleted.  ``copy``, ``deepcopy`` and
+    ``pickle`` restore the fields through ``__setstate__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named or len(values) != len(slots):
+            named.update(zip(slots, values))
+            if len(values) > len(slots) or named.keys() != set(slots):
+                raise TypeError("%s takes the fields %s"
+                                % (type(self).__name__, ", ".join(slots)))
+            values = [named[name] for name in slots]
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # pickle's slot state is (None, {slot name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 def common_mode(a, b):
     if a != b:
         raise ModeMixError("cannot combine mode %r with mode %r" % (a, b))
@@ -234,7 +267,7 @@ def _rational_sqrt(q):
     return None
 
 
-class Surd:
+class Surd(Frozen):
     """An exact value coeff * sqrt(radicand) with Gaussian-rational
     coeff and positive rational radicand: the exact field's square
     roots.  Perfect-square radicands are folded into the coefficient
@@ -253,11 +286,7 @@ class Surd:
             radicand = Fraction(1)
         if not coeff:
             radicand = Fraction(1)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Surd is immutable")
+        Frozen.__init__(self, coeff, radicand)
 
     def __bool__(self):
         return bool(self.coeff)
@@ -288,7 +317,11 @@ class Surd:
         return self.coeff == other.coeff * ratio
 
     def __hash__(self):
-        return hash((self.coeff, self.radicand))
+        # equal surds have equal coeff**2 * radicand, and a surd over a
+        # non-square radicand equals no rational
+        if self.radicand == 1:
+            return hash(self.coeff)
+        return hash(self.coeff * self.coeff * self.radicand)
 
     def __complex__(self):
         return complex(self.coeff) * math.sqrt(self.radicand)

@@ -18,7 +18,7 @@ from . import scalars
 from .algebra import CuntzElement, Monomial
 from .errors import TermBudgetError
 from .exact_linalg import RowReducer, span_equal
-from .fock import EMPTY_WORD, words_of_length, words_up_to
+from .fock import EMPTY_WORD, format_word, words_of_length, words_up_to
 
 DIMENSION_CAP = 20000
 
@@ -112,23 +112,11 @@ def joint_coordinates(elements, weights):
 # -- masa probe ------------------------------------------------------------------
 
 
-class MasaProbeReport:
+class MasaProbeReport(scalars.Frozen):
     __slots__ = (
         "L", "span_dimension", "commutant_dimension", "diagonal_dimension",
         "matches_diagonal", "generator_count",
     )
-
-    def __init__(self, L, span_dimension, commutant_dimension,
-                 diagonal_dimension, matches_diagonal, generator_count):
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "span_dimension", span_dimension)
-        object.__setattr__(self, "commutant_dimension", commutant_dimension)
-        object.__setattr__(self, "diagonal_dimension", diagonal_dimension)
-        object.__setattr__(self, "matches_diagonal", matches_diagonal)
-        object.__setattr__(self, "generator_count", generator_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MasaProbeReport is immutable")
 
     def __bool__(self):
         return self.matches_diagonal
@@ -196,36 +184,21 @@ def masa_commutant_probe(weights, L):
 # -- center probe ----------------------------------------------------------------
 
 
-class CenterProbeReport:
+class CenterProbeReport(scalars.Frozen):
     __slots__ = (
         "vacuum_failures", "delta_failures", "phi_commutation_failures",
-        "isometry_witness", "range_projection_witness", "is_central_on_span",
+        "isometry_witness", "range_projection_witness",
     )
 
-    def __init__(self, vacuum_failures, delta_failures,
-                 phi_commutation_failures, isometry_witness,
-                 range_projection_witness):
-        object.__setattr__(self, "vacuum_failures", tuple(vacuum_failures))
-        object.__setattr__(self, "delta_failures", tuple(delta_failures))
-        object.__setattr__(
-            self, "phi_commutation_failures", tuple(phi_commutation_failures))
-        object.__setattr__(self, "isometry_witness", isometry_witness)
-        object.__setattr__(
-            self, "range_projection_witness", range_projection_witness)
-        object.__setattr__(
-            self, "is_central_on_span",
-            not (vacuum_failures or delta_failures or phi_commutation_failures),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CenterProbeReport is immutable")
+    @property
+    def is_central_on_span(self):
+        return not (self.vacuum_failures or self.delta_failures
+                    or self.phi_commutation_failures)
 
     def __bool__(self):
         return self.is_central_on_span
 
     def to_json(self):
-        from .fock import format_word
-
         return {
             "vacuum_failures": [format_word(w) for w in self.vacuum_failures],
             "delta_failures": [
@@ -296,9 +269,8 @@ def center_probe(x, trials=20, rng=None, tol=1e-12):
     isometry = (r1.adjoint() * r1 - one).is_zero(tol)
     range_proj = (r1 * r1.adjoint() - one).is_zero(tol)
     return CenterProbeReport(
-        vacuum_failures, delta_failures, phi_failures,
-        isometry_witness=isometry, range_projection_witness=range_proj,
-    )
+        tuple(vacuum_failures), tuple(delta_failures), tuple(phi_failures),
+        isometry, range_proj)
 
 
 # -- shift endomorphism and flip unitaries ----------------------------------------
@@ -337,19 +309,10 @@ def flip_unitary(weights, k):
     return out
 
 
-class DRReport:
+class DRReport(scalars.Frozen):
     """Per-step distance between alpha(R) and the flip-conjugated R."""
 
     __slots__ = ("norms", "first_zero", "stable_through", "partial")
-
-    def __init__(self, norms, first_zero, stable_through, partial=False):
-        object.__setattr__(self, "norms", tuple(norms))
-        object.__setattr__(self, "first_zero", first_zero)
-        object.__setattr__(self, "stable_through", stable_through)
-        object.__setattr__(self, "partial", partial)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DRReport is immutable")
 
     def to_json(self):
         return {
@@ -374,6 +337,7 @@ def dr_convergence(R, weights, n_max=6):
     norms = []
     first_zero = None
     stable_through = None
+    partial = False
     try:
         for n in range(1, n_max + 1):
             u = flip_unitary(weights, n)
@@ -388,33 +352,20 @@ def dr_convergence(R, weights, n_max=6):
                 stable_through = None
                 first_zero = None
     except TermBudgetError:
-        return DRReport(norms, first_zero, stable_through, partial=True)
-    return DRReport(norms, first_zero, stable_through)
+        partial = True
+    return DRReport(tuple(norms), first_zero, stable_through, partial)
 
 
 # -- diffuseness probe -------------------------------------------------------------
 
 
-class MinimalProjectionReport:
+class MinimalProjectionReport(scalars.Frozen):
     __slots__ = (
         "is_projection", "split_length", "positive_branches",
         "branch_growth", "phi_value",
     )
 
-    def __init__(self, is_projection, split_length, positive_branches,
-                 branch_growth, phi_value):
-        object.__setattr__(self, "is_projection", is_projection)
-        object.__setattr__(self, "split_length", split_length)
-        object.__setattr__(self, "positive_branches", positive_branches)
-        object.__setattr__(self, "branch_growth", tuple(branch_growth))
-        object.__setattr__(self, "phi_value", phi_value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MinimalProjectionReport is immutable")
-
     def to_json(self):
-        from .fock import format_word
-
         return {
             "is_projection": self.is_projection,
             "split_length": self.split_length,
@@ -457,10 +408,10 @@ def minimal_projection_probe(q, L, tol=1e-12):
                 positives.append(I)
         if len(positives) >= 2:
             return MinimalProjectionReport(
-                True, m, positives, growth, phi_value=complex(phi_q).real)
+                True, m, positives, tuple(growth), complex(phi_q).real)
         if not positives:
             break
         branch = positives[0]
         growth.append(complex(compression(branch)).real)
     return MinimalProjectionReport(
-        True, None, None, growth, phi_value=complex(phi_q).real)
+        True, None, None, tuple(growth), complex(phi_q).real)

@@ -27,6 +27,8 @@ from .exact_linalg import RowReducer, is_psd
 from .fock import (
     TruncatedOperator,
     WeightVector,
+    display_word,
+    format_word,
     is_harmonic,
     words_of_length,
     words_up_to,
@@ -127,7 +129,7 @@ def _multiplication_instance(rng, weights, cut, case_id):
         "case": kind,
         "instance": case_id,
         "d": d,
-        "words": ["".join(map(str, w)) for w in words],
+        "words": [format_word(w) for w in words],
         "steps_used": steps,
         "steps_budget": total_len + 1,
         "compare_degree": compare_deg,
@@ -352,7 +354,7 @@ def verify_dr(n_max=6, weights=None):
             )
             ok = ok and good
             reports.append({
-                "word": "".join(map(str, I)) or "()",
+                "word": display_word(I),
                 **rep.to_json(),
                 "ok": good,
             })
@@ -438,7 +440,7 @@ def verify_harmonic(cut=6, seed=7, weights=None):
         rep = is_harmonic(op_right_creation(w, cut, d), weights) if w else None
         if w:
             ok = ok and rep.ok
-            pass_fail.append({"kind": "r", "word": "".join(map(str, w)),
+            pass_fail.append({"kind": "r", "word": format_word(w),
                               "harmonic": rep.ok})
     for _ in range(20):
         mono = Monomial(random_word(d, rng, 3), random_word(d, rng, 3))
@@ -481,7 +483,7 @@ def verify_cesaro(cut=8, weights=None):
         mean, stable = cesaro_project(op, weights)
         good = stable and mean.equal_on_block(op.recut(mean.cut), mean.cut)
         creation_ok = creation_ok and good
-        details.append({"word": "".join(map(str, w)), "ok": good})
+        details.append({"word": format_word(w), "ok": good})
     return {
         "name": "cesaro",
         "cut": cut,

@@ -205,3 +205,26 @@ class TestLibraryErrors:
         self.assert_one_line_exit_2(
             capsys, ["verify", "all", "--weights", "1/4,3/4"],
             "draws its own weights in multiplications, relations, quantize")
+
+
+class TestBadCounts:
+    """A negative --max-len or a --trials below 1 is refused by the parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--weights", "1/2,1/2", "--max-len", "-1"],
+        ["verify", "multiplications", "--trials", "0"],
+        ["verify", "delta", "--trials", "0"],
+        ["probe", "masa", "--weights", "1/2,1/2", "--max-len", "-1"],
+        ["probe", "diffuse", "--weights", "1/2,1/2", "--max-len", "-2"],
+        ["probe", "center", "--weights", "1/2,1/2", "--trials", "-1"],
+    ])
+    def test_refused_with_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be at least" in captured.err
+
+    def test_dr_max_len_zero_runs_no_step(self, capsys):
+        code, out = run(capsys, "probe", "dr", "--weights", "1/2,1/2",
+                        "--max-len", "0")
+        assert code == 1
+        assert json.loads(out)["report"]["gns_norms"] == []

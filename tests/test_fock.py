@@ -12,12 +12,8 @@ from fockboundary.errors import (
 )
 from fockboundary.fock import (
     EMPTY_WORD,
-    FockVector,
     TruncatedOperator,
     WeightVector,
-    apply_annihilation,
-    apply_creation,
-    apply_vacuum_projection,
     format_word,
     is_harmonic,
     markov_step,
@@ -85,17 +81,6 @@ class TestWeightVector:
 
 
 class TestOperators:
-    def test_creation_annihilation_on_vectors(self):
-        v = FockVector.vacuum(3, 2)
-        rv = apply_creation("right", 1, v)
-        assert rv == FockVector.basis((1,), 3, 2)
-        lv = apply_creation("left", 2, rv)
-        assert lv == FockVector.basis((2, 1), 3, 2)
-        assert apply_annihilation("right", 1, lv) == FockVector.basis((2,), 3, 2)
-        assert apply_annihilation("left", 1, lv).amplitudes == {}
-        assert apply_vacuum_projection(lv).amplitudes == {}
-        assert apply_vacuum_projection(v) == v
-
     def test_generator_relations(self):
         cut, d = 4, 2
         r1 = TruncatedOperator.generator("right", "creation", 1, cut, d)

@@ -16,11 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockboundary
+from fockboundary import classification, modular, quantization, structure
 from fockboundary.errors import TermBudgetError
+from fockboundary.algebra import CuntzElement, Monomial
+from fockboundary.fock import TruncatedOperator, WeightVector, is_harmonic
 from fockboundary.scalars import (
     EXACT,
     FLOAT,
+    Frozen,
     GaussianRational,
+    Surd,
     accumulate,
     field,
 )
@@ -163,6 +168,26 @@ class TestEqualityAndHash:
             assert make(x) != x[0] and x[0] != make(x)
 
 
+class TestSurdHash:
+    @pytest.mark.parametrize("a, b", [
+        (Surd(2, 2), Surd(1, 8)),
+        (Surd(GaussianRational(1, 1), 2),
+         Surd(GaussianRational(2, 2), Fraction(1, 2))),
+        (Surd(3, Fraction(4, 9)), Surd(2)),
+    ])
+    def test_equal_surds_hash_alike(self, a, b):
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("s, r", [
+        (Surd(3), 3),
+        (Surd(1, Fraction(9, 4)), Fraction(3, 2)),
+        (Surd(GaussianRational(0, 1)), GaussianRational(0, 1)),
+    ])
+    def test_rational_surd_hashes_as_its_value(self, s, r):
+        assert s == r and hash(s) == hash(r)
+
+
 class TestParts:
     @given(pairs)
     @settings(max_examples=100, deadline=None)
@@ -289,6 +314,84 @@ class TestFields:
         assert FLOAT.same_entries(f, {"x": 1 + 5e-13j, "y": 2j, "z": 1e-13})
         assert not FLOAT.same_entries(f, {"x": 1 + 0j})
         assert not FLOAT.same_entries(f, {"x": 1 + 0j, "y": 2j}, tol=-1)
+
+
+# -- every value class is immutable and survives copy and pickle -------------
+
+W = WeightVector.parse("1/3,2/3")
+X = CuntzElement.monomial(W, (1,), (2,), GaussianRational(1, 2))
+OP = TruncatedOperator.generator("right", "creation", 1, 3, 2)
+
+FROZEN = {
+    "Surd": lambda: Surd(GaussianRational(1, 1), 2),
+    "WeightVector": lambda: W,
+    "TruncatedOperator": lambda: OP,
+    "HarmonicityReport": lambda: is_harmonic(OP, W),
+    "CuntzElement": lambda: X,
+    "GnsVector": lambda: modular.delta_apply(
+        modular.GnsVector.monomial(W, (1,), (2,)), Fraction(1, 2)),
+    "PhasedElement": lambda: modular.sigma_t(X),
+    "UnitaryMatrix": lambda: quantization.UnitaryMatrix.swap(2, 1, 2),
+    "CounterexampleReport": lambda: quantization.counterexample_report(W, 1, 2, cut=3),
+    "BasisIndependenceReport": lambda: quantization.basis_independence_check(
+        W, quantization.UnitaryMatrix.swap(2, 1, 2), 3, trials=2),
+    "TypeVerdict": lambda: classification.classify(W),
+    "MasaProbeReport": lambda: structure.masa_commutant_probe(W, 1),
+    "CenterProbeReport": lambda: structure.center_probe(X, trials=2),
+    "DRReport": lambda: structure.dr_convergence(Monomial((1,), (1,)), W, n_max=2),
+    "MinimalProjectionReport": lambda: structure.minimal_projection_probe(
+        CuntzElement.identity(W), 2),
+}
+
+
+def same_value(a, b):
+    """Equal class and equal slots, slot by slot through nested values."""
+    if isinstance(a, Frozen):
+        return type(a) is type(b) and all(
+            same_value(getattr(a, s), getattr(b, s)) for s in a.__slots__)
+    return a == b
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+class TestFrozen:
+    def test_every_subclass_is_covered(self):
+        assert sorted(c.__name__ for c in subclasses(Frozen)) == sorted(FROZEN)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_immutable(self, name):
+        value = FROZEN[name]()
+        slot = type(value).__slots__[0]
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            delattr(value, slot)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            value.extra = 1
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_copy_and_pickle(self, name):
+        value = FROZEN[name]()
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other is not value
+            assert type(other) is type(value) and same_value(other, value)
+
+    def test_init_checks_the_fields(self):
+        with pytest.raises(TypeError, match="DRReport takes the fields norms"):
+            structure.DRReport((), None, None)
+        with pytest.raises(TypeError):
+            structure.DRReport((), None, None, False, 1)
+        with pytest.raises(TypeError):
+            structure.DRReport((), None, None, norms=())
+        report = structure.DRReport((), None, None, partial=True)
+        assert report.partial and report.norms == ()
 
 
 # -- no module outside scalars.py asks which field it holds ------------------
