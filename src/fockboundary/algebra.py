@@ -33,7 +33,7 @@ from .fock import (
     words_of_length,
     words_up_to,
 )
-from .scalars import Frozen, accumulate
+from .scalars import Frozen, accumulate, accumulate_products
 
 
 class Monomial(tuple):
@@ -177,9 +177,9 @@ class CuntzElement(Frozen):
         """Fixed-point product, extended bilinearly from the monomial
         contraction rule."""
         same_weights(self.weights, other.weights)
-        pairs = contractions(self.terms.items(), other.terms.items())
-        terms = accumulate(
-            ((m, ca * cb) for m, ca, cb in pairs), self.mode, "product")
+        terms = accumulate_products(
+            contractions(self.terms.items(), other.terms.items()),
+            self.mode, "product")
         return CuntzElement(terms, self.weights, _trusted=True)
 
     def adjoint(self):

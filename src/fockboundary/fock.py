@@ -23,7 +23,14 @@ from .errors import (
     LetterRangeError,
     ModeMixError,
 )
-from .scalars import EXACT, Frozen, accumulate, common_mode, field
+from .scalars import (
+    EXACT,
+    Frozen,
+    accumulate,
+    accumulate_products,
+    common_mode,
+    field,
+)
 
 # ---------------------------------------------------------------------------
 # words
@@ -177,6 +184,8 @@ class TruncatedOperator(Frozen):
     __slots__ = ("entries", "cut", "d", "mode")
 
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False):
+        if cut < 0:
+            raise ValueError("cut must be >= 0, got %d" % cut)
         mode = field(mode)
         if _trusted:
             clean = entries
@@ -399,13 +408,13 @@ def markov_step(x, weights):
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
     w = [x.mode.coerce(v) for v in weights.values]
-    pairs = (
-        ((row[1:], col[1:]), w[row[0] - 1] * val)
+    triples = (
+        ((row[1:], col[1:]), w[row[0] - 1], val)
         for (row, col), val in x.entries.items()
         if row and col and row[0] == col[0]
     )
-    return TruncatedOperator(
-        accumulate(pairs, x.mode), x.cut - 1, x.d, x.mode, _trusted=True)
+    entries = accumulate_products(triples, x.mode)
+    return TruncatedOperator(entries, x.cut - 1, x.d, x.mode, _trusted=True)
 
 
 class HarmonicityReport(Frozen):

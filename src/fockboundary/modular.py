@@ -20,7 +20,7 @@ from itertools import chain
 from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
 from .fock import same_weights, words_up_to
-from .scalars import Frozen, accumulate
+from .scalars import Frozen, accumulate, accumulate_products
 
 SPECTRUM_PAIR_CAP = 250000
 
@@ -171,8 +171,8 @@ class PhasedElement(Frozen):
             ((m, (b, c)) for (m, b), c in self.terms.items()),
             ((m, (b, c)) for (m, b), c in other.terms.items()),
         )
-        terms = accumulate(
-            (((m, ba * bb), ca * cb) for m, (ba, ca), (bb, cb) in pairs),
+        terms = accumulate_products(
+            (((m, ba * bb), ca, cb) for m, (ba, ca), (bb, cb) in pairs),
             self.mode, "phased product")
         return PhasedElement(terms, self.weights, _trusted=True)
 

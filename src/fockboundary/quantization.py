@@ -18,7 +18,7 @@ from . import scalars
 from .algebra import CuntzElement, Monomial
 from .errors import LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator
-from .scalars import Frozen, GaussianRational, accumulate
+from .scalars import Frozen, GaussianRational, accumulate_products
 
 
 class UnitaryMatrix(Frozen):
@@ -147,26 +147,30 @@ def random_float_unitary(d, rng):
                          mode=scalars.FLOAT)
 
 
+def _nonzero_rows(U):
+    """Row i of U as its nonzero entries, the pairs (j, u_ij)."""
+    mode = U.mode
+    return [
+        [(j, u) for j, u in enumerate(row, 1) if not mode.near_zero(u)]
+        for row in U.rows
+    ]
+
+
 def second_quantize(U, cut):
     """Block-diagonal operator acting as the degree-n tensor power of U
     on degree-n words (and fixing the vacuum)."""
-    mode = U.mode
-    d = U.d
-    level = {(EMPTY_WORD, EMPTY_WORD): mode.one}
+    images = _nonzero_rows(U)  # U e_j = sum_i u_{ji} e_i
+    level = {(EMPTY_WORD, EMPTY_WORD): U.mode.one}
     entries = dict(level)
     for _ in range(cut):
-        nxt = {}
-        for (row, col), val in level.items():
-            for j in range(1, d + 1):
-                coeffs = U.apply(j)  # U e_j = sum_i u_{ji} e_i
-                for i in range(1, d + 1):
-                    u = coeffs[i - 1]
-                    if mode.near_zero(u):
-                        continue
-                    nxt[(row + (i,), col + (j,))] = val * u
-        entries.update(nxt)
-        level = nxt
-    return TruncatedOperator(entries, cut, d, mode, _trusted=True)
+        level = {
+            (row + (i,), col + (j,)): val * u
+            for (row, col), val in level.items()
+            for j, image in enumerate(images, 1)
+            for i, u in image
+        }
+        entries.update(level)
+    return TruncatedOperator(entries, cut, U.d, U.mode, _trusted=True)
 
 
 def conjugate(U, x):
@@ -195,10 +199,7 @@ def symbolic_gamma(U, x):
     if U.d != weights.d or U.mode != weights.mode:
         raise ModeMixError("unitary does not match the weight session")
     mode = U.mode
-    rows = [
-        [(j, u) for j, u in enumerate(row, 1) if not mode.near_zero(u)]
-        for row in U.rows
-    ]
+    rows = _nonzero_rows(U)
     images = {EMPTY_WORD: {EMPTY_WORD: mode.one}}
 
     def image(word):
@@ -211,15 +212,15 @@ def symbolic_gamma(U, x):
             images[word] = img
         return img
 
-    def pairs():
+    def triples():
         for (I, J), coeff in x.terms.items():
             left = [(K, coeff * c) for K, c in image(I).items()]
             right = [(L, c.conjugate()) for L, c in image(J).items()]
             for K, a in left:
                 for L, b in right:
-                    yield Monomial(K, L), a * b
+                    yield Monomial(K, L), a, b
 
-    terms = accumulate(pairs(), mode, "substitution")
+    terms = accumulate_products(triples(), mode, "substitution")
     return CuntzElement(terms, weights, _trusted=True)
 
 
@@ -305,13 +306,13 @@ def markov_step_in_basis(x, weights, V):
                 s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
             if s:
                 c[(j + 1, k + 1)] = s
-    pairs = (
-        ((row[1:], col[1:]), cjk * val)
+    triples = (
+        ((row[1:], col[1:]), cjk, val)
         for (row, col), val in x.entries.items()
         if row and col and (cjk := c.get((row[0], col[0]))) is not None
     )
-    return TruncatedOperator(
-        accumulate(pairs, mode), x.cut - 1, d, mode, _trusted=True)
+    entries = accumulate_products(triples, mode)
+    return TruncatedOperator(entries, x.cut - 1, d, mode, _trusted=True)
 
 
 def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):

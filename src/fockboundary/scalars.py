@@ -343,6 +343,8 @@ class Field(str):
     Members: the constants ``zero``, ``one`` and ``real_one``;
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
+    ``sum_products(triples, cap, what)``, the loop of
+    ``accumulate_products``;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
     for a real coefficient; ``to_json``/``from_json``;
@@ -423,6 +425,68 @@ class _Exact(Field):
     def gns_value(self, c):
         return c if isinstance(c, Surd) else Surd(c)
 
+    def sum_products(self, triples, cap, what):
+        """The EXACT loop of ``accumulate_products``.  Each running sum
+        is a GaussianRational of its own that holds an unreduced triple
+        and is updated in place, so a product costs one dict lookup; the
+        sums are reduced, in place, before anyone else sees them."""
+        sums = {}
+        get = sums.get
+        for key, x, y in triples:
+            a1 = x._a
+            b1 = x._b
+            a2 = y._a
+            b2 = y._b
+            if not b1:
+                a = a1 * a2
+                b = a1 * b2
+            elif not b2:
+                a = a1 * a2
+                b = b1 * a2
+            else:
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+            den = x._den * y._den
+            s = get(key)
+            if s is None:
+                if not (a or b):
+                    continue
+                s = sums[key] = _new(GaussianRational)
+                s._a = a
+                s._b = b
+                s._den = den
+                if cap and len(sums) > cap:
+                    raise _over_budget(what, cap)
+                continue
+            sden = s._den
+            if sden == den:
+                a += s._a
+                b += s._b
+            else:
+                # over lcm(sden, den) = sden / g * den
+                g = gcd(sden, den)
+                m = den // g
+                n = sden // g
+                a = s._a * m + a * n
+                b = s._b * m + b * n
+                den = sden * m
+            # den > 0, so the sum is zero exactly when a == b == 0
+            if a or b:
+                s._a = a
+                s._b = b
+                s._den = den
+            else:
+                del sums[key]
+        for s in sums.values():
+            den = s._den
+            if den != 1:
+                g = gcd(s._a, s._b, den)
+                if g != 1:
+                    s._a //= g
+                    s._b //= g
+                    s._den = den // g
+        return sums
+
 
 class _Float(Field):
     """C as the builtin ``complex``; tests hold within a tolerance,
@@ -479,6 +543,28 @@ class _Float(Field):
     def gns_value(self, c):
         return complex(c)
 
+    def sum_products(self, triples, cap, what):
+        """The FLOAT loop of ``accumulate_products``: ``accumulate``'s,
+        with the product taken in the loop."""
+        terms = {}
+        get = terms.get
+        for key, x, y in triples:
+            value = x * y
+            s = get(key)
+            if s is None:
+                if abs(value) <= 1e-12:
+                    continue
+                terms[key] = value
+                if cap and len(terms) > cap:
+                    raise _over_budget(what, cap)
+            else:
+                value = s + value
+                if abs(value) <= 1e-12:
+                    del terms[key]
+                else:
+                    terms[key] = value
+        return terms
+
 
 EXACT = _Exact("exact")
 FLOAT = _Float("float")
@@ -510,6 +596,10 @@ def term_cap():
     return cap
 
 
+def _over_budget(what, cap):
+    return TermBudgetError("%s exceeded the term budget (%d)" % (what, cap))
+
+
 def accumulate(pairs, mode, what=None):
     """Sum (key, value) pairs into a dict, cancelling as it goes: a key
     whose running sum is zero in the field ``mode`` (exactly, or within
@@ -527,8 +617,7 @@ def accumulate(pairs, mode, what=None):
                 continue
             terms[key] = value
             if cap and len(terms) > cap:
-                raise TermBudgetError(
-                    "%s exceeded the term budget (%d)" % (what, cap))
+                raise _over_budget(what, cap)
         else:
             value = s + value
             if is_zero(value):
@@ -536,3 +625,14 @@ def accumulate(pairs, mode, what=None):
             else:
                 terms[key] = value
     return terms
+
+
+def accumulate_products(triples, mode, what=None):
+    """``accumulate`` over the pairs (key, x * y) of (key, x, y) triples
+    of coefficients of ``mode``, with the products fused into the sum:
+    the same dict, in the same key order, and the same term budget.
+
+    In EXACT each running sum is an unreduced triple ``(a, b, den)``:
+    sums over one denominator add with no gcd, and each key is reduced
+    once, at the end."""
+    return mode.sum_products(triples, term_cap() if what else None, what)

@@ -21,6 +21,7 @@ from fockboundary.fock import (
     words_of_length,
     words_up_to,
 )
+from fockboundary.quantization import UnitaryMatrix, second_quantize
 
 words2 = st.lists(st.integers(1, 2), max_size=4).map(tuple)
 
@@ -109,6 +110,34 @@ class TestOperators:
         op = TruncatedOperator.generator("right", "creation", 1, 3, 2)
         back = TruncatedOperator.from_json(op.to_json())
         assert back == op
+
+
+NEGATIVE_CUTS = {
+    "checked": lambda: TruncatedOperator({}, -1, 2),
+    "checked with an entry": lambda: TruncatedOperator(
+        {((), ()): 1}, -1, 2),
+    "zero": lambda: TruncatedOperator.zero(-1, 2),
+    "identity": lambda: TruncatedOperator.identity(-1, 2),
+    "vacuum_projection": lambda: TruncatedOperator.vacuum_projection(-2, 2),
+    "generator": lambda: TruncatedOperator.generator(
+        "left", "creation", 1, -1, 2),
+    "recut": lambda: TruncatedOperator.identity(2, 2).recut(-1),
+    "second_quantize": lambda: second_quantize(UnitaryMatrix.identity(2), -1),
+}
+
+
+class TestNegativeCut:
+    @pytest.mark.parametrize("make", NEGATIVE_CUTS.values(), ids=NEGATIVE_CUTS)
+    def test_refused(self, make):
+        with pytest.raises(ValueError, match="cut must be >= 0, got -"):
+            make()
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_cut_zero_round_trips(self, mode):
+        for op in (TruncatedOperator.vacuum_projection(0, 2, mode),
+                   second_quantize(UnitaryMatrix.identity(2, mode), 0)):
+            assert op.cut == 0 and list(op.entries) == [((), ())]
+            assert TruncatedOperator.from_json(op.to_json()) == op
 
 
 class TestMarkov:

@@ -5,11 +5,13 @@ import ast
 import copy
 import json
 import operator
+import os
 import pickle
 import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from fockboundary.scalars import (
     GaussianRational,
     Surd,
     accumulate,
+    accumulate_products,
     field,
 )
 
@@ -262,6 +265,87 @@ class TestAccumulate:
         assert len(accumulate(items[:3], EXACT, "sum")) == 3
         with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
             accumulate(items, EXACT, "sum")
+
+
+real_pairs = rationals.map(lambda r: (r, Fraction(0)))
+factors = st.one_of(real_pairs, pairs)
+nonzero_factors = factors.filter(lambda x: x != (0, 0))
+triples = st.lists(st.tuples(st.integers(0, 4), factors, factors), max_size=12)
+small_complex = st.complex_numbers(max_magnitude=2)
+
+
+def budgeted(sum_of, stream):
+    """(triples consumed, result or budget message) of ``sum_of`` over
+    ``stream``."""
+    seen = []
+
+    def counted():
+        for triple in stream:
+            seen.append(triple)
+            yield triple
+
+    try:
+        return len(seen), sum_of(counted())
+    except TermBudgetError as exc:
+        return len(seen), str(exc)
+
+
+class TestAccumulateProducts:
+    """accumulate_products against accumulate over the reduced products
+    x * y: the same keys in the same order, and equal values."""
+
+    @given(triples, st.integers(0, 4), nonzero_factors, factors, factors)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matches_accumulate(self, items, key, f, again, g):
+        # cancel ``key`` to zero with a product f * (-running / f), then
+        # bring it back with again * g
+        running = (Fraction(0), Fraction(0))
+        for k, x, y in items:
+            if k == key:
+                running = ref_add(running, ref_mul(x, y))
+        items = items + [(key, ref_div(ref_sub((0, 0), running), f), f),
+                         (key, again, g)]
+        exact = [(k, make(x), make(y)) for k, x, y in items]
+        ref = accumulate(((k, x * y) for k, x, y in exact), EXACT)
+        got = accumulate_products(exact, EXACT)
+        assert list(got.items()) == list(ref.items())
+        for value in got.values():
+            assert_is(value, (value.re, value.im))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), small_complex, small_complex),
+                    max_size=12),
+           st.floats(-7e-13, 7e-13),
+           st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_float_matches_accumulate(self, items, tiny, c):
+        # a product within 1e-12 is dropped, and a sum cancelled to
+        # within 1e-12 is dropped and restarts from the next product
+        items = items + [(4, tiny, 1j), (5, c, 1), (5, tiny - c, 1),
+                         (5, 2e-12, 1)]
+        ref = accumulate(((k, x * y) for k, x, y in items), FLOAT)
+        got = accumulate_products(items, FLOAT)
+        assert list(got.items()) == list(ref.items())
+        assert 4 not in got and got[5] == 2e-12
+
+    @given(triples, st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_budget_fires_at_the_same_triple(self, items, cap):
+        with mock.patch.dict(os.environ, {"FOCK_TERM_CAP": str(cap)}):
+            for mode, coeff in ((EXACT, make), (FLOAT, lambda x: complex(*x))):
+                stream = [(k, coeff(x), coeff(y)) for k, x, y in items]
+                ref = budgeted(lambda s: accumulate(
+                    ((k, x * y) for k, x, y in s), mode, "sum"), stream)
+                got = budgeted(
+                    lambda s: accumulate_products(s, mode, "sum"), stream)
+                assert got == ref
+
+    def test_budget_only_on_labelled_sums(self, monkeypatch):
+        monkeypatch.setenv("FOCK_TERM_CAP", "3")
+        one = GaussianRational(1)
+        items = [(k, one, one) for k in range(4)]
+        assert len(accumulate_products(items, EXACT)) == 4
+        with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
+            accumulate_products(items, EXACT, "sum")
 
 
 class TestFields:
