@@ -291,12 +291,12 @@ class TruncatedOperator(Frozen):
         by_mid = {}
         for (mid, col), val in other.entries.items():
             by_mid.setdefault(mid, []).append((col, val))
-        pairs = (
-            ((row, col), val * val2)
+        triples = (
+            ((row, col), val, val2)
             for (row, mid), val in self.entries.items()
             for col, val2 in by_mid.get(mid, ())
         )
-        entries = accumulate(pairs, self.mode)
+        entries = accumulate_products(triples, self.mode)
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def adjoint(self):

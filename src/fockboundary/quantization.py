@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import scalars
 from .algebra import CuntzElement, Monomial
-from .errors import LetterRangeError, ModeMixError
+from .errors import CutExhaustedError, LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator
 from .scalars import Frozen, GaussianRational, accumulate_products
 
@@ -158,18 +158,40 @@ def _nonzero_rows(U):
 
 def second_quantize(U, cut):
     """Block-diagonal operator acting as the degree-n tensor power of U
-    on degree-n words (and fixing the vacuum)."""
-    images = _nonzero_rows(U)  # U e_j = sum_i u_{ji} e_i
-    level = {(EMPTY_WORD, EMPTY_WORD): U.mode.one}
-    entries = dict(level)
+    on degree-n words (and fixing the vacuum).
+
+    A degree-n entry is a product of n nonzero entries u_{ji}, so its
+    value depends only on how many times each u_{ji} occurs: its
+    exponent vector, carried as one int in base cut + 1.  Each distinct
+    exponent vector's product is computed once, in ``values``, and the
+    entries share those values."""
+    base = cut + 1
+    letters = []  # (j, i, code of u_{ji}, u_{ji}): U e_j = sum_i u_{ji} e_i
+    for j, image in enumerate(_nonzero_rows(U), 1):
+        for i, u in image:
+            letters.append((j, i, base ** len(letters), u))
+    values = {0: U.mode.one}
+    frontier = [0]
+    for _ in range(cut):
+        grown = []
+        for code in frontier:
+            val = values[code]
+            for _j, _i, step, u in letters:
+                up = code + step
+                if up not in values:
+                    values[up] = val * u
+                    grown.append(up)
+        frontier = grown
+    level = {(EMPTY_WORD, EMPTY_WORD): 0}
+    codes = dict(level)
     for _ in range(cut):
         level = {
-            (row + (i,), col + (j,)): val * u
-            for (row, col), val in level.items()
-            for j, image in enumerate(images, 1)
-            for i, u in image
+            (row + (i,), col + (j,)): code + step
+            for (row, col), code in level.items()
+            for j, i, step, _u in letters
         }
-        entries.update(level)
+        codes.update(level)
+    entries = {key: values[code] for key, code in codes.items()}
     return TruncatedOperator(entries, cut, U.d, U.mode, _trusted=True)
 
 
@@ -295,6 +317,8 @@ def markov_step_in_basis(x, weights, V):
     one pass over the entries of x."""
     if x.d != weights.d or x.mode != weights.mode or V.d != x.d or V.mode != x.mode:
         raise ModeMixError("operator, weights and unitary are incompatible")
+    if x.cut < 1:
+        raise CutExhaustedError("cannot apply a Markov step at cut 0")
     d, mode = x.d, x.mode
     w = [mode.coerce(v) for v in weights.values]
     z = mode.zero
@@ -327,7 +351,9 @@ def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):
     rng = rng or random.Random(0)
     basis = words_up_to(weights.d, cut)
     gamma = second_quantize(V, cut)
+    gamma_star = gamma.adjoint()
     gamma_small = second_quantize(V, cut - 1)
+    gamma_small_star = gamma_small.adjoint()
     worst = 0.0
     cases = []
     for n in range(trials):
@@ -337,12 +363,8 @@ def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):
             col = rng.choice(basis)
             entries[(row, col)] = weights.mode.random_coeff(rng)
         x = TruncatedOperator(entries, cut, weights.d, weights.mode)
-        lhs = gamma_small.compose(markov_step(x, weights)).compose(
-            gamma_small.adjoint()
-        )
-        rhs = markov_step_in_basis(
-            gamma.compose(x).compose(gamma.adjoint()), weights, V
-        )
+        lhs = gamma_small.compose(markov_step(x, weights)).compose(gamma_small_star)
+        rhs = markov_step_in_basis(gamma.compose(x).compose(gamma_star), weights, V)
         agree = lhs.equal_on_block(rhs, cut - 1, tol)
         worst = max(worst, lhs.max_block_diff(rhs, cut - 1))
         cases.append(agree)

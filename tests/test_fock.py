@@ -22,8 +22,13 @@ from fockboundary.fock import (
     words_up_to,
 )
 from fockboundary.quantization import UnitaryMatrix, second_quantize
+from fockboundary.scalars import EXACT, FLOAT, GaussianRational, accumulate
 
 words2 = st.lists(st.integers(1, 2), max_size=4).map(tuple)
+short_words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
+parts = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+entry_lists = st.lists(st.tuples(short_words, short_words, parts, parts),
+                       max_size=12)
 
 
 class TestWords:
@@ -110,6 +115,40 @@ class TestOperators:
         op = TruncatedOperator.generator("right", "creation", 1, 3, 2)
         back = TruncatedOperator.from_json(op.to_json())
         assert back == op
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @given(entry_lists, entry_lists, short_words, short_words, parts, parts)
+    @settings(max_examples=100, deadline=None)
+    def test_compose_is_the_sum_of_products(self, mode, xs, ys, row, col, a, b):
+        def operator(items, extra):
+            entries = {(r, c): GaussianRational(re, im) for r, c, re, im in items}
+            entries.update(extra)
+            return TruncatedOperator(entries, 3, 2, mode)
+
+        # cancel the entry at (row, col) to zero through a middle word
+        # of length 3, which no drawn entry uses
+        mid = (1, 1, 1)
+        f = mode.coerce(GaussianRational(1 + abs(a), b))
+        running = products_summed(operator(xs, {}), operator(ys, {})).get(
+            (row, col), mode.zero)
+        x = operator(xs, {(row, mid): f})
+        y = operator(ys, {(mid, col): -running / f})
+        got = x.compose(y)
+        want = products_summed(x, y)
+        assert list(got.entries.items()) == list(want.items())
+        assert (row, col) not in got.entries
+
+
+def products_summed(x, y):
+    """The entries of x y as ``accumulate`` over the products a * b."""
+    by_mid = {}
+    for (mid, col), b in y.entries.items():
+        by_mid.setdefault(mid, []).append((col, b))
+    return accumulate(
+        (((row, col), a * b)
+         for (row, mid), a in x.entries.items()
+         for col, b in by_mid.get(mid, ())),
+        x.mode)
 
 
 NEGATIVE_CUTS = {

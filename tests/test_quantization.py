@@ -5,12 +5,13 @@ import pytest
 
 from fockboundary.algebra import CuntzElement
 from fockboundary.choi_effros import op_left_creation
-from fockboundary.errors import ModeMixError
+from fockboundary.errors import CutExhaustedError, ModeMixError
 from fockboundary.fock import (
     TruncatedOperator,
     WeightVector,
     is_harmonic,
     markov_step,
+    words_of_length,
     words_up_to,
 )
 from fockboundary.quantization import (
@@ -64,6 +65,65 @@ class TestSecondQuantize:
 
         ident = TruncatedOperator.identity(3, 2)
         assert g.adjoint().compose(g).equal_on_block(ident, 3)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_is_the_tensor_power(self, d, dense):
+        U = unitary_draw(d, dense)
+        cut = 4
+        g = second_quantize(U, cut)
+        # Gamma_{K,W} = prod_s u_{W_s K_s} on words of equal length
+        want = {}
+        for n in range(cut + 1):
+            for K in words_of_length(d, n):
+                for W in words_of_length(d, n):
+                    value = GaussianRational(1)
+                    for k, w in zip(K, W):
+                        value = value * U.entry(w, k)
+                    if value:
+                        want[(K, W)] = value
+        assert g.entries == want
+        assert list(g.entries.items()) == list(level_by_level(U, cut).items())
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_float_within_tolerance(self, d, dense):
+        # float products are associated differently from the level-by-
+        # level build, so they may differ from it in the last bit
+        for U in (UnitaryMatrix(unitary_draw(d, dense).rows, FLOAT),
+                  random_float_unitary(d, random.Random(d))):
+            g = second_quantize(U, 4)
+            want = level_by_level(U, 4)
+            assert list(g.entries) == list(want)
+            assert max(abs(g.entries[k] - v) for k, v in want.items()) <= 1e-12
+
+
+def unitary_draw(d, dense):
+    """The first draw of ``random_exact_unitary`` from Random(0) with all
+    d * d entries nonzero (dense) or with a zero entry (sparse)."""
+    rng = random.Random(0)
+    while True:
+        U = random_exact_unitary(d, rng)
+        if all(u for row in U.rows for u in row) == dense:
+            return U
+
+
+def level_by_level(U, cut):
+    """Gamma(U)'s entries built a degree at a time, each degree's
+    entries the previous degree's times one more entry u_{ji}."""
+    images = [[(i, u) for i, u in enumerate(row, 1) if not U.mode.near_zero(u)]
+              for row in U.rows]
+    level = {((), ()): U.mode.one}
+    entries = dict(level)
+    for _ in range(cut):
+        level = {
+            (row + (i,), col + (j,)): val * u
+            for (row, col), val in level.items()
+            for j, image in enumerate(images, 1)
+            for i, u in image
+        }
+        entries.update(level)
+    return entries
 
 
 class TestSymbolicGamma:
@@ -130,6 +190,20 @@ class TestBasisIndependence:
         rep = basis_independence_check(w13, v, cut=5, trials=8, rng=rng)
         assert rep.ok
         assert rep.max_abs_diff == 0.0
+
+    def test_adjoints_built_once(self, w13, monkeypatch):
+        adjoint = TruncatedOperator.adjoint
+        calls = []
+
+        def counted(op):
+            calls.append(op.cut)
+            return adjoint(op)
+
+        monkeypatch.setattr(TruncatedOperator, "adjoint", counted)
+        rng = random.Random(3)
+        v = random_exact_unitary(2, rng)
+        assert basis_independence_check(w13, v, cut=4, trials=5, rng=rng).ok
+        assert sorted(calls) == [3, 4]
 
     def test_conjugated_markov_consistency(self, w13):
         # conjugation by the swap maps harmonic compressions to
@@ -203,3 +277,13 @@ class TestRotatedMarkovStep:
         V = random_float_unitary(2, random.Random(1))
         with pytest.raises(ModeMixError):
             markov_step_in_basis(x, w13, V)
+
+    @pytest.mark.parametrize("step", [
+        markov_step,
+        lambda x, w: markov_step_in_basis(x, w, UnitaryMatrix.identity(2)),
+    ], ids=["markov_step", "markov_step_in_basis"])
+    def test_refuses_cut_zero(self, w13, step):
+        x = TruncatedOperator.identity(0, 2)
+        with pytest.raises(CutExhaustedError,
+                           match="cannot apply a Markov step at cut 0"):
+            step(x, w13)
