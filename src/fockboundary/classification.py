@@ -6,10 +6,13 @@ some 0 < lambda < 1 the algebra is of type III_lambda, otherwise (dense
 subgroup) type III_1.  Finite weight vectors never produce type III_0,
 so the verdict type has no III_0 arm.
 
-Exact mode decides commensurability through prime-exponent vectors;
-float mode through continued-fraction rational approximation of log
-ratios (stdlib ``Fraction.limit_denominator``), with an explicit
-``numeric`` flag on the verdict.
+Exact mode decides commensurability by Euclid's algorithm on the
+weights themselves (no factoring): the pair (a, b) generates the same
+group as (a, b / a), and a step that fails to lower the smaller value's
+denominator proves the pair incommensurable.  Float mode decides it
+through continued-fraction rational approximation of log ratios
+(stdlib ``Fraction.limit_denominator``), with an explicit ``numeric``
+flag on the verdict.
 """
 
 from __future__ import annotations
@@ -57,27 +60,23 @@ class TypeVerdict(scalars.Frozen):
         return "TypeVerdict(%s)" % (self.kind,)
 
 
-def _factorize(n):
-    """Prime exponent map of a positive integer (trial division; the
-    inputs here are numerators/denominators of desk-scale fractions)."""
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _common_root(a, b):
+    """The generator in (0, 1) of the group a^Z b^Z for a, b in (0, 1),
+    or None when that group is dense.
 
-
-def _exponent_vector(q):
-    """Signed prime exponents of a positive Fraction."""
-    vec = _factorize(q.numerator)
-    for p, e in _factorize(q.denominator).items():
-        vec[p] = vec.get(p, 0) - e
-    return {p: e for p, e in vec.items() if e}
+    Euclid's algorithm on the weights: for a >= b the pair (a, b)
+    generates the same group as (a, b / a).  If a = c^s and b = c^t with
+    c = p/q in lowest terms, the smaller value's denominator q^t drops
+    to q^max(s, t - s) at each step, so a step that does not lower it
+    proves a and b incommensurable, and the loop always ends."""
+    if a < b:
+        a, b = b, a
+    while a != b:
+        den, c = b.denominator, b / a
+        a, b = max(a, c), min(a, c)
+        if b.denominator >= den:
+            return None
+    return a
 
 
 def rational_lambda_check(lam):
@@ -89,43 +88,16 @@ def rational_lambda_check(lam):
 
 
 def _classify_exact(weights):
-    vectors = [_exponent_vector(v) for v in weights.values]
-    primes = sorted({p for vec in vectors for p in vec})
-    rows = [[vec.get(p, 0) for p in primes] for vec in vectors]
-    # all exponent vectors must be integer multiples of one primitive vector
-    base = rows[0]
-    content = gcd(*[abs(e) for e in base]) if len(base) > 1 else abs(base[0])
-    primitive = [e // content for e in base]
-    multiples = [content]
-    for idx, row in enumerate(rows[1:], start=2):
-        ks = set()
-        for e, u in zip(row, primitive):
-            if u == 0:
-                if e != 0:
-                    ks.add(None)
-                continue
-            if e % u != 0:
-                ks.add(None)
-            else:
-                ks.add(e // u)
-        if None in ks or len(ks) != 1:
+    lam = weights.values[0]
+    for idx, v in enumerate(weights.values[1:], start=2):
+        lam = _common_root(lam, v)
+        if lam is None:
             return TypeVerdict(
                 KIND_ONE,
                 witness="weights 1 and %d generate a dense subgroup "
-                "(prime-exponent vectors not collinear)" % idx,
+                "(log w_1 / log w_%d is irrational)" % (idx, idx),
             )
-        (k,) = ks
-        multiples.append(k)
-    # orient so that lambda < 1: all weights are < 1, so all multiples
-    # share a sign once primitive points to the < 1 side
-    if multiples[0] < 0:
-        primitive = [-u for u in primitive]
-        multiples = [-k for k in multiples]
-    spread = gcd(*multiples)
-    lam = Fraction(1)
-    for p, u in zip(primes, primitive):
-        lam *= Fraction(p) ** (u * spread)
-    exponents = [k // spread for k in multiples]
+    exponents = [round(math.log(v) / math.log(lam)) for v in weights.values]
     for v, k in zip(weights.values, exponents):
         if lam ** k != v:
             raise InternalInconsistencyError(
@@ -186,6 +158,9 @@ def _classify_float(weights, tolerance):
 
 def classify(weights, tolerance=DEFAULT_TOLERANCE):
     """Decide III_lambda vs III_1 from the weight vector."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError(
+            "tolerance must be positive and finite, got %r" % (tolerance,))
     if weights.mode == scalars.EXACT:
         return _classify_exact(weights)
     return _classify_float(weights, tolerance)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -249,6 +250,15 @@ LENGTH = _at_least(0)
 TRIALS = _at_least(1)
 
 
+def _tolerance(text):
+    """An argparse type: a positive finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be positive and finite, got %s" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fockboundary",
@@ -267,7 +277,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="type classification of the weights")
     common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("spectrum", help="finite modular-spectrum sample")

@@ -221,29 +221,6 @@ class TruncatedOperator(Frozen):
             {(EMPTY_WORD, EMPTY_WORD): field(mode).one}, cut, d, mode, _trusted=True
         )
 
-    @classmethod
-    def generator(cls, side, kind, i, cut, d, mode=EXACT):
-        """Compression of l_i / r_i (kind="creation") or their adjoints
-        (kind="annihilation").  Creation is exact on columns of degree
-        <= cut - 1; annihilation is exact everywhere stored."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        if kind not in ("creation", "annihilation"):
-            raise ValueError("kind must be 'creation' or 'annihilation'")
-        if not (1 <= i <= d):
-            raise LetterRangeError("letter %r out of range 1..%d" % (i, d))
-        one = field(mode).one
-        entries = {}
-        if kind == "creation":
-            for w in words_up_to(d, cut - 1):
-                new = (i,) + w if side == "left" else w + (i,)
-                entries[(new, w)] = one
-        else:
-            for w in words_up_to(d, cut - 1):
-                big = (i,) + w if side == "left" else w + (i,)
-                entries[(w, big)] = one
-        return cls(entries, cut, d, mode, _trusted=True)
-
     # -- basic algebra ----------------------------------------------------
 
     def _check_compatible(self, other):
@@ -316,12 +293,8 @@ class TruncatedOperator(Frozen):
         is only meaningful for operators supported in low degree."""
         if new_cut == self.cut:
             return self
-        entries = {
-            k: v
-            for k, v in self.entries.items()
-            if len(k[0]) <= new_cut and len(k[1]) <= new_cut
-        }
-        return TruncatedOperator(entries, new_cut, self.d, self.mode, _trusted=True)
+        return TruncatedOperator(
+            _block(self.entries, new_cut), new_cut, self.d, self.mode, _trusted=True)
 
     # -- comparisons ------------------------------------------------------
 

@@ -20,6 +20,7 @@ from .choi_effros import (
     _up_shift,
     cesaro_project,
     closed_form_mixed,
+    op_left_creation,
     op_right_creation,
     product_iterative,
 )
@@ -218,12 +219,6 @@ def verify_relations(seed=7, cut=8):
 # -- vacuum state / Gram data -------------------------------------------------------
 
 
-def _real_fraction(value):
-    if value.im != 0:
-        raise ValueError("expected a real exact value")
-    return value.re
-
-
 def truncated_family_rank(weights, max_len, cut):
     """Rank of the vectorized compressions of all monomials with
     |I|, |J| <= max_len — the independent linear-algebra view of the
@@ -237,7 +232,7 @@ def truncated_family_rank(weights, max_len, cut):
         for key, val in op.entries.items():
             if key not in keys:
                 keys[key] = len(keys)
-            vec[keys[key]] = _real_fraction(val)
+            vec[keys[key]] = weights.mode.rational(val)
         vectors.append(vec)
     reducer = RowReducer(len(keys))
     for vec in vectors:
@@ -253,7 +248,7 @@ def verify_phi(max_len=2, weights=None):
     the rank of the truncated compression family."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
     fam, rows = gram_matrix(weights, max_len)
-    rational = [[_real_fraction(v) for v in row] for row in rows]
+    rational = [[weights.mode.rational(v) for v in row] for row in rows]
     psd = is_psd(rational)
     reducer = RowReducer(len(fam))
     for row in rational:
@@ -450,7 +445,7 @@ def verify_harmonic(cut=6, seed=7, weights=None):
         ok = ok and rep.ok
         pass_fail.append({"kind": "M", "word": repr(mono), "harmonic": rep.ok})
     # the left creation is not harmonic: P(l_1) = w_1 l_1
-    l1 = TruncatedOperator.generator("left", "creation", 1, cut, d)
+    l1 = op_left_creation((1,), cut, d)
     rep = is_harmonic(l1, weights)
     expected_defect = l1.scale(weights.weight(1) - 1)
     defect_ok = (not rep.ok) and all(

@@ -63,7 +63,7 @@ class TestIterativeProduct:
 
 class TestClosedForms:
     def test_rejects_non_harmonic(self, w13):
-        l1 = TruncatedOperator.generator("left", "creation", 1, 5, 2)
+        l1 = op_left_creation((1,), 5, 2)
         with pytest.raises(ValueError):
             closed_form_mixed("iv", ((1,),), l1, w13)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,26 @@ class TestExact:
         w = WeightVector([Fraction(1, 4), Fraction(3, 4)])
         assert classify(w).kind == "III_one"
 
+    def test_large_coprime_denominator_returns_at_once(self):
+        # 1/(p q) and 1 - 1/(p q) for the primes p = 10^9 + 7 and
+        # q = 998244353: a pair no trial-division factoring finishes on
+        n = (10 ** 9 + 7) * 998244353
+        w = WeightVector([Fraction(1, n), Fraction(n - 1, n)])
+        start = time.perf_counter()
+        v = classify(w)
+        assert time.perf_counter() - start < 0.1
+        assert v.kind == "III_one"
+        assert v.witness == ("weights 1 and 2 generate a dense subgroup "
+                             "(log w_1 / log w_2 is irrational)")
+
+    def test_witness_names_the_first_incommensurable_weight(self):
+        w = WeightVector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+        assert classify(w).kind == "III_lambda"
+        w = WeightVector([Fraction(1, 4), Fraction(1, 16), Fraction(11, 16)])
+        assert classify(w).witness == (
+            "weights 1 and 3 generate a dense subgroup "
+            "(log w_1 / log w_3 is irrational)")
+
     def test_rational_lambda_check(self):
         assert rational_lambda_check(Fraction(1, 5))
         assert not rational_lambda_check(Fraction(2, 5))
@@ -69,6 +90,14 @@ class TestFloat:
         v = classify(w)
         assert abs(v.lam - 0.5) < 1e-12
         assert v.exponents == (1, 2, 2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
+def test_refuses_bad_tolerance(mode, tolerance):
+    w = WeightVector([0.25, 0.75], mode=mode)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        classify(w, tolerance)
 
 
 class TestRoundTrips:

@@ -27,6 +27,23 @@ class TestClassify:
     def test_bad_weights_exit_2(self, capsys):
         assert main(["classify", "--weights", "1/3,1/3"]) == 2
 
+    def test_large_coprime_denominator(self, capsys):
+        n = (10 ** 9 + 7) * 998244353
+        code, out = run(capsys, "classify",
+                        "--weights", "1/%d,%d/%d" % (n, n - 1, n))
+        assert code == 0
+        assert json.loads(out)["kind"] == "III_one"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        code = main(["classify", "--weights", "0.25,0.75", "--mode", "float",
+                     "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "must be positive and finite, got %s" % tol in errors[0]
+
 
 class TestSpectrum:
     def test_values(self, capsys):

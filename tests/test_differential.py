@@ -3,8 +3,9 @@
 Each reference below is the textbook form of an operation: the product
 as a double loop of the monomial contraction rule, the GNS inner
 product as phi(y* . x) through that product, the generator
-substitution as chained products of generator images, and the closed
-forms as compositions of generator compressions.  Exact mode must
+substitution as chained products of generator images, the closed
+forms as compositions of generator compressions, and the exact type
+classification through prime-exponent vectors.  Exact mode must
 agree term for term; float mode within 1e-9 (1e-12 for the closed
 forms, which only move entries).
 """
@@ -13,6 +14,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from fockboundary.choi_effros import (
     op_left_creation,
     op_right_creation,
 )
+from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.errors import LetterRangeError, TermBudgetError
 from fockboundary.fock import EMPTY_WORD, TruncatedOperator, WeightVector, word_reverse
 from fockboundary.modular import PhasedElement, sigma_t
@@ -198,6 +201,51 @@ def closed_form_by_compose(kind, words, x, weights):
     return out
 
 
+def _factorize(n):
+    """Prime exponent map of a positive integer, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def classify_by_prime_exponents(values):
+    """(kind, lambda, exponents) of exact weights: III_lambda iff every
+    signed prime-exponent vector is an integer multiple of one primitive
+    vector, with lambda the product of primes over that vector."""
+    vectors = []
+    for q in values:
+        vec = _factorize(q.numerator)
+        for p, e in _factorize(q.denominator).items():
+            vec[p] = vec.get(p, 0) - e
+        vectors.append(vec)
+    primes = sorted({p for vec in vectors for p in vec if vec[p]})
+    rows = [[vec.get(p, 0) for p in primes] for vec in vectors]
+    content = gcd(*rows[0])
+    primitive = [e // content for e in rows[0]]
+    multiples = []
+    for row in rows:
+        ks = {e // u if u and e % u == 0 else None
+              for e, u in zip(row, primitive) if u or e}
+        if None in ks or len(ks) != 1:
+            return "III_one", None, None
+        multiples.append(ks.pop())
+    if multiples[0] < 0:
+        primitive = [-u for u in primitive]
+        multiples = [-k for k in multiples]
+    spread = gcd(*multiples)
+    lam = Fraction(1)
+    for p, u in zip(primes, primitive):
+        lam *= Fraction(p) ** (u * spread)
+    return "III_lambda", str(lam), [k // spread for k in multiples]
+
+
 # -- the kernels against the references ----------------------------------------
 
 
@@ -322,6 +370,39 @@ class TestClosedForms:
             closed_form_mixed("vi", ((1,),), x, w13)
         with pytest.raises(ValueError):
             closed_form_mixed("viii", ((1,),), x, w13)
+
+
+POWER_TUPLES = [
+    (Fraction(1, k), exps)
+    for k in range(2, 10)
+    for d in range(2, 10)
+    for exps in exponent_decomposition(Fraction(1, k), d)
+]
+
+
+class TestClassification:
+    def assert_agrees(self, values):
+        got = classify(WeightVector(values)).to_json()
+        want = classify_by_prime_exponents(values)
+        assert (got["kind"], got["lambda"], got["exponents"]) == want
+        assert got["numeric"] is False
+
+    @given(st.lists(st.integers(1, 29), min_size=2, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_desk_scale_weights(self, parts):
+        self.assert_agrees([Fraction(p, sum(parts)) for p in parts])
+
+    @given(st.sampled_from(POWER_TUPLES), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_of_unit_fractions(self, tuple_, rng):
+        lam, exps = tuple_
+        exps = list(exps)
+        rng.shuffle(exps)
+        self.assert_agrees([lam ** k for k in exps])
+
+    def test_power_tuples_cover_every_lambda(self):
+        assert {lam for lam, _ in POWER_TUPLES} == {
+            Fraction(1, k) for k in range(2, 10)}
 
 
 class TestMonomialValue:

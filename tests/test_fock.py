@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockboundary.choi_effros import op_left_creation, op_right_creation
 from fockboundary.errors import (
     CutExhaustedError,
     CutMismatchError,
@@ -89,14 +90,14 @@ class TestWeightVector:
 class TestOperators:
     def test_generator_relations(self):
         cut, d = 4, 2
-        r1 = TruncatedOperator.generator("right", "creation", 1, cut, d)
-        r2 = TruncatedOperator.generator("right", "creation", 2, cut, d)
+        r1 = op_right_creation((1,), cut, d)
+        r2 = op_right_creation((2,), cut, d)
         ident = TruncatedOperator.identity(cut, d)
         # r_i* r_j = delta_ij on the block where creation is exact
         assert r1.adjoint().compose(r1).equal_on_block(ident, cut - 1)
         assert not r1.adjoint().compose(r2).entries
         # left and right creations of different letters commute
-        l2 = TruncatedOperator.generator("left", "creation", 2, cut, d)
+        l2 = op_left_creation((2,), cut, d)
         assert r1.compose(l2).equal_on_block(l2.compose(r1), cut)
 
     def test_cut_mismatch(self):
@@ -112,7 +113,7 @@ class TestOperators:
             a + b
 
     def test_json_roundtrip(self):
-        op = TruncatedOperator.generator("right", "creation", 1, 3, 2)
+        op = op_right_creation((1,), 3, 2)
         back = TruncatedOperator.from_json(op.to_json())
         assert back == op
 
@@ -158,8 +159,8 @@ NEGATIVE_CUTS = {
     "zero": lambda: TruncatedOperator.zero(-1, 2),
     "identity": lambda: TruncatedOperator.identity(-1, 2),
     "vacuum_projection": lambda: TruncatedOperator.vacuum_projection(-2, 2),
-    "generator": lambda: TruncatedOperator.generator(
-        "left", "creation", 1, -1, 2),
+    "op_left_creation": lambda: op_left_creation((1,), -1, 2),
+    "op_right_creation": lambda: op_right_creation((1,), -1, 2),
     "recut": lambda: TruncatedOperator.identity(2, 2).recut(-1),
     "second_quantize": lambda: second_quantize(UnitaryMatrix.identity(2), -1),
 }
@@ -193,7 +194,7 @@ class TestMarkov:
         assert is_harmonic(TruncatedOperator.identity(5, 2), w13)
 
     def test_left_creation_defect(self, w13):
-        l1 = TruncatedOperator.generator("left", "creation", 1, 5, 2)
+        l1 = op_left_creation((1,), 5, 2)
         rep = is_harmonic(l1, w13)
         assert not rep
         want = Fraction(1, 3) - 1
@@ -204,6 +205,6 @@ class TestMarkov:
     @settings(max_examples=10)
     def test_right_creations_harmonic(self, w13, i, j):
         cut = 5
-        ri = TruncatedOperator.generator("right", "creation", i, cut, 2)
-        rj = TruncatedOperator.generator("right", "creation", j, cut, 2)
+        ri = op_right_creation((i,), cut, 2)
+        rj = op_right_creation((j,), cut, 2)
         assert is_harmonic(ri.compose(rj), w13)

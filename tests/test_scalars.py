@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 import fockboundary
 from fockboundary import classification, modular, quantization, structure
+from fockboundary.choi_effros import op_right_creation
 from fockboundary.errors import TermBudgetError
 from fockboundary.algebra import CuntzElement, Monomial
-from fockboundary.fock import TruncatedOperator, WeightVector, is_harmonic
+from fockboundary.fock import WeightVector, is_harmonic
 from fockboundary.scalars import (
     EXACT,
     FLOAT,
@@ -404,7 +405,7 @@ class TestFields:
 
 W = WeightVector.parse("1/3,2/3")
 X = CuntzElement.monomial(W, (1,), (2,), GaussianRational(1, 2))
-OP = TruncatedOperator.generator("right", "creation", 1, 3, 2)
+OP = op_right_creation((1,), 3, 2)
 
 FROZEN = {
     "Surd": lambda: Surd(GaussianRational(1, 1), 2),
