@@ -25,13 +25,15 @@ from .fock import (
     EMPTY_WORD,
     TruncatedOperator,
     check_word,
+    check_word_budget,
     display_word,
+    encode,
     format_word,
     parse_word,
+    prepend_words,
     same_weights,
     word_reverse,
     words_of_length,
-    words_up_to,
 )
 from .scalars import Frozen, accumulate, accumulate_products
 
@@ -110,17 +112,17 @@ class CuntzElement(Frozen):
 
     def __init__(self, terms, weights, _trusted=False):
         if _trusted:
-            clean = terms
-        else:
-            mode = weights.mode
-            clean = {}
-            for mono, coeff in terms.items():
-                check_word(mono.I, weights.d)
-                check_word(mono.J, weights.d)
-                coeff = mode.coerce(coeff)
-                if not mode.near_zero(coeff):
-                    clean[mono] = coeff
-        Frozen.__init__(self, clean, weights)
+            self._fill(terms, weights)
+            return
+        mode = weights.mode
+        clean = {}
+        for mono, coeff in terms.items():
+            check_word(mono.I, weights.d)
+            check_word(mono.J, weights.d)
+            coeff = mode.coerce(coeff)
+            if not mode.near_zero(coeff):
+                clean[mono] = coeff
+        self._fill(clean, weights)
 
     # -- constructors -------------------------------------------------------
 
@@ -302,6 +304,8 @@ class CuntzElement(Frozen):
                 % (cut, self.max_word_length())
             )
         d = self.weights.d
+        check_word_budget("to_truncated at cut %d" % cut, d, (
+            cut - max(len(mono.I), len(mono.J)) for mono in self.terms))
 
         def pairs():
             for mono, coeff in self.terms.items():
@@ -309,8 +313,8 @@ class CuntzElement(Frozen):
                 j_op = word_reverse(mono.J)
                 # r_I r_J*: e_{W J^op} -> e_{W I^op}
                 room = cut - max(len(i_op), len(j_op))
-                for w in words_up_to(d, room):
-                    yield (w + i_op, w + j_op), coeff
+                for key in prepend_words(encode(i_op, d), encode(j_op, d), d, room):
+                    yield key, coeff
                 # vacuum corrections: nonzero only when I^op starts with (J^op)_t
                 n = len(mono.J)
                 for t in range(1, n + 1):
@@ -318,8 +322,7 @@ class CuntzElement(Frozen):
                     if i_op[:t] != head:
                         continue
                     factor = self.weights.word_weight(head)
-                    col = word_reverse(mono.J[: n - t])
-                    yield (i_op[t:], col), coeff * factor
+                    yield (encode(i_op[t:], d), encode(j_op[t:], d)), coeff * factor
 
         entries = accumulate(pairs(), self.mode)
         return TruncatedOperator(entries, cut, d, self.mode, _trusted=True)

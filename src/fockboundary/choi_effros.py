@@ -24,11 +24,15 @@ from fractions import Fraction
 from .errors import CutExhaustedError, StabilizationError
 from .fock import (
     TruncatedOperator,
+    block_bound,
     check_word,
+    check_word_budget,
+    encode,
     is_harmonic,
+    letter_bits,
     markov_step,
+    prepend_words,
     word_reverse,
-    words_up_to,
 )
 from . import scalars
 
@@ -39,21 +43,25 @@ from . import scalars
 def op_right_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of r_W = r_{w1} .. r_{wk}: e_V -> e_{V . W^op}."""
     word = check_word(word, d)
-    rev = word_reverse(word)
-    one = scalars.field(mode).one
-    entries = {}
-    for v in words_up_to(d, cut - len(word)):
-        entries[(v + rev, v)] = one
-    return TruncatedOperator(entries, cut, d, mode, _trusted=True)
+    mode = scalars.field(mode)
+    room = cut - len(word)
+    check_word_budget("op_right_creation at cut %d" % cut, d, (room,))
+    pairs = prepend_words(encode(word_reverse(word), d), 1, d, room)
+    return TruncatedOperator(dict.fromkeys(pairs, mode.one), cut, d, mode,
+                             _trusted=True)
 
 
 def op_left_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of l_W: e_V -> e_{W . V}."""
     word = check_word(word, d)
-    one = scalars.field(mode).one
-    entries = {}
-    for v in words_up_to(d, cut - len(word)):
-        entries[(word + v, v)] = one
+    mode = scalars.field(mode)
+    room = cut - len(word)
+    check_word_budget("op_left_creation at cut %d" % cut, d, (room,))
+    # W . V has the digits of V above those of W
+    shift = letter_bits(d) * len(word)
+    low = encode(word, d) ^ (1 << shift)
+    entries = {((v << shift) | low, v): mode.one
+               for v, _ in prepend_words(1, 1, d, room)}
     return TruncatedOperator(entries, cut, d, mode, _trusted=True)
 
 
@@ -62,8 +70,9 @@ def op_left_creation(word, cut, d, mode=scalars.EXACT):
 # r_W, r_W*, l_W* and the vacuum projection are partial isometries with
 # 0/1 entries on injective word maps, so a product of one of them with
 # x moves x's entries to new row or column words and keeps their values.
-# Each map below returns the new word, or None where the product has no
-# entry (the word lacks the affix, or the appended word passes the cut).
+# Each map below takes and returns word codes; it returns None where the
+# product has no entry (the word lacks the affix, or the appended word
+# passes the cut).
 
 
 def _relabel(x, side, word_map):
@@ -79,26 +88,47 @@ def _relabel(x, side, word_map):
 
 
 def _strip_suffix(s):
-    # x . r_W on columns, r_W* . x on rows, with s = W^op
-    k = len(s)
-    return lambda v: v[: len(v) - k] if v[len(v) - k:] == s else None
+    # x . r_W on columns, r_W* . x on rows, with s the code of W^op:
+    # v = u . s when the top digits of v, with its top 1, are s
+    n = s.bit_length()
+    flip = s ^ 1
+
+    def strip(v):
+        shift = v.bit_length() - n
+        if shift >= 0 and v >> shift == s:
+            return v ^ (flip << shift)
+    return strip
 
 
 def _strip_prefix(p):
-    # x . l_W on columns, l_W* . x on rows, with p = W
-    k = len(p)
-    return lambda v: v[k:] if v[:k] == p else None
+    # x . l_W on columns, l_W* . x on rows, with p the code of W:
+    # v = p . u when the low digits of v are those of p
+    shift = p.bit_length() - 1
+    low = p ^ (1 << shift)
+    mask = (1 << shift) - 1
+
+    def strip(v):
+        u = v >> shift
+        if u and v & mask == low:
+            return u
+    return strip
 
 
-def _append(s, cut):
-    # r_W . x on rows, x . r_W* on columns, with s = W^op
-    k = len(s)
-    return lambda v: v + s if len(v) + k <= cut else None
+def _append(s, cut, d):
+    # r_W . x on rows, x . r_W* on columns, with s the code of W^op
+    flip = s ^ 1
+    bound = block_bound(cut, d)
+
+    def append(v):
+        new = v ^ (flip << (v.bit_length() - 1))
+        if new < bound:
+            return new
+    return append
 
 
 def _vacuum(v):
     # the vacuum projection P on either side
-    return None if v else v
+    return v if v == 1 else None
 
 
 def _creation_form(y, side, rev, weights):
@@ -107,11 +137,12 @@ def _creation_form(y, side, rev, weights):
     (side "col"), where rev = W^op, head = (W^op)_t for t = 1..|W| and
     tail = W_{|W|-t}, so that tail^op = rev[t:]."""
     other = "col" if side == "row" else "row"
-    out = _relabel(y, side, _append(rev, y.cut))
+    d = y.d
+    out = _relabel(y, side, _append(encode(rev, d), y.cut, d))
     vac = _relabel(y, side, _vacuum)
     for t in range(1, len(rev) + 1):
-        term = _relabel(vac, other, _strip_prefix(rev[:t]))
-        term = _relabel(term, side, _append(rev[t:], y.cut))
+        term = _relabel(vac, other, _strip_prefix(encode(rev[:t], d)))
+        term = _relabel(term, side, _append(encode(rev[t:], d), y.cut, d))
         out = out + term.scale(weights.word_weight(rev[:t]))
     return out
 
@@ -123,14 +154,16 @@ def _up_shift(x):
     """Max over entries of |row| - |col| (how far x raises degree)."""
     if not x.entries:
         return 0
-    return max(0, max(len(r) - len(c) for r, c in x.entries))
+    bits = max(r.bit_length() - c.bit_length() for r, c in x.entries)
+    return max(0, bits) // letter_bits(x.d)
 
 
 def _down_shift(x):
     """Max over entries of |col| - |row| (how far x lowers degree)."""
     if not x.entries:
         return 0
-    return max(0, max(len(c) - len(r) for r, c in x.entries))
+    bits = max(c.bit_length() - r.bit_length() for r, c in x.entries)
+    return max(0, bits) // letter_bits(x.d)
 
 
 def product_iterative(x, y, weights, max_steps=None):
@@ -198,20 +231,22 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
     ri = word_reverse(check_word(I, x.d))
 
     if kind == "i":
-        return _relabel(x, "col", _strip_suffix(ri))
+        return _relabel(x, "col", _strip_suffix(encode(ri, x.d)))
     if kind == "ii":
-        return _relabel(x, "row", _strip_suffix(ri))
+        return _relabel(x, "row", _strip_suffix(encode(ri, x.d)))
     if kind == "iii":
-        rx = _relabel(x, "row", _strip_suffix(rj))
-        return _relabel(rx, "col", _strip_suffix(ri))
+        rx = _relabel(x, "row", _strip_suffix(encode(rj, x.d)))
+        return _relabel(rx, "col", _strip_suffix(encode(ri, x.d)))
     if kind == "iv":
         return _creation_form(x, "row", ri, weights)
     if kind == "v":
         return _creation_form(x, "col", ri, weights)
     if kind == "vi":
-        return _creation_form(_relabel(x, "col", _strip_suffix(ri)), "col", rj, weights)
+        stripped = _relabel(x, "col", _strip_suffix(encode(ri, x.d)))
+        return _creation_form(stripped, "col", rj, weights)
     # kind == "vii"
-    return _creation_form(_relabel(x, "row", _strip_suffix(rj)), "row", ri, weights)
+    stripped = _relabel(x, "row", _strip_suffix(encode(rj, x.d)))
+    return _creation_form(stripped, "row", ri, weights)
 
 
 # -- Cesaro projection -----------------------------------------------------------

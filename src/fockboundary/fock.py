@@ -7,6 +7,17 @@ length <= cut ("compression semantics": creation out of the top degree
 drops the term).  Each operation documents the degree block on which
 its output is exact.
 
+Inside a ``TruncatedOperator`` a word is an int, its *word code*.  With
+b = ``letter_bits(d)`` bits per letter, the k-th letter a (k = 0 first)
+is the digit a - 1 in bits k*b .. k*b + b - 1, so the first letter is
+the least significant digit, and a 1 sits just above the last letter.
+The empty word is 1, a word of length n has bit length n*b + 1, and the
+word maps the Markov step and the closed forms need (strip or prepend
+a first letter, strip or append a suffix, filter by length) are shifts
+and masks.  Words stay tuples at the API edge: the constructor,
+``entry``, ``word_entries``, JSON and ``HarmonicityReport.defects``
+speak words.
+
 Basis enumeration order is by length, then lexicographic, so every
 serialization is deterministic.
 """
@@ -22,6 +33,7 @@ from .errors import (
     CutMismatchError,
     LetterRangeError,
     ModeMixError,
+    TermBudgetError,
 )
 from .scalars import (
     EXACT,
@@ -30,6 +42,7 @@ from .scalars import (
     accumulate_products,
     common_mode,
     field,
+    term_cap,
 )
 
 # ---------------------------------------------------------------------------
@@ -79,6 +92,71 @@ def words_up_to(d, max_len):
     out = []
     for n in range(max_len + 1):
         out.extend(words_of_length(d, n))
+    return out
+
+
+def check_word_budget(what, d, lengths):
+    """Refuse, before any work, to build one entry per word of length
+    <= n over d letters, for each n in ``lengths``, when the entries
+    would number more than ``term_cap()``."""
+    cap = term_cap()
+    total = 0
+    for n in lengths:
+        level = 1
+        for _ in range(n + 1):
+            total += level
+            if total > cap:
+                raise TermBudgetError(
+                    "%s exceeded the term budget (%d)" % (what, cap))
+            level *= d
+
+
+# ---------------------------------------------------------------------------
+# word codes (see the module docstring)
+
+
+def letter_bits(d):
+    """Bits per letter in the word codes over {1, .., d}."""
+    return (d - 1).bit_length() or 1
+
+
+def encode(word, d):
+    """The code of a word over {1, .., d}."""
+    b = letter_bits(d)
+    code = 1
+    for letter in reversed(check_word(word, d)):
+        code = (code << b) | (letter - 1)
+    return code
+
+
+def decode(code, d):
+    """The word of a code over {1, .., d}."""
+    b = letter_bits(d)
+    mask = (1 << b) - 1
+    word = []
+    while code > 1:
+        word.append((code & mask) + 1)
+        code >>= b
+    return tuple(word)
+
+
+def block_bound(degree, d):
+    """The codes of the words over {1, .., d} of length <= degree are
+    those below this."""
+    return 1 << max(letter_bits(d) * degree + 1, 0)
+
+
+def prepend_words(row, col, d, max_len):
+    """The code pairs (W row, W col) for the words W of length <= max_len,
+    in length-then-lex order of W."""
+    if max_len < 0:
+        return []
+    b = letter_bits(d)
+    level = [(row, col)]
+    out = list(level)
+    for _ in range(max_len):
+        level = [((r << b) | a, (c << b) | a) for a in range(d) for r, c in level]
+        out += level
     return out
 
 
@@ -168,17 +246,13 @@ def same_weights(a, b):
 # truncated operators
 
 
-def _block(entries, degree):
-    """The entries whose row and column words have length <= degree."""
-    return {k: v for k, v in entries.items()
-            if len(k[0]) <= degree and len(k[1]) <= degree}
-
-
 class TruncatedOperator(Frozen):
     """Sparse compression of an operator to the degree <= cut block.
 
-    ``entries[(I, J)]`` is the matrix element <x e_J, e_I>.  Values are
-    immutable; all arithmetic returns new operators.
+    ``entries[(r, c)]`` is the matrix element <x e_J, e_I>, where r and
+    c are the codes of the words I and J.  The constructor takes word
+    keys ``(I, J)``; with ``_trusted`` it takes code keys as they are.
+    Values are immutable; all arithmetic returns new operators.
     """
 
     __slots__ = ("entries", "cut", "d", "mode")
@@ -186,40 +260,40 @@ class TruncatedOperator(Frozen):
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
-        mode = field(mode)
         if _trusted:
-            clean = entries
-        else:
-            clean = {}
-            for (row, col), val in entries.items():
-                row = check_word(row, d)
-                col = check_word(col, d)
-                if len(row) > cut or len(col) > cut:
-                    raise ValueError(
-                        "entry (%r, %r) exceeds cut %d" % (row, col, cut)
-                    )
-                val = mode.coerce(val)
-                if not mode.near_zero(val):
-                    clean[(row, col)] = val
-        Frozen.__init__(self, clean, cut, d, mode)
+            self._fill(entries, cut, d, mode)
+            return
+        mode = field(mode)
+        clean = {}
+        for (row, col), val in entries.items():
+            row = check_word(row, d)
+            col = check_word(col, d)
+            if len(row) > cut or len(col) > cut:
+                raise ValueError(
+                    "entry (%r, %r) exceeds cut %d" % (row, col, cut)
+                )
+            val = mode.coerce(val)
+            if not mode.near_zero(val):
+                clean[(encode(row, d), encode(col, d))] = val
+        self._fill(clean, cut, d, mode)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, cut, d, mode=EXACT):
-        return cls({}, cut, d, mode, _trusted=True)
+        return cls({}, cut, d, field(mode), _trusted=True)
 
     @classmethod
     def identity(cls, cut, d, mode=EXACT):
-        one = field(mode).one
-        entries = {(w, w): one for w in words_up_to(d, cut)}
+        mode = field(mode)
+        check_word_budget("identity at cut %d" % cut, d, (cut,))
+        entries = {(r, r): mode.one for r, _ in prepend_words(1, 1, d, cut)}
         return cls(entries, cut, d, mode, _trusted=True)
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
-        return cls(
-            {(EMPTY_WORD, EMPTY_WORD): field(mode).one}, cut, d, mode, _trusted=True
-        )
+        mode = field(mode)
+        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -283,9 +357,27 @@ class TruncatedOperator(Frozen):
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def entry(self, row, col):
-        return self.entries.get((tuple(row), tuple(col)), self.mode.zero)
+        try:
+            key = encode(row, self.d), encode(col, self.d)
+        except LetterRangeError:
+            return self.mode.zero
+        return self.entries.get(key, self.mode.zero)
+
+    def word_entries(self):
+        """The entries keyed by word pairs (I, J), in storage order."""
+        d = self.d
+        return {(decode(r, d), decode(c, d)): v for (r, c), v in self.entries.items()}
 
     # -- cut management ---------------------------------------------------
+
+    def _block(self, degree):
+        """The entries whose row and column words have length <= degree
+        (the entries themselves when that is the whole operator)."""
+        if degree >= self.cut:
+            return self.entries
+        bound = block_bound(degree, self.d)
+        return {k: v for k, v in self.entries.items()
+                if k[0] < bound and k[1] < bound}
 
     def recut(self, new_cut):
         """Restrict (or formally extend) to a new cut.  Shrinking drops
@@ -294,7 +386,7 @@ class TruncatedOperator(Frozen):
         if new_cut == self.cut:
             return self
         return TruncatedOperator(
-            _block(self.entries, new_cut), new_cut, self.d, self.mode, _trusted=True)
+            self._block(new_cut), new_cut, self.d, self.mode, _trusted=True)
 
     # -- comparisons ------------------------------------------------------
 
@@ -303,11 +395,11 @@ class TruncatedOperator(Frozen):
         exact mode, within tol otherwise)."""
         common_mode(self.mode, other.mode)
         return self.mode.same_entries(
-            _block(self.entries, degree), _block(other.entries, degree), tol)
+            self._block(degree), other._block(degree), tol)
 
     def max_block_diff(self, other, degree):
         """Largest |entry difference| on the degree <= degree block."""
-        a, b = _block(self.entries, degree), _block(other.entries, degree)
+        a, b = self._block(degree), other._block(degree)
         z = self.mode.zero
         best = 0.0
         for key in a.keys() | b.keys():
@@ -338,8 +430,8 @@ class TruncatedOperator(Frozen):
         """Dense complex matrix in the length-then-lex basis order."""
         import numpy as np
 
-        basis = words_up_to(self.d, self.cut)
-        index = {w: k for k, w in enumerate(basis)}
+        basis = prepend_words(1, 1, self.d, self.cut)
+        index = {r: k for k, (r, _) in enumerate(basis)}
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
         for (row, col), val in self.entries.items():
             mat[index[row], index[col]] = complex(val)
@@ -347,11 +439,12 @@ class TruncatedOperator(Frozen):
 
     def to_json(self):
         items = []
+        words = self.word_entries()
         for (row, col) in sorted(
-            self.entries, key=lambda rc: (len(rc[0]), rc[0], len(rc[1]), rc[1])
+            words, key=lambda rc: (len(rc[0]), rc[0], len(rc[1]), rc[1])
         ):
             rec = {"row": format_word(row), "col": format_word(col)}
-            rec.update(self.mode.to_json(self.entries[(row, col)]))
+            rec.update(self.mode.to_json(words[(row, col)]))
             items.append(rec)
         return {"d": self.d, "cut": self.cut, "mode": self.mode, "entries": items}
 
@@ -380,11 +473,14 @@ def markov_step(x, weights):
         raise ModeMixError("operator and weights are incompatible")
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
+    b = letter_bits(x.d)
+    m = (1 << b) - 1
     w = [x.mode.coerce(v) for v in weights.values]
+    # r > m: the row word is not empty; r & m: the digit of its first letter
     triples = (
-        ((row[1:], col[1:]), w[row[0] - 1], val)
-        for (row, col), val in x.entries.items()
-        if row and col and row[0] == col[0]
+        ((r >> b, c >> b), w[a], val)
+        for (r, c), val in x.entries.items()
+        if (a := r & m) == c & m and r > m and c > m
     )
     entries = accumulate_products(triples, x.mode)
     return TruncatedOperator(entries, x.cut - 1, x.d, x.mode, _trusted=True)
@@ -408,13 +504,13 @@ class HarmonicityReport(Frozen):
 
 def is_harmonic(x, weights, tol=1e-12):
     """Check <x e_J, e_I> = sum_i w_i <x e_{iJ}, e_{iI}> on all (I, J)
-    with |I|, |J| <= cut - 1.  ``defects`` maps failing (I, J) to
-    P(x) - x entry values."""
+    with |I|, |J| <= cut - 1.  ``defects`` maps failing word pairs
+    (I, J) to P(x) - x entry values."""
     if x.cut < 1:
         raise CutExhaustedError("need cut >= 1 to test harmonicity")
     stepped = markov_step(x, weights)
     degree = x.cut - 1
-    inner = _block(x.entries, degree)
+    inner = x._block(degree)
     mode = x.mode
     if mode.same_entries(stepped.entries, inner, tol):
         return HarmonicityReport(True, {}, degree, 0.0)
@@ -426,6 +522,6 @@ def is_harmonic(x, weights, tol=1e-12):
         b = inner.get(key, z)
         if not mode.eq(a, b, tol):
             diff = a - b
-            defects[key] = diff
+            defects[(decode(key[0], x.d), decode(key[1], x.d))] = diff
             worst = max(worst, abs(complex(diff)))
     return HarmonicityReport(False, defects, degree, worst)

@@ -131,17 +131,17 @@ class PhasedElement(Frozen):
     __slots__ = ("terms", "weights")
 
     def __init__(self, terms, weights, _trusted=False):
-        mode = weights.mode
         if _trusted:
-            clean = terms
-        else:
-            clean = {}
-            for (mono, base), coeff in terms.items():
-                base = mode.real(base)
-                coeff = mode.coerce(coeff)
-                if not mode.near_zero(coeff):
-                    clean[(mono, base)] = coeff
-        Frozen.__init__(self, clean, weights)
+            self._fill(terms, weights)
+            return
+        mode = weights.mode
+        clean = {}
+        for (mono, base), coeff in terms.items():
+            base = mode.real(base)
+            coeff = mode.coerce(coeff)
+            if not mode.near_zero(coeff):
+                clean[(mono, base)] = coeff
+        self._fill(clean, weights)
 
     @property
     def mode(self):

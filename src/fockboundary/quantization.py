@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import scalars
 from .algebra import CuntzElement, Monomial
 from .errors import CutExhaustedError, LetterRangeError, ModeMixError
-from .fock import EMPTY_WORD, TruncatedOperator
+from .fock import EMPTY_WORD, TruncatedOperator, check_word_budget, letter_bits
 from .scalars import Frozen, GaussianRational, accumulate_products
 
 
@@ -170,6 +170,7 @@ def second_quantize(U, cut):
     for j, image in enumerate(_nonzero_rows(U), 1):
         for i, u in image:
             letters.append((j, i, base ** len(letters), u))
+    check_word_budget("second_quantize at cut %d" % cut, len(letters), (cut,))
     values = {0: U.mode.one}
     frontier = [0]
     for _ in range(cut):
@@ -182,13 +183,17 @@ def second_quantize(U, cut):
                     values[up] = val * u
                     grown.append(up)
         frontier = grown
-    level = {(EMPTY_WORD, EMPTY_WORD): 0}
+    # prepending the letter pair (i, j) to every entry of a level, one
+    # letter pair at a time, lists the next level in the order of
+    # appending each letter pair to each entry in turn
+    b = letter_bits(U.d)
+    level = {(1, 1): 0}
     codes = dict(level)
     for _ in range(cut):
         level = {
-            (row + (i,), col + (j,)): code + step
-            for (row, col), code in level.items()
+            ((row << b) | (i - 1), (col << b) | (j - 1)): code + step
             for j, i, step, _u in letters
+            for (row, col), code in level.items()
         }
         codes.update(level)
     entries = {key: values[code] for key, code in codes.items()}
@@ -329,11 +334,13 @@ def markov_step_in_basis(x, weights, V):
             for i in range(d):
                 s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
             if s:
-                c[(j + 1, k + 1)] = s
+                c[(j, k)] = s
+    b = letter_bits(d)
+    m = (1 << b) - 1
     triples = (
-        ((row[1:], col[1:]), cjk, val)
+        ((row >> b, col >> b), cjk, val)
         for (row, col), val in x.entries.items()
-        if row and col and (cjk := c.get((row[0], col[0]))) is not None
+        if row > m and col > m and (cjk := c.get((row & m, col & m))) is not None
     )
     entries = accumulate_products(triples, mode)
     return TruncatedOperator(entries, x.cut - 1, d, mode, _trusted=True)

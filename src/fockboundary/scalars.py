@@ -26,14 +26,18 @@ from .errors import ModeMixError, TermBudgetError
 
 DEFAULT_TERM_CAP = 200000
 
+_set = object.__setattr__
+
 
 class Frozen:
     """Base of the immutable value classes.
 
     A subclass names its fields in ``__slots__``; ``Frozen.__init__``
     fills them, positionally in slot order or by name, and after that
-    no field can be set or deleted.  ``copy``, ``deepcopy`` and
-    ``pickle`` restore the fields through ``__setstate__``.
+    no field can be set or deleted.  ``_fill`` fills them positionally
+    with no checks, for the trusted constructors.  ``copy``,
+    ``deepcopy`` and ``pickle`` restore the fields through
+    ``__setstate__``.
     """
 
     __slots__ = ()
@@ -48,6 +52,10 @@ class Frozen:
             values = [named[name] for name in slots]
         for name, value in zip(slots, values):
             object.__setattr__(self, name, value)
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("%s is immutable" % type(self).__name__)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,20 @@ class TestProduct:
         entries = {(e["row"], e["col"]): e["re"]
                    for e in rep["result"]["entries"]}
         assert entries[("", "")] == "1/2"
+
+    def test_iterative_cut_over_budget_exit_2(self, capsys, element_files):
+        # x's truncation at cut 40 would hold 2**40 - 1 entries
+        xp, yp = element_files
+        start = time.perf_counter()
+        code = main(["product", "--weights", "1/2,1/2", xp, yp,
+                     "--method", "iterative", "--cut", "40"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            "error: to_truncated at cut 40 exceeded the term budget (")
+        assert elapsed < 1.0
 
     def test_malformed_element_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

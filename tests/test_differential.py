@@ -4,10 +4,11 @@ Each reference below is the textbook form of an operation: the product
 as a double loop of the monomial contraction rule, the GNS inner
 product as phi(y* . x) through that product, the generator
 substitution as chained products of generator images, the closed
-forms as compositions of generator compressions, and the exact type
-classification through prime-exponent vectors.  Exact mode must
-agree term for term; float mode within 1e-9 (1e-12 for the closed
-forms, which only move entries).
+forms as compositions of generator compressions, the exact type
+classification through prime-exponent vectors, and the truncated
+layer's word-code kernels as the same operations on dicts keyed by
+word tuples.  Exact mode must agree term for term; float mode within
+1e-9 (1e-12 for the closed forms and the truncated layer).
 """
 
 import copy
@@ -24,21 +25,40 @@ from fockboundary import scalars
 from fockboundary.algebra import CuntzElement, Monomial, mono_product
 from fockboundary.choi_effros import (
     FORM_KINDS,
+    _append,
+    _strip_prefix,
+    _strip_suffix,
+    _vacuum,
     closed_form_mixed,
     op_left_creation,
     op_right_creation,
 )
 from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.errors import LetterRangeError, TermBudgetError
-from fockboundary.fock import EMPTY_WORD, TruncatedOperator, WeightVector, word_reverse
+from fockboundary.fock import (
+    EMPTY_WORD,
+    TruncatedOperator,
+    WeightVector,
+    block_bound,
+    decode,
+    encode,
+    is_harmonic,
+    letter_bits,
+    markov_step,
+    prepend_words,
+    word_reverse,
+    words_up_to,
+)
 from fockboundary.modular import PhasedElement, sigma_t
 from fockboundary.quantization import (
     UnitaryMatrix,
+    markov_step_in_basis,
     random_exact_unitary,
     random_float_unitary,
+    second_quantize,
     symbolic_gamma,
 )
-from fockboundary.scalars import GaussianRational
+from fockboundary.scalars import GaussianRational, accumulate, accumulate_products
 
 EXACT_WEIGHTS = {
     2: WeightVector([Fraction(1, 3), Fraction(2, 3)]),
@@ -427,3 +447,268 @@ class TestMonomialValue:
         assert type(back) is Monomial
         assert back == m and hash(back) == hash(m)
         assert (back.I, back.J) == ((1, 2), (3,))
+
+
+# -- the truncated layer's word codes against word tuples ---------------------
+#
+# TruncatedOperator keys its entries by word codes.  Each reference below
+# is the operation on a dict keyed by word tuples (I, J), as the layer
+# computed it before the codes, so that the codes are checked word for
+# word and entry for entry.
+
+
+def tuple_strip_suffix(s):
+    k = len(s)
+    return lambda v: v[: len(v) - k] if v[len(v) - k:] == s else None
+
+
+def tuple_strip_prefix(p):
+    k = len(p)
+    return lambda v: v[k:] if v[:k] == p else None
+
+
+def tuple_append(s, cut):
+    return lambda v: v + s if len(v) + len(s) <= cut else None
+
+
+def tuple_vacuum(v):
+    return None if v else v
+
+
+def tuple_block(entries, degree):
+    return {k: v for k, v in entries.items()
+            if len(k[0]) <= degree and len(k[1]) <= degree}
+
+
+def tuple_markov_step(x, weights):
+    w = [x.mode.coerce(v) for v in weights.values]
+    return accumulate_products(
+        (((row[1:], col[1:]), w[row[0] - 1], val)
+         for (row, col), val in x.word_entries().items()
+         if row and col and row[0] == col[0]),
+        x.mode)
+
+
+def tuple_compose(x, y):
+    by_mid = {}
+    for (mid, col), val in y.word_entries().items():
+        by_mid.setdefault(mid, []).append((col, val))
+    return accumulate_products(
+        (((row, col), a, b)
+         for (row, mid), a in x.word_entries().items()
+         for col, b in by_mid.get(mid, ())),
+        x.mode)
+
+
+def tuple_defects(x, weights):
+    stepped = tuple_markov_step(x, weights)
+    inner = tuple_block(x.word_entries(), x.cut - 1)
+    z = x.mode.zero
+    return {key: stepped.get(key, z) - inner.get(key, z)
+            for key in stepped.keys() | inner.keys()
+            if not x.mode.eq(stepped.get(key, z), inner.get(key, z))}
+
+
+def tuple_to_truncated(element, cut):
+    d = element.weights.d
+
+    def pairs():
+        for mono, coeff in element.terms.items():
+            i_op = word_reverse(mono.I)
+            j_op = word_reverse(mono.J)
+            for w in words_up_to(d, cut - max(len(i_op), len(j_op))):
+                yield (w + i_op, w + j_op), coeff
+            n = len(mono.J)
+            for t in range(1, n + 1):
+                if i_op[:t] == j_op[:t]:
+                    factor = element.weights.word_weight(j_op[:t])
+                    yield (i_op[t:], word_reverse(mono.J[: n - t])), coeff * factor
+
+    return accumulate(pairs(), element.mode)
+
+
+def tuple_second_quantize(U, cut):
+    """Gamma(U) a degree at a time, each degree's entries the previous
+    degree's times one more entry u_{ji}."""
+    mode = U.mode
+    image = [[(i, u) for i, u in enumerate(row, 1) if not mode.near_zero(u)]
+             for row in U.rows]
+    level = {((), ()): mode.one}
+    entries = dict(level)
+    for _ in range(cut):
+        level = {(row + (i,), col + (j,)): val * u
+                 for (row, col), val in level.items()
+                 for j, pairs in enumerate(image, 1) for i, u in pairs}
+        entries.update(level)
+    return entries
+
+
+def tuple_markov_step_in_basis(x, weights, V):
+    d, mode = x.d, x.mode
+    w = [mode.coerce(v) for v in weights.values]
+    c = {}
+    for j in range(d):
+        for k in range(d):
+            s = mode.zero
+            for i in range(d):
+                s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
+            if s:
+                c[(j + 1, k + 1)] = s
+    return accumulate_products(
+        (((row[1:], col[1:]), c[(row[0], col[0])], val)
+         for (row, col), val in x.word_entries().items()
+         if row and col and (row[0], col[0]) in c),
+        mode)
+
+
+def assert_entries_match(got, want, mode):
+    """The operator's word entries equal the reference dict, in the same
+    order: exactly in exact mode, within 1e-12 in float mode."""
+    got = got.word_entries()
+    assert list(got) == list(want)
+    if mode == scalars.EXACT:
+        assert got == want
+    else:
+        assert all(abs(got[k] - v) <= 1e-12 for k, v in want.items())
+
+
+ALPHABETS = st.integers(2, 9)
+
+
+def any_words(d, max_len=7):
+    return st.lists(st.integers(1, d), max_size=max_len).map(tuple)
+
+
+def affixes(data, d, v):
+    """A word to strip from or append to v: often one of v's own
+    prefixes or suffixes, so that the stripping maps hit, and otherwise
+    any word, longer than v or not."""
+    cut = data.draw(st.integers(0, len(v)))
+    return data.draw(st.one_of(
+        st.just(v[:cut]), st.just(v[cut:]), any_words(d)))
+
+
+def code_sessions():
+    """(d, mode) draws over one, two and three bits per letter."""
+    return st.tuples(st.sampled_from((2, 3, 5)), st.sampled_from(MODES))
+
+
+class TestWordCodes:
+    @given(ALPHABETS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_encode_decode(self, d, data):
+        word = data.draw(any_words(d))
+        code = encode(word, d)
+        assert decode(code, d) == word
+        assert code.bit_length() == len(word) * letter_bits(d) + 1
+        other = data.draw(any_words(d))
+        assert (encode(other, d) == code) == (other == word)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_enumeration_is_length_then_lex(self, d):
+        n = 3 if d <= 5 else 2
+        pairs = prepend_words(1, 1, d, n)
+        assert [(decode(r, d), decode(c, d)) for r, c in pairs] == [
+            (w, w) for w in words_up_to(d, n)]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_json_order_is_length_then_word(self, data):
+        d, mode = data.draw(code_sessions())
+        x = data.draw(operators(WeightVector.uniform(d, mode), 3))
+        keys = [(rec["row"], rec["col"]) for rec in x.to_json()["entries"]]
+        words = sorted(x.word_entries(),
+                       key=lambda rc: (len(rc[0]), rc[0], len(rc[1]), rc[1]))
+        assert keys == [("".join(map(str, r)), "".join(map(str, c)))
+                        for r, c in words]
+
+    @given(ALPHABETS, st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_word_maps(self, d, data):
+        v = data.draw(any_words(d))
+        affix = affixes(data, d, v)
+        cut = data.draw(st.integers(0, 9))
+
+        def agree(code_map, tuple_map):
+            got = code_map(encode(v, d))
+            want = tuple_map(v)
+            assert (got is None and want is None) or decode(got, d) == want
+
+        agree(_strip_prefix(encode(affix, d)), tuple_strip_prefix(affix))
+        agree(_strip_suffix(encode(affix, d)), tuple_strip_suffix(affix))
+        agree(_append(encode(affix, d), cut, d), tuple_append(affix, cut))
+        agree(_vacuum, tuple_vacuum)
+        assert (encode(v, d) < block_bound(cut, d)) == (len(v) <= cut)
+
+
+class TestCodeKernels:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_markov_step_and_defects(self, data):
+        d, mode = data.draw(code_sessions())
+        w = WeightVector.uniform(d, mode) if d == 5 else session_weights(d, mode)
+        cut = data.draw(st.integers(1, 4))
+        x = data.draw(operators(w, cut))
+        assert_entries_match(markov_step(x, w), tuple_markov_step(x, w), mode)
+        got = is_harmonic(x, w).defects
+        want = tuple_defects(x, w)
+        assert got.keys() == want.keys()
+        assert_terms_agree(got, want, mode, tol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_compose_adjoint_recut(self, data):
+        d, mode = data.draw(code_sessions())
+        w = WeightVector.uniform(d, mode)
+        cut = data.draw(st.integers(0, 4))
+        x = data.draw(operators(w, cut))
+        y = data.draw(operators(w, cut))
+        assert_entries_match(x.compose(y), tuple_compose(x, y), mode)
+        assert_entries_match(x.adjoint(), {
+            (c, r): v.conjugate() for (r, c), v in x.word_entries().items()}, mode)
+        degree = data.draw(st.integers(0, cut))
+        assert_entries_match(x.recut(degree),
+                             tuple_block(x.word_entries(), degree), mode)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_to_truncated(self, data):
+        d, mode = data.draw(code_sessions())
+        w = WeightVector.uniform(d, mode) if d == 5 else session_weights(d, mode)
+        x = data.draw(elements(w, max_len=2, max_terms=4))
+        cut = data.draw(st.integers(2, 4))
+        assert_entries_match(x.to_truncated(cut), tuple_to_truncated(x, cut), mode)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_creations(self, data):
+        d, mode = data.draw(code_sessions())
+        cut = data.draw(st.integers(0, 4))
+        word = data.draw(any_words(d, max_len=5))
+        one = mode.one
+        right = {(v + word_reverse(word), v): one
+                 for v in words_up_to(d, cut - len(word))}
+        left = {(word + v, v): one for v in words_up_to(d, cut - len(word))}
+        assert_entries_match(op_right_creation(word, cut, d, mode), right, mode)
+        assert_entries_match(op_left_creation(word, cut, d, mode), left, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3), (5, 2)])
+    def test_second_quantize_and_rotated_step(self, d, cut, mode):
+        rng = random.Random(d)
+        w = WeightVector.uniform(d, mode) if d == 5 else session_weights(d, mode)
+        for _ in range(3):
+            if mode == scalars.EXACT:
+                V = random_exact_unitary(d, rng)
+            else:
+                V = random_float_unitary(d, rng)
+            assert_entries_match(second_quantize(V, cut),
+                                 tuple_second_quantize(V, cut), mode)
+            entries = {}
+            basis = words_up_to(d, cut)
+            for _ in range(30):
+                key = (rng.choice(basis), rng.choice(basis))
+                entries[key] = mode.random_coeff(rng)
+            x = TruncatedOperator(entries, cut, d, mode)
+            assert_entries_match(markov_step_in_basis(x, w, V),
+                                 tuple_markov_step_in_basis(x, w, V), mode)

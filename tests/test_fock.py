@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import op_left_creation, op_right_creation
 from fockboundary.errors import (
     CutExhaustedError,
     CutMismatchError,
     LetterRangeError,
     ModeMixError,
+    TermBudgetError,
 )
 from fockboundary.fock import (
     EMPTY_WORD,
@@ -134,20 +136,20 @@ class TestOperators:
             (row, col), mode.zero)
         x = operator(xs, {(row, mid): f})
         y = operator(ys, {(mid, col): -running / f})
-        got = x.compose(y)
+        got = x.compose(y).word_entries()
         want = products_summed(x, y)
-        assert list(got.entries.items()) == list(want.items())
-        assert (row, col) not in got.entries
+        assert list(got.items()) == list(want.items())
+        assert (row, col) not in got
 
 
 def products_summed(x, y):
     """The entries of x y as ``accumulate`` over the products a * b."""
     by_mid = {}
-    for (mid, col), b in y.entries.items():
+    for (mid, col), b in y.word_entries().items():
         by_mid.setdefault(mid, []).append((col, b))
     return accumulate(
         (((row, col), a * b)
-         for (row, mid), a in x.entries.items()
+         for (row, mid), a in x.word_entries().items()
          for col, b in by_mid.get(mid, ())),
         x.mode)
 
@@ -176,8 +178,51 @@ class TestNegativeCut:
     def test_cut_zero_round_trips(self, mode):
         for op in (TruncatedOperator.vacuum_projection(0, 2, mode),
                    second_quantize(UnitaryMatrix.identity(2, mode), 0)):
-            assert op.cut == 0 and list(op.entries) == [((), ())]
+            assert op.cut == 0 and list(op.word_entries()) == [((), ())]
             assert TruncatedOperator.from_json(op.to_json()) == op
+
+
+class TestWordBudget:
+    """The truncated layer refuses, before any work, to build more
+    entries than ``term_cap()``."""
+
+    BUILDERS = {
+        "to_truncated": lambda cut: CuntzElement.monomial(
+            WeightVector.uniform(2), (1,), ()).to_truncated(cut),
+        "identity": lambda cut: TruncatedOperator.identity(cut, 2),
+        "second_quantize": lambda cut: second_quantize(
+            UnitaryMatrix.identity(2), cut),
+        "op_right_creation": lambda cut: op_right_creation((1,), cut, 2),
+        "op_left_creation": lambda cut: op_left_creation((1,), cut, 2),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    def test_refused_at_cut_40(self, build):
+        with pytest.raises(TermBudgetError, match="at cut 40 exceeded the term budget"):
+            build(40)
+
+    @pytest.mark.parametrize("build,cut", [
+        (BUILDERS["identity"], 2), (BUILDERS["second_quantize"], 2),
+        (BUILDERS["to_truncated"], 3), (BUILDERS["op_right_creation"], 3),
+        (BUILDERS["op_left_creation"], 3),
+    ], ids=["identity", "second_quantize", "to_truncated", "op_right_creation",
+            "op_left_creation"])
+    def test_cap_is_the_entry_count(self, build, cut, monkeypatch):
+        # each builds 1 + 2 + 4 = 7 entries at this cut, 15 at the next
+        monkeypatch.setenv("FOCK_TERM_CAP", "7")
+        assert len(build(cut).entries) == 7
+        with pytest.raises(TermBudgetError):
+            build(cut + 1)
+
+    def test_to_truncated_sums_its_terms(self, w13, monkeypatch):
+        # 3 + 7 words for the terms at cut 2
+        x = CuntzElement(
+            {Monomial((1,), ()): 1, Monomial((), ()): 1}, w13)
+        monkeypatch.setenv("FOCK_TERM_CAP", "10")
+        x.to_truncated(2)
+        monkeypatch.setenv("FOCK_TERM_CAP", "9")
+        with pytest.raises(TermBudgetError):
+            x.to_truncated(2)
 
 
 class TestMarkov:
