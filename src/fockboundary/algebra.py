@@ -35,7 +35,7 @@ from .fock import (
     word_reverse,
     words_of_length,
 )
-from .scalars import Frozen, accumulate, accumulate_products
+from .scalars import Frozen, accumulate, accumulate_products, subtract
 
 
 class Monomial(tuple):
@@ -156,8 +156,7 @@ class CuntzElement(Frozen):
 
     def __sub__(self, other):
         same_weights(self.weights, other.weights)
-        negated = ((m, -c) for m, c in other.terms.items())
-        terms = accumulate(chain(self.terms.items(), negated), self.mode)
+        terms = subtract(self.terms, other.terms, self.mode)
         return CuntzElement(terms, self.weights, _trusted=True)
 
     def __neg__(self):

@@ -42,6 +42,7 @@ from .scalars import (
     accumulate_products,
     common_mode,
     field,
+    subtract,
     term_cap,
 )
 
@@ -315,8 +316,7 @@ class TruncatedOperator(Frozen):
 
     def __sub__(self, other):
         self._check_compatible(other)
-        negated = ((k, -v) for k, v in other.entries.items())
-        entries = accumulate(chain(self.entries.items(), negated), self.mode)
+        entries = subtract(self.entries, other.entries, self.mode)
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
 
     def __neg__(self):

@@ -19,8 +19,8 @@ from itertools import chain
 
 from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
-from .fock import same_weights, words_up_to
-from .scalars import Frozen, accumulate, accumulate_products
+from .fock import EMPTY_WORD, same_weights, words_up_to
+from .scalars import Frozen, accumulate, accumulate_products, subtract
 
 SPECTRUM_PAIR_CAP = 250000
 
@@ -160,8 +160,7 @@ class PhasedElement(Frozen):
 
     def __sub__(self, other):
         same_weights(self.weights, other.weights)
-        negated = ((k, -c) for k, c in other.terms.items())
-        terms = accumulate(chain(self.terms.items(), negated), self.mode)
+        terms = subtract(self.terms, other.terms, self.mode)
         return PhasedElement(terms, self.weights, _trusted=True)
 
     def __mul__(self, other):
@@ -226,9 +225,18 @@ def sigma_t(x):
     :class:`PhasedElement`; evaluate with ``evaluate_at`` in float mode.
     """
     w = x.weights
+    memo = {EMPTY_WORD: w.mode.real_one}
+
+    def weight(word):
+        # word_weight's product order, with one product per new word
+        if word not in memo:
+            memo[word] = weight(word[:-1]) * w.values[word[-1] - 1]
+        return memo[word]
+
+    # an element's coefficients and ratios of field reals: already clean
     return PhasedElement(
-        {(m, w.word_weight(m.I) / w.word_weight(m.J)): c for m, c in x.terms.items()},
-        w)
+        {(m, weight(m[0]) / weight(m[1])): c for m, c in x.terms.items()},
+        w, _trusted=True)
 
 
 def evaluate_at(phased, t):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalars
-from .algebra import CuntzElement, Monomial
+from .algebra import CuntzElement, _monomial
 from .errors import CutExhaustedError, LetterRangeError, ModeMixError
 from .fock import EMPTY_WORD, TruncatedOperator, check_word_budget, letter_bits
 from .scalars import Frozen, GaussianRational, accumulate_products
@@ -245,7 +245,7 @@ def symbolic_gamma(U, x):
             right = [(L, c.conjugate()) for L, c in image(J).items()]
             for K, a in left:
                 for L, b in right:
-                    yield Monomial(K, L), a, b
+                    yield _monomial((K, L)), a, b
 
     terms = accumulate_products(triples(), mode, "substitution")
     return CuntzElement(terms, weights, _trusted=True)

@@ -140,7 +140,7 @@ class GaussianRational:
 
     The form is canonical, so equality compares the three fields.
     ``re`` and ``im`` return the parts as Fractions.  Values are
-    immutable: every operation returns a new instance.
+    immutable, so an operation may return an operand itself.
     """
 
     __slots__ = ("_a", "_b", "_den")
@@ -223,6 +223,8 @@ class GaussianRational:
         return _make(-self._a, -self._b, self._den)
 
     def conjugate(self):
+        if not self._b:
+            return self
         return _make(self._a, -self._b, self._den)
 
     def __eq__(self, other):
@@ -632,6 +634,28 @@ def accumulate(pairs, mode, what=None):
                 del terms[key]
             else:
                 terms[key] = value
+    return terms
+
+
+def subtract(a, b, mode):
+    """The dict ``a - b``: for finite values, ``accumulate`` over a's
+    items and b's negated items, in the same key order.  Equal dicts give
+    {} from one comparison, and equal values cancel with no arithmetic."""
+    if a == b:
+        return {}
+    is_zero = mode.is_zero
+    terms = {k: v for k, v in a.items() if not is_zero(v)}
+    get = terms.get
+    for key, v in b.items():
+        s = get(key)
+        if s is None:
+            if not is_zero(v):
+                terms[key] = -v
+        # an IEEE s - v is s + (-v), so float sums do not move either
+        elif s == v or is_zero(s := s - v):
+            del terms[key]
+        else:
+            terms[key] = s
     return terms
 
 

@@ -163,6 +163,32 @@ def substitution_by_generators(U, x):
     return out
 
 
+def gamma_keyed_by_monomial(U, x):
+    """symbolic_gamma's terms built with a ``Monomial(K, L)`` call per
+    product, in the same triple order."""
+    mode = U.mode
+    rows = [[(j, u) for j, u in enumerate(row, 1) if not mode.near_zero(u)]
+            for row in U.rows]
+    images = {EMPTY_WORD: {EMPTY_WORD: mode.one}}
+
+    def image(word):
+        if word not in images:
+            row = rows[word[-1] - 1]
+            images[word] = {K + (j,): c * u
+                            for K, c in image(word[:-1]).items() for j, u in row}
+        return images[word]
+
+    def triples():
+        for (I, J), coeff in x.terms.items():
+            left = [(K, coeff * c) for K, c in image(I).items()]
+            right = [(L, c.conjugate()) for L, c in image(J).items()]
+            for K, a in left:
+                for L, b in right:
+                    yield Monomial(K, L), a, b
+
+    return accumulate_products(triples(), mode)
+
+
 def closed_form_by_compose(kind, words, x, weights):
     """The seven closed forms as products of full generator compressions."""
     cut, d, mode = x.cut, x.d, x.mode
@@ -330,6 +356,21 @@ class TestSubstitution:
         x = data.draw(elements(w, max_len=2, max_terms=4))
         assert_terms_agree(symbolic_gamma(U, x).terms,
                            substitution_by_generators(U, x).terms, mode)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_key_order(self, data):
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode, uniform=True)
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        if mode == scalars.EXACT:
+            U = random_exact_unitary(d, rng)
+        else:
+            U = random_float_unitary(d, rng)
+        x = data.draw(elements(w, max_len=3, max_terms=4))
+        got = symbolic_gamma(U, x).terms
+        assert list(got.items()) == list(gamma_keyed_by_monomial(U, x).items())
+        assert all(type(m) is Monomial for m in got)
 
     def test_term_budget(self, monkeypatch):
         w = WeightVector.uniform(2)

@@ -9,6 +9,7 @@ from fockboundary.errors import ModeMixError
 from fockboundary.fock import WeightVector
 from fockboundary.modular import (
     GnsVector,
+    PhasedElement,
     delta_apply,
     evaluate_at,
     gram_matrix,
@@ -105,6 +106,39 @@ class TestModularFlow:
         x = CuntzElement.monomial(w13, (1, 1), (2,))
         with pytest.raises(ModeMixError):
             evaluate_at(sigma_t(x), 0.7)
+
+
+FLOW_WEIGHTS = {2: [Fraction(1, 3), Fraction(2, 3)],
+                3: [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]}
+
+
+def checked_sigma_t(x):
+    """The flow through PhasedElement's checked constructor."""
+    w = x.weights
+    return PhasedElement(
+        {(m, w.word_weight(m.I) / w.word_weight(m.J)): c
+         for m, c in x.terms.items()}, w)
+
+
+class TestSigmaT:
+    @given(st.data(), st.sampled_from(("exact", "float")),
+           st.sampled_from((2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_checked_constructor(self, data, mode, d):
+        w = WeightVector(FLOW_WEIGHTS[d], mode=mode)
+        word = st.lists(st.integers(1, d), max_size=3).map(tuple)
+        # few words, so the terms repeat them, the empty word included
+        pool = data.draw(st.lists(word, min_size=1, max_size=4)) + [()]
+        monos = st.builds(Monomial, st.sampled_from(pool), st.sampled_from(pool))
+        coeff = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+        if mode == "exact":
+            coeff = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+        x = CuntzElement(data.draw(st.dictionaries(monos, coeff, max_size=8)), w)
+        got, want = sigma_t(x), checked_sigma_t(x)
+        assert list(got.terms.items()) == list(want.terms.items())
+        for (_, b), (_, c) in zip(got.terms, want.terms):
+            assert type(b) is type(c)
+        assert got.weights is want.weights
 
 
 class TestSpectrumAndGram:

@@ -9,12 +9,13 @@ import os
 import pickle
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockboundary
@@ -32,6 +33,7 @@ from fockboundary.scalars import (
     accumulate,
     accumulate_products,
     field,
+    subtract,
 )
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=60)
@@ -250,11 +252,17 @@ class TestAccumulate:
 
     @given(st.floats(-7e-13, 7e-13), st.floats(-7e-13, 7e-13),
            st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+    @example(0.0, 0.0, 1 + 1j)
+    # c + (tiny - c) rounds to 7.105e-13 (1 + i), of modulus 1.005e-12
+    @example(6.999999999999999e-13, 6.999999999999999e-13, 129 + 129j)
     @settings(max_examples=100, deadline=None)
     def test_float_drops_sums_within_tolerance(self, re, im, c):
         tiny = complex(re, im)
         assert accumulate([("a", tiny)], FLOAT) == {}
-        assert accumulate([("a", c), ("a", tiny - c)], FLOAT) == {}
+        # the sum is the rounded c + (tiny - c), kept only past 1e-12
+        s = c + (tiny - c)
+        expected = {} if abs(s) <= 1e-12 else {"a": s}
+        assert accumulate([("a", c), ("a", tiny - c)], FLOAT) == expected
         # a sum dropped on the way restarts from the next value
         got = accumulate([("a", c), ("a", -c), ("a", 2e-12)], FLOAT)
         assert got == {"a": 2e-12}
@@ -266,6 +274,75 @@ class TestAccumulate:
         assert len(accumulate(items[:3], EXACT, "sum")) == 3
         with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
             accumulate(items, EXACT, "sum")
+
+
+def tiny_complex():
+    """A complex value of modulus at most 1e-12."""
+    part = st.floats(-7e-13, 7e-13)
+    return st.builds(complex, part, part)
+
+
+class TestSubtract:
+    @given(st.data(), st.sampled_from((EXACT, FLOAT)))
+    @settings(max_examples=200, deadline=None)
+    def test_is_accumulate_over_the_negation(self, data, mode):
+        # b's keys cancel a's value exactly, cancel it within 1e-12 but
+        # unequal (FLOAT), differ, or are b's alone; a may hold a value
+        # within 1e-12 (FLOAT) or zero (EXACT)
+        if mode == EXACT:
+            values = pairs.map(make)
+            near = st.just(GaussianRational(0))
+        else:
+            values = st.complex_numbers(max_magnitude=1e3)
+            near = tiny_complex()
+        a = data.draw(st.dictionaries(
+            st.integers(0, 7), st.one_of(values, near), max_size=8))
+        b = {}
+        for key in data.draw(st.lists(st.integers(0, 11), unique=True)):
+            if key in a:
+                how = data.draw(st.sampled_from(("equal", "near", "other")))
+                if how == "equal":
+                    b[key] = a[key]
+                elif how == "near":
+                    b[key] = a[key] + data.draw(near)
+                else:
+                    b[key] = data.draw(values)
+            else:
+                b[key] = data.draw(st.one_of(values, near))
+        want = accumulate(
+            chain(a.items(), ((k, -v) for k, v in b.items())), mode)
+        assert list(subtract(a, b, mode).items()) == list(want.items())
+
+    def test_equal_values_cancel_by_comparison(self):
+        a = {"x": GaussianRational(Fraction(1, 3), 2), "y": GaussianRational(1)}
+        b = {"x": GaussianRational(Fraction(1, 3), 2)}
+        with mock.patch.object(GaussianRational, "__neg__") as neg, \
+                mock.patch.object(GaussianRational, "__sub__") as sub:
+            assert subtract(a, b, EXACT) == {"y": GaussianRational(1)}
+            assert subtract(a, dict(a), EXACT) == {}
+            assert subtract(b, b, EXACT) == {}
+        neg.assert_not_called()
+        sub.assert_not_called()
+
+
+class TestConjugate:
+    @given(pairs)
+    @settings(max_examples=50, deadline=None)
+    def test_real_values_are_their_own_conjugate(self, x):
+        g = make(x)
+        c = g.conjugate()
+        if x[1] == 0:
+            assert c is g
+        else:
+            assert c is not g
+            assert_is(c, (x[0], -x[1]))
+        for value in (g, c):
+            copies = [copy.copy(value), copy.deepcopy(value)]
+            copies += [pickle.loads(pickle.dumps(value, protocol))
+                       for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies:
+                assert_is(other, (value.re, value.im))
+                assert_is(other.conjugate(), (value.re, -value.im))
 
 
 real_pairs = rationals.map(lambda r: (r, Fraction(0)))
