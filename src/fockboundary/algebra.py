@@ -18,7 +18,7 @@ optimization cross-checked against it.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .fock import (
@@ -303,28 +303,40 @@ class CuntzElement(Frozen):
                 % (cut, self.max_word_length())
             )
         d = self.weights.d
+        mode = self.mode
         check_word_budget("to_truncated at cut %d" % cut, d, (
             cut - max(len(mono.I), len(mono.J)) for mono in self.terms))
-
-        def pairs():
-            for mono, coeff in self.terms.items():
-                i_op = word_reverse(mono.I)
-                j_op = word_reverse(mono.J)
-                # r_I r_J*: e_{W J^op} -> e_{W I^op}
-                room = cut - max(len(i_op), len(j_op))
-                for key in prepend_words(encode(i_op, d), encode(j_op, d), d, room):
-                    yield key, coeff
-                # vacuum corrections: nonzero only when I^op starts with (J^op)_t
-                n = len(mono.J)
-                for t in range(1, n + 1):
-                    head = j_op[:t]
-                    if i_op[:t] != head:
-                        continue
-                    factor = self.weights.word_weight(head)
-                    yield (encode(i_op[t:], d), encode(j_op[t:], d)), coeff * factor
-
-        entries = accumulate(pairs(), self.mode)
-        return TruncatedOperator(entries, cut, d, self.mode, _trusted=True)
+        # accumulate over every term's pairs, a term at a time: a term
+        # none of whose keys is in yet goes in whole
+        entries = {}
+        cancelled = False
+        diffs = set()
+        for mono, coeff in self.terms.items():
+            i_op = word_reverse(mono.I)
+            j_op = word_reverse(mono.J)
+            diffs.add(len(i_op) - len(j_op))
+            # r_I r_J*: e_{W J^op} -> e_{W I^op}
+            room = cut - max(len(i_op), len(j_op))
+            keys = prepend_words(encode(i_op, d), encode(j_op, d), d, room)
+            if not mode.is_zero(coeff) and (
+                    not entries or entries.keys().isdisjoint(keys)):
+                entries.update(dict.fromkeys(keys, coeff))
+            else:
+                accumulate(zip(keys, repeat(coeff)), mode, into=entries)
+                cancelled = cancelled or not all(map(entries.__contains__, keys))
+            # vacuum corrections: nonzero only when I^op starts with (J^op)_t
+            for t in range(1, len(j_op) + 1):
+                head = j_op[:t]
+                if i_op[:t] != head:
+                    continue
+                key = (encode(i_op[t:], d), encode(j_op[t:], d))
+                factor = self.weights.word_weight(head)
+                accumulate(((key, coeff * factor),), mode, into=entries)
+                cancelled = cancelled or key not in entries
+        # every entry of M(I, J) raises degree by |I| - |J|
+        shifts = None if cancelled else (max(0, max(diffs, default=0)),
+                                         max(0, -min(diffs, default=0)))
+        return TruncatedOperator(entries, cut, d, mode, _trusted=True, _shifts=shifts)
 
     # -- serialization -----------------------------------------------------
 

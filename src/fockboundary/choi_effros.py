@@ -47,8 +47,10 @@ def op_right_creation(word, cut, d, mode=scalars.EXACT):
     room = cut - len(word)
     check_word_budget("op_right_creation at cut %d" % cut, d, (room,))
     pairs = prepend_words(encode(word_reverse(word), d), 1, d, room)
+    # a creation raises every degree by |W|; with no room it has no entries
     return TruncatedOperator(dict.fromkeys(pairs, mode.one), cut, d, mode,
-                             _trusted=True)
+                             _trusted=True,
+                             _shifts=(len(word), 0) if room >= 0 else (0, 0))
 
 
 def op_left_creation(word, cut, d, mode=scalars.EXACT):
@@ -62,7 +64,8 @@ def op_left_creation(word, cut, d, mode=scalars.EXACT):
     low = encode(word, d) ^ (1 << shift)
     entries = {((v << shift) | low, v): mode.one
                for v, _ in prepend_words(1, 1, d, room)}
-    return TruncatedOperator(entries, cut, d, mode, _trusted=True)
+    return TruncatedOperator(entries, cut, d, mode, _trusted=True,
+                             _shifts=(len(word), 0) if room >= 0 else (0, 0))
 
 
 # -- products with generators as word relabelings -------------------------------
@@ -75,16 +78,21 @@ def op_left_creation(word, cut, d, mode=scalars.EXACT):
 # passes the cut).
 
 
-def _relabel(x, side, word_map):
-    """x with each row (side "row") or column (side "col") word v moved
-    to word_map(v); entries whose word maps to None are dropped."""
+def _moved(x, side, word_map):
+    """The entries of x with each row (side "row") or column (side
+    "col") word v moved to word_map(v); entries whose word maps to None
+    are dropped."""
     if side == "row":
-        entries = {(new, c): val for (r, c), val in x.entries.items()
-                   if (new := word_map(r)) is not None}
-    else:
-        entries = {(r, new): val for (r, c), val in x.entries.items()
-                   if (new := word_map(c)) is not None}
-    return TruncatedOperator(entries, x.cut, x.d, x.mode, _trusted=True)
+        return {(new, c): val for (r, c), val in x.entries.items()
+                if (new := word_map(r)) is not None}
+    return {(r, new): val for (r, c), val in x.entries.items()
+            if (new := word_map(c)) is not None}
+
+
+def _relabel(x, side, word_map):
+    """``_moved`` as an operator."""
+    return TruncatedOperator(_moved(x, side, word_map), x.cut, x.d, x.mode,
+                             _trusted=True)
 
 
 def _strip_suffix(s):
@@ -135,35 +143,33 @@ def _creation_form(y, side, rev, weights):
     """r_W . y + sum_t w(head) r_tail . P . y . l_head (side "row"), or
     its mirror y . r_W* + sum_t w(head) l_head* . y . P . r_tail*
     (side "col"), where rev = W^op, head = (W^op)_t for t = 1..|W| and
-    tail = W_{|W|-t}, so that tail^op = rev[t:]."""
+    tail = W_{|W|-t}, so that tail^op = rev[t:].  The vacuum terms are
+    summed into the moved entries of y in place."""
     other = "col" if side == "row" else "row"
     d = y.d
-    out = _relabel(y, side, _append(encode(rev, d), y.cut, d))
+    out = _moved(y, side, _append(encode(rev, d), y.cut, d))
     vac = _relabel(y, side, _vacuum)
     for t in range(1, len(rev) + 1):
         term = _relabel(vac, other, _strip_prefix(encode(rev[:t], d)))
         term = _relabel(term, side, _append(encode(rev[t:], d), y.cut, d))
-        out = out + term.scale(weights.word_weight(rev[:t]))
-    return out
+        scalars.accumulate(term.scale(weights.word_weight(rev[:t])).entries.items(),
+                           y.mode, into=out)
+    return TruncatedOperator(out, y.cut, d, y.mode, _trusted=True)
 
 
 # -- iterative product ----------------------------------------------------------
 
 
 def _up_shift(x):
-    """Max over entries of |row| - |col| (how far x raises degree)."""
-    if not x.entries:
-        return 0
-    bits = max(r.bit_length() - c.bit_length() for r, c in x.entries)
-    return max(0, bits) // letter_bits(x.d)
+    """Max over entries of |row| - |col|, clamped at 0 (how far x raises
+    degree); cached on x by ``degree_shifts``."""
+    return x.degree_shifts()[0]
 
 
 def _down_shift(x):
-    """Max over entries of |col| - |row| (how far x lowers degree)."""
-    if not x.entries:
-        return 0
-    bits = max(c.bit_length() - r.bit_length() for r, c in x.entries)
-    return max(0, bits) // letter_bits(x.d)
+    """Max over entries of |col| - |row|, clamped at 0 (how far x lowers
+    degree); cached on x by ``degree_shifts``."""
+    return x.degree_shifts()[1]
 
 
 def product_iterative(x, y, weights, max_steps=None):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import eq, is_
 
 from .errors import (
     CutExhaustedError,
@@ -254,15 +255,20 @@ class TruncatedOperator(Frozen):
     c are the codes of the words I and J.  The constructor takes word
     keys ``(I, J)``; with ``_trusted`` it takes code keys as they are.
     Values are immutable; all arithmetic returns new operators.
+
+    ``_shifts`` caches ``degree_shifts()``: None until the first call
+    computes it, unless the constructor that built the operator knew
+    it (``_shifts`` with ``_trusted``).  It is not part of equality or
+    JSON, and ``copy`` and ``pickle`` keep it as it is.
     """
 
-    __slots__ = ("entries", "cut", "d", "mode")
+    __slots__ = ("entries", "cut", "d", "mode", "_shifts")
 
-    def __init__(self, entries, cut, d, mode=EXACT, _trusted=False):
+    def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
         if _trusted:
-            self._fill(entries, cut, d, mode)
+            self._fill(entries, cut, d, mode, _shifts)
             return
         mode = field(mode)
         clean = {}
@@ -276,25 +282,25 @@ class TruncatedOperator(Frozen):
             val = mode.coerce(val)
             if not mode.near_zero(val):
                 clean[(encode(row, d), encode(col, d))] = val
-        self._fill(clean, cut, d, mode)
+        self._fill(clean, cut, d, mode, None)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, cut, d, mode=EXACT):
-        return cls({}, cut, d, field(mode), _trusted=True)
+        return cls({}, cut, d, field(mode), _trusted=True, _shifts=(0, 0))
 
     @classmethod
     def identity(cls, cut, d, mode=EXACT):
         mode = field(mode)
         check_word_budget("identity at cut %d" % cut, d, (cut,))
         entries = {(r, r): mode.one for r, _ in prepend_words(1, 1, d, cut)}
-        return cls(entries, cut, d, mode, _trusted=True)
+        return cls(entries, cut, d, mode, _trusted=True, _shifts=(0, 0))
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
         mode = field(mode)
-        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True)
+        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True, _shifts=(0, 0))
 
     # -- basic algebra ----------------------------------------------------
 
@@ -337,24 +343,59 @@ class TruncatedOperator(Frozen):
         has no contributions through intermediate words beyond the cut;
         for products of generator compressions this holds on the degree
         <= cut - (number of creation factors) block.
+
+        When a factor is a 0/1 word map (see ``_word_map``), each result
+        key gets one product, so the other factor's entries move to
+        their new keys with no sum: ``accumulate_products``'s dict, in
+        the same key order.
         """
         self._check_compatible(other)
+        mode = self.mode
+        right = _word_map(other.entries, mode.one, 0)
+        if right is not None:
+            entries = mode.moved_products(
+                [((row, hit[0]), val, hit[1])
+                 for (row, mid), val in self.entries.items()
+                 if (hit := right.get(mid)) is not None], 1)
+            return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
+        left = _word_map(self.entries, mode.one, 1)
         by_mid = {}
         for (mid, col), val in other.entries.items():
-            by_mid.setdefault(mid, []).append((col, val))
+            # a word map on the left reads only its own middle words
+            if left is None or mid in left:
+                by_mid.setdefault(mid, []).append((col, val))
         triples = (
             ((row, col), val, val2)
             for (row, mid), val in self.entries.items()
             for col, val2 in by_mid.get(mid, ())
         )
-        entries = accumulate_products(triples, self.mode)
-        return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
+        if left is None:
+            entries = accumulate_products(triples, mode)
+        else:
+            entries = mode.moved_products(triples, 2)
+        return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
 
     def adjoint(self):
         entries = {
             (col, row): val.conjugate() for (row, col), val in self.entries.items()
         }
-        return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True)
+        shifts = self._shifts
+        return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True,
+                                 _shifts=None if shifts is None else shifts[::-1])
+
+    def degree_shifts(self):
+        """``(up, down)``: the largest |I| - |J| and the largest
+        |J| - |I| over the entries (I, J), each clamped at 0, so how
+        far the operator raises and lowers degree.  Computed at the
+        first call and cached on the operator."""
+        shifts = self._shifts
+        if shifts is None:
+            diffs = {r.bit_length() - c.bit_length() for r, c in self.entries}
+            b = letter_bits(self.d)
+            shifts = (max(0, max(diffs, default=0)) // b,
+                      max(0, -min(diffs, default=0)) // b)
+            object.__setattr__(self, "_shifts", shifts)
+        return shifts
 
     def entry(self, row, col):
         try:
@@ -458,8 +499,38 @@ class TruncatedOperator(Frozen):
         return cls(entries, int(obj["cut"]), int(obj["d"]), mode)
 
 
+def _word_map(entries, one, mid):
+    """For the entries of a 0/1 word map, the dict middle word -> (target
+    word, value); otherwise None.  A 0/1 word map (r_W, l_W and their
+    adjoints) has every value equal to ``one``, each middle word in one
+    entry and each target word in one entry.  ``mid`` is the place of
+    the middle word in a key: 0 in a right factor, 1 in a left one.
+    The value test stops at the first value that is not one, after a
+    first pass by identity, which the creations' values pass; an empty
+    operator is no word map."""
+    values = entries.values()
+    if not entries or not (all(map(is_, values, repeat(one)))
+                           or all(map(eq, values, repeat(one)))):
+        return None
+    target = 1 - mid
+    found = {key[mid]: (key[target], val) for key, val in entries.items()}
+    if len(found) < len(entries) or len({key[target] for key in entries}) < len(found):
+        return None
+    return found
+
+
 # ---------------------------------------------------------------------------
 # the Markov operator
+
+
+def strip_first_letters(x, table):
+    """sum_{j,k} table[j][k] <x e_{kJ}, e_{jI}> on the degree <= cut - 1
+    block: strip the first letter of row and column and weight by a
+    d x d table of the field's values, None standing for zero."""
+    if x.cut < 1:
+        raise CutExhaustedError("cannot apply a Markov step at cut 0")
+    entries = x.mode.markov_sum(x.entries, table, letter_bits(x.d))
+    return TruncatedOperator(entries, x.cut - 1, x.d, x.mode, _trusted=True)
 
 
 def markov_step(x, weights):
@@ -467,23 +538,16 @@ def markov_step(x, weights):
 
     <P(x) e_J, e_I> = sum_i w_i <x e_{iJ}, e_{iI}>, evaluated on the
     degree <= cut - 1 block, which is exact whenever the entries of x
-    are exact up to the cut.
+    are exact up to the cut.  It is ``strip_first_letters`` with the
+    table diag(w).
     """
     if x.d != weights.d or x.mode != weights.mode:
         raise ModeMixError("operator and weights are incompatible")
-    if x.cut < 1:
-        raise CutExhaustedError("cannot apply a Markov step at cut 0")
-    b = letter_bits(x.d)
-    m = (1 << b) - 1
-    w = [x.mode.coerce(v) for v in weights.values]
-    # r > m: the row word is not empty; r & m: the digit of its first letter
-    triples = (
-        ((r >> b, c >> b), w[a], val)
-        for (r, c), val in x.entries.items()
-        if (a := r & m) == c & m and r > m and c > m
-    )
-    entries = accumulate_products(triples, x.mode)
-    return TruncatedOperator(entries, x.cut - 1, x.d, x.mode, _trusted=True)
+    d = x.d
+    table = [[None] * d for _ in range(d)]
+    for a, v in enumerate(weights.values):
+        table[a][a] = x.mode.coerce(v)
+    return strip_first_letters(x, table)
 
 
 class HarmonicityReport(Frozen):

@@ -16,8 +16,14 @@ from fractions import Fraction
 
 from . import scalars
 from .algebra import CuntzElement, _monomial
-from .errors import CutExhaustedError, LetterRangeError, ModeMixError
-from .fock import EMPTY_WORD, TruncatedOperator, check_word_budget, letter_bits
+from .errors import LetterRangeError, ModeMixError
+from .fock import (
+    EMPTY_WORD,
+    TruncatedOperator,
+    check_word_budget,
+    letter_bits,
+    strip_first_letters,
+)
 from .scalars import Frozen, GaussianRational, accumulate_products
 
 
@@ -318,32 +324,21 @@ def markov_step_in_basis(x, weights, V):
     <= cut - 1 block.
 
     Since l_{f_i} = sum_j v_{ij} l_j, this is the direct sum
-    P_V(x)_{I,J} = sum_{j,k} C_{jk} x_{jI,kJ} with C = V* diag(w) V,
-    one pass over the entries of x."""
+    P_V(x)_{I,J} = sum_{j,k} C_{jk} x_{jI,kJ}: ``strip_first_letters``
+    with the table C = V* diag(w) V, zero entries left out."""
     if x.d != weights.d or x.mode != weights.mode or V.d != x.d or V.mode != x.mode:
         raise ModeMixError("operator, weights and unitary are incompatible")
-    if x.cut < 1:
-        raise CutExhaustedError("cannot apply a Markov step at cut 0")
     d, mode = x.d, x.mode
     w = [mode.coerce(v) for v in weights.values]
-    z = mode.zero
-    c = {}
+    table = [[None] * d for _ in range(d)]
     for j in range(d):
         for k in range(d):
-            s = z
+            s = mode.zero
             for i in range(d):
                 s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
             if s:
-                c[(j, k)] = s
-    b = letter_bits(d)
-    m = (1 << b) - 1
-    triples = (
-        ((row >> b, col >> b), cjk, val)
-        for (row, col), val in x.entries.items()
-        if row > m and col > m and (cjk := c.get((row & m, col & m))) is not None
-    )
-    entries = accumulate_products(triples, mode)
-    return TruncatedOperator(entries, x.cut - 1, d, mode, _trusted=True)
+                table[j][k] = s
+    return strip_first_letters(x, table)
 
 
 def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):

@@ -262,6 +262,19 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
+def _reduce_sums(sums):
+    """Reduce, in place, the unreduced running sums of the exact loops."""
+    for s in sums.values():
+        den = s._den
+        if den != 1:
+            g = gcd(s._a, s._b, den)
+            if g != 1:
+                s._a //= g
+                s._b //= g
+                s._den = den // g
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # quadratic surds: value = coeff * sqrt(radicand), radicand > 0 rational
 
@@ -354,7 +367,9 @@ class Field(str):
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
     ``sum_products(triples, cap, what)``, the loop of
-    ``accumulate_products``;
+    ``accumulate_products``; ``markov_sum(entries, table, bits)``, the
+    Markov steps' loop; ``moved_products(triples, moved)``, products
+    with one factor equal to one;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
     for a real coefficient; ``to_json``/``from_json``;
@@ -487,15 +502,72 @@ class _Exact(Field):
                 s._den = den
             else:
                 del sums[key]
-        for s in sums.values():
-            den = s._den
-            if den != 1:
-                g = gcd(s._a, s._b, den)
-                if g != 1:
-                    s._a //= g
-                    s._b //= g
-                    s._den = den // g
-        return sums
+        return _reduce_sums(sums)
+
+    def markov_sum(self, entries, table, bits):
+        """The loop of the Markov steps: each word-code entry (r, c) whose
+        words both have a first letter, of digits j and k (``bits`` bits
+        a letter), adds table[j][k] * value to the key
+        (r >> bits, c >> bits); None in the table is zero.  It sums as
+        ``sum_products`` would, with no triple built."""
+        mask = (1 << bits) - 1
+        sums = {}
+        get = sums.get
+        for (r, c), y in entries.items():
+            if r <= mask or c <= mask:
+                continue
+            x = table[r & mask][c & mask]
+            if x is None:
+                continue
+            # sum_products' step, inlined: a change to one goes to both
+            a1 = x._a
+            b1 = x._b
+            a2 = y._a
+            b2 = y._b
+            if not b1:
+                a = a1 * a2
+                b = a1 * b2
+            elif not b2:
+                a = a1 * a2
+                b = b1 * a2
+            else:
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+            den = x._den * y._den
+            key = (r >> bits, c >> bits)
+            s = get(key)
+            if s is None:
+                if not (a or b):
+                    continue
+                s = sums[key] = _new(GaussianRational)
+                s._a = a
+                s._b = b
+                s._den = den
+                continue
+            sden = s._den
+            if sden == den:
+                a += s._a
+                b += s._b
+            else:
+                g = gcd(sden, den)
+                m = den // g
+                n = sden // g
+                a = s._a * m + a * n
+                b = s._b * m + b * n
+                den = sden * m
+            if a or b:
+                s._a = a
+                s._b = b
+                s._den = den
+            else:
+                del sums[key]
+        return _reduce_sums(sums)
+
+    def moved_products(self, triples, moved):
+        """The dict of (key, x, y) triples with distinct keys, where the
+        operand that is not the one at index ``moved`` (1 for x, 2 for y)
+        equals one: the moved values themselves, with no arithmetic."""
+        return {t[0]: t[moved] for t in triples}
 
 
 class _Float(Field):
@@ -575,6 +647,39 @@ class _Float(Field):
                     terms[key] = value
         return terms
 
+    def markov_sum(self, entries, table, bits):
+        """The FLOAT loop of the Markov steps (see ``_Exact.markov_sum``),
+        each product taken as table value * entry."""
+        mask = (1 << bits) - 1
+        terms = {}
+        get = terms.get
+        for (r, c), y in entries.items():
+            if r <= mask or c <= mask:
+                continue
+            x = table[r & mask][c & mask]
+            if x is None:
+                continue
+            value = x * y
+            key = (r >> bits, c >> bits)
+            s = get(key)
+            if s is None:
+                if abs(value) <= 1e-12:
+                    continue
+                terms[key] = value
+            else:
+                value = s + value
+                if abs(value) <= 1e-12:
+                    del terms[key]
+                else:
+                    terms[key] = value
+        return terms
+
+    def moved_products(self, triples, moved):
+        """The dict of (key, x, y) triples with distinct keys: each x * y,
+        dropped within 1e-12 as ``sum_products`` drops it, so that a
+        factor equal to one still sets the sign of a zero part."""
+        return {key: p for key, x, y in triples if not abs(p := x * y) <= 1e-12}
+
 
 EXACT = _Exact("exact")
 FLOAT = _Float("float")
@@ -610,15 +715,16 @@ def _over_budget(what, cap):
     return TermBudgetError("%s exceeded the term budget (%d)" % (what, cap))
 
 
-def accumulate(pairs, mode, what=None):
+def accumulate(pairs, mode, what=None, into=None):
     """Sum (key, value) pairs into a dict, cancelling as it goes: a key
     whose running sum is zero in the field ``mode`` (exactly, or within
     1e-12 in FLOAT) is dropped, and comes back if a later pair brings it
     back.  With a label ``what`` the dict is held to ``term_cap()``
-    keys, and TermBudgetError names ``what``."""
+    keys, and TermBudgetError names ``what``.  With a dict ``into`` the
+    pairs are summed into that dict in place."""
     is_zero = mode.is_zero
     cap = term_cap() if what else None
-    terms = {}
+    terms = {} if into is None else into
     get = terms.get
     for key, value in pairs:
         s = get(key)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from fockboundary.algebra import CuntzElement
+from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
+    _down_shift,
+    _up_shift,
     cesaro_project,
     closed_form_mixed,
     op_left_creation,
@@ -112,3 +114,64 @@ class TestCesaro:
         mean, stable = cesaro_project(op, w13)
         assert stable
         assert mean.equal_on_block(op.recut(mean.cut), mean.cut)
+
+
+# -- degree shifts -----------------------------------------------------------------
+
+
+def element(w, *terms):
+    return CuntzElement({Monomial(I, J): c for I, J, c in terms}, w)
+
+
+X = ((1, 2), (1,), 1), ((), (2, 2), 2), ((2,), (2,), 3)
+CANCELLING = ((), (), 1), ((1,), (1,), -1), ((2,), (2,), -1)
+
+# (operator, whether its constructor sets the shifts) for each constructor
+SHIFT_CASES = {
+    "to_truncated": lambda w: (element(w, *X).to_truncated(4), True),
+    "to_truncated, cancelled": lambda w: (element(w, *CANCELLING).to_truncated(3),
+                                          False),
+    "to_truncated, cancelled in part": lambda w: (element(
+        w, *CANCELLING[:2], ((1, 2), (), 1)).to_truncated(3), False),
+    "right creation": lambda w: (op_right_creation((1, 2), 4, 2), True),
+    "right creation past the cut": lambda w: (op_right_creation((1, 2, 1), 2, 2),
+                                              True),
+    "left creation": lambda w: (op_left_creation((2, 1), 4, 2), True),
+    "left creation past the cut": lambda w: (op_left_creation((2, 1, 1), 2, 2), True),
+    "adjoint of a creation": lambda w: (op_left_creation((2,), 4, 2).adjoint(), True),
+    "adjoint": lambda w: (element(w, *X).to_truncated(4).compose(
+        op_right_creation((1,), 4, 2)).adjoint(), False),
+    "recut": lambda w: (op_right_creation((1, 2), 4, 2).recut(3), False),
+    "compose": lambda w: (op_right_creation((1,), 4, 2).compose(
+        element(w, *X).to_truncated(4)), False),
+    "markov_step": lambda w: (markov_step(element(w, *X).to_truncated(4), w), False),
+    "checked": lambda w: (TruncatedOperator(
+        {((1,), ()): 1, ((), (2, 1)): 2}, 3, 2), False),
+    "zero": lambda w: (TruncatedOperator.zero(3, 2), True),
+    "identity": lambda w: (TruncatedOperator.identity(3, 2), True),
+    "vacuum_projection": lambda w: (TruncatedOperator.vacuum_projection(3, 2), True),
+}
+
+
+def scanned_shifts(x):
+    """(up, down) from a fresh scan of the word entries."""
+    words = x.word_entries()
+    return (max([0] + [len(I) - len(J) for I, J in words]),
+            max([0] + [len(J) - len(I) for I, J in words]))
+
+
+class TestDegreeShifts:
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    def test_equal_a_fresh_scan(self, name, w13):
+        x, built_with_shifts = SHIFT_CASES[name](w13)
+        assert (x._shifts is not None) == built_with_shifts
+        want = scanned_shifts(x)
+        assert (_up_shift(x), _down_shift(x)) == want
+        assert x._shifts == want
+
+    def test_not_part_of_equality(self, w13):
+        x = markov_step(element(w13, *X).to_truncated(4), w13)
+        y = markov_step(element(w13, *X).to_truncated(4), w13)
+        x.degree_shifts()
+        assert x._shifts is not None and y._shifts is None
+        assert x == y

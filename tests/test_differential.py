@@ -12,20 +12,23 @@ word tuples.  Exact mode must agree term for term; float mode within
 """
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockboundary import scalars
+from fockboundary import fock, scalars
 from fockboundary.algebra import CuntzElement, Monomial, mono_product
 from fockboundary.choi_effros import (
     FORM_KINDS,
     _append,
+    _relabel,
     _strip_prefix,
     _strip_suffix,
     _vacuum,
@@ -682,6 +685,64 @@ class TestWordCodes:
         assert (encode(v, d) < block_bound(cut, d)) == (len(v) <= cut)
 
 
+def assert_same_dict(got, want, mode):
+    """Equal keys in equal order and equal values; float values bitwise,
+    the sign of a zero part included."""
+    assert list(got) == list(want)
+    if mode == scalars.EXACT:
+        assert got == want
+        return
+    for key, v in want.items():
+        u = got[key]
+        assert (math.copysign(1, u.real), u.real, math.copysign(1, u.imag), u.imag) \
+            == (math.copysign(1, v.real), v.real, math.copysign(1, v.imag), v.imag), key
+
+
+def creation_maps(word, cut, d, mode):
+    """r_W, r_W*, l_W and l_W*: the 0/1 word maps."""
+    r = op_right_creation(word, cut, d, mode)
+    left = op_left_creation(word, cut, d, mode)
+    return [r, r.adjoint(), left, left.adjoint()]
+
+
+def creation_form_by_sums(y, side, rev, weights):
+    """``_creation_form`` as a chain of operator sums, one
+    ``out + term.scale(...)`` per vacuum term."""
+    other = "col" if side == "row" else "row"
+    d = y.d
+    out = _relabel(y, side, _append(encode(rev, d), y.cut, d))
+    vac = _relabel(y, side, _vacuum)
+    for t in range(1, len(rev) + 1):
+        term = _relabel(vac, other, _strip_prefix(encode(rev[:t], d)))
+        term = _relabel(term, side, _append(encode(rev[t:], d), y.cut, d))
+        out = out + term.scale(weights.word_weight(rev[:t]))
+    return out
+
+
+def creation_kind_by_sums(kind, words, x, weights):
+    """Closed-form kinds iv-vii through ``creation_form_by_sums``."""
+    d = x.d
+    ri = word_reverse(words[0])
+    if kind == "iv":
+        return creation_form_by_sums(x, "row", ri, weights)
+    if kind == "v":
+        return creation_form_by_sums(x, "col", ri, weights)
+    rj = word_reverse(words[1])
+    if kind == "vi":
+        stripped = _relabel(x, "col", _strip_suffix(encode(ri, d)))
+        return creation_form_by_sums(stripped, "col", rj, weights)
+    stripped = _relabel(x, "row", _strip_suffix(encode(rj, d)))
+    return creation_form_by_sums(stripped, "row", ri, weights)
+
+
+def products_taken(x, y):
+    """x.compose(y), and whether it summed products (not moved entries)."""
+    with mock.patch.object(fock, "accumulate_products",
+                           wraps=fock.accumulate_products) as summed:
+        z = x.compose(y)
+    return z, summed.called
+
+
 class TestCodeKernels:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -753,3 +814,84 @@ class TestCodeKernels:
             x = TruncatedOperator(entries, cut, d, mode)
             assert_entries_match(markov_step_in_basis(x, w, V),
                                  tuple_markov_step_in_basis(x, w, V), mode)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_word_map_compose(self, data):
+        # compose moves entries when a factor is a 0/1 word map: the dict
+        # must be tuple_compose's, key order and float bits included
+        d, mode = data.draw(code_sessions())
+        cut = data.draw(st.integers(0, 4))
+        w = WeightVector.uniform(d, mode)
+        x = data.draw(operators(w, cut))
+        # conjugated values carry -0.0 imaginary parts; a float scale by a
+        # factor just above 1e-12 stores values at or below 1e-12, which
+        # the move must drop
+        tiny = x.scale(mode.coerce(Fraction(1, 2 ** 39)))
+        x = data.draw(st.sampled_from([x, x.adjoint(), tiny]))
+        word = data.draw(any_words(d, max_len=3))
+        for m in creation_maps(word, cut, d, mode):
+            for a, b in ((x, m), (m, x)):
+                got, summed = products_taken(a, b)
+                assert_same_dict(got.word_entries(), tuple_compose(a, b), mode)
+                if m.entries:
+                    assert not summed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_word_map_near_misses_sum_products(self, mode):
+        d, cut = 2, 3
+        rng = random.Random(3)
+        one = mode.one
+        basis = words_up_to(d, cut)
+        entries = {(rng.choice(basis), rng.choice(basis)): mode.random_coeff(rng)
+                   for _ in range(20)}
+        x = TruncatedOperator(entries, cut, d, mode)
+        r = op_right_creation((1,), cut, d, mode).word_entries()
+        first = next(iter(r))
+        misses = {
+            "a value 2 * one": {**r, first: one + one},
+            "a repeated middle word": {**r, ((2, 2), first[1]): one},
+            "two middle words onto one target": {**r, (first[0], (2, 2)): one},
+            "an empty factor": {},
+        }
+        for name, miss in misses.items():
+            m = TruncatedOperator(miss, cut, d, mode)
+            for a, b in ((x, m), (m, x), (m.adjoint(), x), (x, m.adjoint())):
+                got, summed = products_taken(a, b)
+                assert summed, name
+                assert_same_dict(got.word_entries(), tuple_compose(a, b), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_to_truncated_overlapping_and_cancelling_terms(self, d, mode):
+        w = session_weights(d, mode)
+        one = mode.one
+        cases = [
+            # the expansion relation: every entry cancels, the vacuum last
+            {Monomial((), ()): one,
+             **{Monomial((a,), (a,)): -one for a in range(1, d + 1)}},
+            # M(I, J) covers the keys of M(Ia, Ja)
+            {Monomial((1,), (2,)): one, Monomial((1, 2), (2, 2)): one + one},
+            # keys that M(1, 1) cancels come back, at the end of the dict
+            {Monomial((), ()): one, Monomial((1,), (1,)): -one,
+             Monomial((1, 1), (1, 1)): one},
+        ]
+        for terms in cases:
+            x = CuntzElement(terms, w)
+            for cut in (2, 3):
+                assert_same_dict(x.to_truncated(cut).word_entries(),
+                                 tuple_to_truncated(x, cut), mode)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_creation_forms_sum_in_place(self, data):
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode)
+        cut = data.draw(st.integers(3, 5 if d == 2 else 4))
+        kind = data.draw(st.sampled_from(("iv", "v", "vi", "vii")))
+        word = st.lists(st.integers(1, d), min_size=3, max_size=3).map(tuple)
+        words = (data.draw(word), data.draw(word))[:1 if kind in ("iv", "v") else 2]
+        x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
+        got = closed_form_mixed(kind, words, x, w, check_harmonic=False)
+        assert_same_dict(got.entries,
+                         creation_kind_by_sums(kind, words, x, w).entries, mode)

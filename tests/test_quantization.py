@@ -255,10 +255,13 @@ class TestRotatedMarkovStep:
             assert got.cut == want.cut == cut - 1
             assert got.word_entries() == want.word_entries()
 
-    def test_identity_basis_is_the_markov_step(self, w3):
-        x = random_dense_operator(w3, 3, random.Random(2), nonzeros=60)
-        got = markov_step_in_basis(x, w3, UnitaryMatrix.identity(3))
-        assert got.word_entries() == markov_step(x, w3).word_entries()
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_identity_basis_is_the_markov_step(self, w3, mode):
+        w = WeightVector(w3.values, mode)
+        x = random_dense_operator(w, 3, random.Random(2), nonzeros=60)
+        got = markov_step_in_basis(x, w, UnitaryMatrix.identity(3, mode))
+        # equal keys in equal order, and equal values
+        assert list(got.entries.items()) == list(markov_step(x, w).entries.items())
 
     @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
     def test_float_mode_within_tolerance(self, d, cut):

@@ -23,7 +23,7 @@ from fockboundary import classification, modular, quantization, structure
 from fockboundary.choi_effros import op_right_creation
 from fockboundary.errors import TermBudgetError
 from fockboundary.algebra import CuntzElement, Monomial
-from fockboundary.fock import WeightVector, is_harmonic
+from fockboundary.fock import WeightVector, is_harmonic, markov_step
 from fockboundary.scalars import (
     EXACT,
     FLOAT,
@@ -544,6 +544,19 @@ class TestFrozen:
         for other in copies:
             assert other is not value
             assert type(other) is type(value) and same_value(other, value)
+
+    @pytest.mark.parametrize("computed", [False, True], ids=["unset", "computed"])
+    def test_copy_and_pickle_keep_the_cached_shifts(self, computed):
+        # a Markov step leaves the shifts to be computed at the first call
+        value = markov_step(OP, W)
+        if computed:
+            value.degree_shifts()
+        assert (value._shifts is not None) == computed
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(same_value(other, value) for other in copies)
+        assert all(other.degree_shifts() == value.degree_shifts() for other in copies)
 
     def test_init_checks_the_fields(self):
         with pytest.raises(TypeError, match="DRReport takes the fields norms"):
