@@ -19,6 +19,7 @@ The package exposes four layers:
 from .errors import (
     CutExhaustedError,
     CutMismatchError,
+    FockError,
     InternalInconsistencyError,
     LetterRangeError,
     ModeMixError,
@@ -33,6 +34,7 @@ __all__ = [
     "CuntzElement",
     "CutExhaustedError",
     "CutMismatchError",
+    "FockError",
     "InternalInconsistencyError",
     "LetterRangeError",
     "ModeMixError",

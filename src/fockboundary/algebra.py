@@ -68,18 +68,24 @@ class Monomial(tuple):
 _monomial = partial(tuple.__new__, Monomial)
 
 
-def mono_product(a, b):
-    """Contraction rule for M(I,J) . M(K,L); returns the resulting
-    Monomial or None when the product vanishes."""
-    (I, J), (K, L) = a, b
-    n = len(J)
-    if len(K) >= n:
-        if K[:n] == J:
-            return _monomial((I + K[n:], L))
-        return None
-    if J[: len(K)] == K:
-        return _monomial((I, L + J[len(K):]))
-    return None
+def levels(monomials):
+    """{k: the largest |J| among the monomials M(I, J) with
+    |I| - |J| = k}, with the classes k in order of first appearance."""
+    out = {}
+    for I, J in monomials:
+        k = len(I) - len(J)
+        if out.get(k, -1) < len(J):
+            out[k] = len(J)
+    return out
+
+
+def expanded(items, d, level):
+    """The (monomial, coefficient) items with each M(I, J) written out
+    by the Cuntz relation as sum_{|K| = m} M(IK, JK), where |J| + m is
+    level[|I| - |J|]; each piece carries the coefficient of its term."""
+    for (I, J), coeff in items:
+        for K in words_of_length(d, level[len(I) - len(J)] - len(J)):
+            yield _monomial((I + K, J + K)), coeff
 
 
 def contractions(left, right):
@@ -192,39 +198,19 @@ class CuntzElement(Frozen):
 
     # -- normal form ---------------------------------------------------------
 
-    def expand(self, depth):
-        """Apply M(I,J) = sum_{|K| = depth} M(IK, JK) to every term."""
-        if depth == 0:
-            return self
-        suffixes = words_of_length(self.weights.d, depth)
-        pairs = (
-            (_monomial((I + suffix, J + suffix)), coeff)
-            for (I, J), coeff in self.terms.items()
-            for suffix in suffixes
-        )
-        terms = accumulate(pairs, self.mode, "expansion")
-        return CuntzElement(terms, self.weights, _trusted=True)
-
     def normal_form(self):
         """Canonical form: within each class of fixed k = |I| - |J|
         (invariant under expansion), expand every monomial to the
         maximal |J| in the class.  Monomials of fixed (|I|, |J|) are
         linearly independent, so coefficient equality on normal forms
-        is sound."""
+        is sound.  The classes come in order of first appearance."""
         classes = {}
-        for mono, coeff in self.terms.items():
-            k = len(mono.I) - len(mono.J)
-            classes.setdefault(k, []).append((mono, coeff))
-        d = self.weights.d
-
-        def pairs():
-            for items in classes.values():
-                target = max(len(m.J) for m, _ in items)
-                for (I, J), coeff in items:
-                    for suffix in words_of_length(d, target - len(J)):
-                        yield _monomial((I + suffix, J + suffix)), coeff
-
-        terms = accumulate(pairs(), self.mode, "normal form")
+        for item in self.terms.items():
+            I, J = item[0]
+            classes.setdefault(len(I) - len(J), []).append(item)
+        pairs = expanded(chain.from_iterable(classes.values()),
+                         self.weights.d, levels(self.terms))
+        terms = accumulate(pairs, self.mode, "normal form")
         return CuntzElement(terms, self.weights, _trusted=True)
 
     # -- state, inner product, zero test ----------------------------------------

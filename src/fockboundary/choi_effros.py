@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CutExhaustedError, StabilizationError
+from .errors import StabilizationError
 from .fock import (
     TruncatedOperator,
     block_bound,
@@ -223,8 +223,6 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
       "vi"  (I, J)  x . r_I . r_J*
       "vii" (I, J)  r_I . r_J* . x
     """
-    if isinstance(kind, int) and 1 <= kind <= len(FORM_KINDS):
-        kind = FORM_KINDS[kind - 1]
     if kind not in FORM_KINDS:
         raise ValueError("unknown form %r" % (kind,))
     if check_harmonic and not is_harmonic(x, weights):
@@ -258,7 +256,7 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
 # -- Cesaro projection -----------------------------------------------------------
 
 
-def cesaro_project(x, weights, max_n=None):
+def cesaro_project(x, weights):
     """Cesaro means of the Markov orbit of x.
 
     Returns ``(mean, stabilized)``.  Successive means are compared
@@ -268,16 +266,10 @@ def cesaro_project(x, weights, max_n=None):
     exhausted first, the last partial mean is returned with
     ``stabilized = False``.
     """
-    if max_n is None:
-        max_n = x.cut
-    if max_n > x.cut:
-        raise CutExhaustedError("max_n %d exceeds the cut %d" % (max_n, x.cut))
     orbit = x
     total = x
     prev_mean = x  # mean of the first 1 iterate
-    for n in range(1, max_n + 1):
-        if orbit.cut < 1:
-            break
+    for n in range(1, x.cut + 1):
         orbit = markov_step(orbit, weights)
         if not orbit.entries:
             # P^n(x) = 0 from here on: means decay like (constant)/n -> 0

@@ -30,17 +30,13 @@ class UsageError(Exception):
     pass
 
 
-# library errors that reach the user as a one-line message and exit 2
-LIBRARY_ERRORS = (
-    errors.LetterRangeError,
-    errors.CutMismatchError,
-    errors.CutExhaustedError,
-    errors.ModeMixError,
-    errors.TermBudgetError,
-    errors.StabilizationError,
-    errors.SpectrumSizeError,
-    errors.InternalInconsistencyError,
-)
+# the flags that only some probe kinds read, by kind
+PROBE_INPUTS = {
+    "masa": (),
+    "center": ("element", "trials", "seed"),
+    "dr": ("word",),
+    "diffuse": ("element",),
+}
 
 
 def _weights_from_args(args):
@@ -70,6 +66,14 @@ def _load_element(path, weights):
         return CuntzElement.from_json(obj, weights)
     except (KeyError, TypeError, ValueError, LetterRangeError) as exc:
         raise UsageError("malformed element in %s: %s" % (path, exc))
+
+
+def _refuse_unread(args, command, reads, flags):
+    """Refuse each of ``flags`` that was given but that ``command`` does
+    not read."""
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise UsageError("%s does not read --%s" % (command, flag))
 
 
 def _emit(report, args):
@@ -136,16 +140,20 @@ def cmd_product(args):
 
 
 def cmd_verify(args):
-    from .verify import run_suite, suites_drawing_weights
+    from .verify import SUITES, run_suite
 
     if args.mode != scalars.EXACT:
         raise UsageError("verify runs in exact mode only; --mode %s is not "
                          "supported" % args.mode)
-    own = suites_drawing_weights(args.suite)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    own = [n for n in names if "weights" not in SUITES[n][1]]
     if args.weights and own:
         where = "" if own == [args.suite] else " in %s" % ", ".join(own)
         raise UsageError("verify %s draws its own weights%s; --weights is not "
                          "accepted" % (args.suite, where))
+    # "all" reads a flag that some suite reads
+    reads = {flag for n in names for flag in SUITES[n][1]}
+    _refuse_unread(args, "verify %s" % args.suite, reads, ("trials", "seed"))
     weights = _weights_from_args(args) if args.weights else None
     report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        weights=weights)
@@ -186,46 +194,39 @@ def cmd_quantize(args):
 
 
 def cmd_probe(args):
+    import random
+
     from . import structure
 
     weights = _weights_from_args(args)
+    _refuse_unread(args, "probe %s" % args.kind, PROBE_INPUTS[args.kind],
+                   ("element", "word", "trials", "seed"))
+    # the element of center and diffuse, the identity by default
+    x = (_load_element(args.element, weights) if args.element
+         else CuntzElement.identity(weights))
     if args.kind == "masa":
         rep = structure.masa_commutant_probe(weights, args.max_len)
-        body = rep.to_json()
         ok = rep.matches_diagonal
     elif args.kind == "center":
-        if args.element:
-            x = _load_element(args.element, weights)
-        else:
-            x = CuntzElement.identity(weights)
-        import random
-
         rep = structure.center_probe(
             x, trials=20 if args.trials is None else args.trials,
-            rng=random.Random(args.seed))
-        body = rep.to_json()
+            rng=random.Random(7 if args.seed is None else args.seed))
         ok = True  # reporting, not asserting
     elif args.kind == "dr":
         word = parse_word(args.word or "1")
         rep = structure.dr_convergence(
             Monomial(word, word), weights,
             n_max=6 if args.max_len is None else args.max_len)
-        body = rep.to_json()
         ok = rep.first_zero is not None
     else:  # diffuse
-        if args.element:
-            q = _load_element(args.element, weights)
-        else:
-            q = CuntzElement.identity(weights)
         try:
             rep = structure.minimal_projection_probe(
-                q, 3 if args.max_len is None else args.max_len)
+                x, 3 if args.max_len is None else args.max_len)
         except ValueError as exc:
             raise UsageError(str(exc))
-        body = rep.to_json()
         ok = True
     report = {"schema": SCHEMA, "command": "probe", "kind": args.kind,
-              "report": body, "ok": ok}
+              "report": rep.to_json(), "ok": ok}
     _emit(report, args)
     return 0 if ok else 1
 
@@ -301,7 +302,7 @@ def build_parser():
         "multiplications", "relations", "phi", "delta", "masa", "dr",
         "quantize", "harmonic", "cesaro", "all"])
     p.add_argument("--trials", type=TRIALS, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=None, help="default 7")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("quantize",
@@ -321,8 +322,10 @@ def build_parser():
     p.add_argument("--max-len", type=LENGTH, default=None)
     p.add_argument("--element", help="JSON element file (center/diffuse)")
     p.add_argument("--word", help="diagonal word for the dr probe")
-    p.add_argument("--trials", type=TRIALS, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--trials", type=TRIALS, default=None,
+                   help="center only, default 20")
+    p.add_argument("--seed", type=int, default=None,
+                   help="center only, default 7")
     p.set_defaults(fn=cmd_probe)
 
     return parser
@@ -339,7 +342,7 @@ def main(argv=None):
     try:
         _check_term_cap()
         return args.fn(args)
-    except (UsageError,) + LIBRARY_ERRORS as exc:
+    except (UsageError, errors.FockError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

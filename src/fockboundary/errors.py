@@ -1,30 +1,35 @@
 """Error types shared across the package."""
 
 
-class LetterRangeError(ValueError):
+class FockError(Exception):
+    """The base of every error the library raises on its own account;
+    the CLI reports one as a single ``error:`` line and exit 2."""
+
+
+class LetterRangeError(FockError, ValueError):
     """A word contains a letter outside 1..d."""
 
 
-class CutMismatchError(ValueError):
+class CutMismatchError(FockError, ValueError):
     """Two truncated operators with different cuts were combined
     without an explicit re-cut."""
 
 
-class CutExhaustedError(ValueError):
+class CutExhaustedError(FockError, ValueError):
     """An iteration consumed the whole truncation budget before the
     requested quantity stabilized."""
 
 
-class ModeMixError(ValueError):
+class ModeMixError(FockError, ValueError):
     """Exact-mode and float-mode objects were mixed in one expression."""
 
 
-class TermBudgetError(RuntimeError):
+class TermBudgetError(FockError, RuntimeError):
     """A symbolic expression outgrew the configured term budget
     (FOCK_TERM_CAP)."""
 
 
-class StabilizationError(RuntimeError):
+class StabilizationError(FockError, RuntimeError):
     """The iterated product failed to stabilize inside the cut budget.
 
     Carries the last two iterates so the caller can inspect the
@@ -38,11 +43,11 @@ class StabilizationError(RuntimeError):
         self.previous = previous
 
 
-class SpectrumSizeError(ValueError):
+class SpectrumSizeError(FockError, ValueError):
     """A spectrum sample request exceeded the configured size guard."""
 
 
-class InternalInconsistencyError(RuntimeError):
+class InternalInconsistencyError(FockError, RuntimeError):
     """A computed invariant contradicts a structural constraint that
     the input data must satisfy (e.g. a rational ratio p/q with p > 1
     arising from a summable weight vector)."""

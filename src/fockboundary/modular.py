@@ -14,8 +14,10 @@ the modulus-one factor b^{it}.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
+from operator import sub
 
 from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
@@ -251,34 +253,35 @@ def evaluate_at(phased, t):
     return CuntzElement(terms, phased.weights)
 
 
-def is_centralizer(x, tol=1e-12):
-    """Fixed by the whole modular flow iff every normal-form monomial
-    has w_I = w_J."""
-    nf = x.normal_form()
-    w = x.weights
-    for mono in nf.terms:
-        if not w.mode.eq(w.word_weight(mono.I), w.word_weight(mono.J), tol):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # spectrum and Gram data
 
 
-def spectrum_sample(weights, max_len, pair_cap=SPECTRUM_PAIR_CAP):
+def spectrum_sample(weights, max_len):
     """Finite inner approximation {w_I / w_J : |I|, |J| <= max_len} of
-    the modular spectrum, deduplicated and sorted."""
+    the modular spectrum, deduplicated and sorted.
+
+    w_I / w_J depends only on the letter counts of I minus those of J,
+    so one ratio is computed per distinct count difference.  The words
+    up to max_len have C(max_len + d, d) count vectors; the pairs of
+    them are held to SPECTRUM_PAIR_CAP before any work."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    count = sum(weights.d ** n for n in range(max_len + 1))
-    if count * count > pair_cap:
+    d = weights.d
+    pairs = math.comb(max_len + d, d) ** 2
+    if pairs > SPECTRUM_PAIR_CAP:
         raise SpectrumSizeError(
-            "%d word pairs exceed the cap %d" % (count * count, pair_cap)
+            "%d letter-count pairs exceed the cap %d" % (pairs, SPECTRUM_PAIR_CAP)
         )
-    values = {weights.word_weight(w) for w in words_up_to(weights.d, max_len)}
-    ratios = {a / b for a in values for b in values}
-    return sorted(ratios)
+    letters = range(1, d + 1)
+    # one sorted word per count vector
+    counts = [tuple(map(word.count, letters))
+              for n in range(max_len + 1)
+              for word in combinations_with_replacement(letters, n)]
+    differences = {tuple(map(sub, a, b)) for a in counts for b in counts}
+    one = weights.mode.real_one
+    return sorted({math.prod(map(pow, weights.values, k), start=one)
+                   for k in differences})
 
 
 def monomial_family(d, max_len):

@@ -90,10 +90,6 @@ class UnitaryMatrix(Frozen):
         ]
         return UnitaryMatrix(rows, self.mode)
 
-    def apply(self, i):
-        """Coefficients of U e_i in the basis: list of u_{ij}, j=1..d."""
-        return list(self.rows[i - 1])
-
     def __eq__(self, other):
         if not isinstance(other, UnitaryMatrix):
             return NotImplemented

@@ -366,7 +366,7 @@ class Field(str):
     Members: the constants ``zero``, ``one`` and ``real_one``;
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
-    ``sum_products(triples, cap, what)``, the loop of
+    ``sum_products(triples, what)``, the loop of
     ``accumulate_products``; ``markov_sum(entries, table, bits)``, the
     Markov steps' loop; ``moved_products(triples, moved)``, products
     with one factor equal to one;
@@ -450,11 +450,12 @@ class _Exact(Field):
     def gns_value(self, c):
         return c if isinstance(c, Surd) else Surd(c)
 
-    def sum_products(self, triples, cap, what):
+    def sum_products(self, triples, what):
         """The EXACT loop of ``accumulate_products``.  Each running sum
         is a GaussianRational of its own that holds an unreduced triple
         and is updated in place, so a product costs one dict lookup; the
         sums are reduced, in place, before anyone else sees them."""
+        cap = term_cap() if what else None
         sums = {}
         get = sums.get
         for key, x, y in triples:
@@ -625,27 +626,10 @@ class _Float(Field):
     def gns_value(self, c):
         return complex(c)
 
-    def sum_products(self, triples, cap, what):
-        """The FLOAT loop of ``accumulate_products``: ``accumulate``'s,
-        with the product taken in the loop."""
-        terms = {}
-        get = terms.get
-        for key, x, y in triples:
-            value = x * y
-            s = get(key)
-            if s is None:
-                if abs(value) <= 1e-12:
-                    continue
-                terms[key] = value
-                if cap and len(terms) > cap:
-                    raise _over_budget(what, cap)
-            else:
-                value = s + value
-                if abs(value) <= 1e-12:
-                    del terms[key]
-                else:
-                    terms[key] = value
-        return terms
+    def sum_products(self, triples, what):
+        """``accumulate_products`` in FLOAT: ``accumulate`` over the
+        products."""
+        return accumulate(((key, x * y) for key, x, y in triples), self, what)
 
     def markov_sum(self, entries, table, bits):
         """The FLOAT loop of the Markov steps (see ``_Exact.markov_sum``),
@@ -773,4 +757,4 @@ def accumulate_products(triples, mode, what=None):
     In EXACT each running sum is an unreduced triple ``(a, b, den)``:
     sums over one denominator add with no gcd, and each key is reduced
     once, at the end."""
-    return mode.sum_products(triples, term_cap() if what else None, what)
+    return mode.sum_products(triples, what)

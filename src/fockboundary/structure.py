@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from . import scalars
-from .algebra import CuntzElement, Monomial
+from .algebra import CuntzElement, Monomial, expanded, levels
 from .errors import TermBudgetError
 from .exact_linalg import RowReducer, span_equal
 from .fock import EMPTY_WORD, format_word, words_of_length, words_up_to
@@ -24,13 +24,6 @@ DIMENSION_CAP = 20000
 
 
 # -- diagonal subalgebra -------------------------------------------------------
-
-
-def diagonal_part(x):
-    """Keep the I = J monomials of the normal form."""
-    nf = x.normal_form()
-    terms = {m: c for m, c in nf.terms.items() if m.I == m.J}
-    return CuntzElement(terms, x.weights)
 
 
 def is_diagonal(x, tol=1e-12):
@@ -67,34 +60,18 @@ def canonical_basis(d, L):
     return out
 
 
-def _expand_monomial(mono, d, level):
-    """All (monomial, multiplicity-1) pieces of M(I,J) expanded so that
-    |J| reaches the given level."""
-    grow = level - len(mono.J)
-    if grow < 0:
-        raise ValueError("cannot expand downwards")
-    for K in words_of_length(d, grow):
-        yield Monomial(mono.I + K, mono.J + K)
-
-
 def joint_coordinates(elements, weights):
     """Express several elements in one common coordinate system: per
     degree class, everything is expanded to the largest |J| occurring
     in any of the elements.  Returns (keys, rows) with rational rows
     (``rational`` of the field); coefficients must be real (the
     structure constants here are)."""
-    levels = {}
-    for el in elements:
-        for mono in el.terms:
-            k = len(mono.I) - len(mono.J)
-            levels[k] = max(levels.get(k, 0), len(mono.J))
+    level = levels(mono for el in elements for mono in el.terms)
     index = {}  # piece -> column, in order of first appearance
     rows = [
         scalars.accumulate(
             ((index.setdefault(piece, len(index)), coeff)
-             for mono, coeff in el.terms.items()
-             for piece in _expand_monomial(
-                 mono, weights.d, levels[len(mono.I) - len(mono.J)])),
+             for piece, coeff in expanded(el.terms.items(), weights.d, level)),
             weights.mode)
         for el in elements
     ]
@@ -166,8 +143,8 @@ def masa_commutant_probe(weights, L):
     for m in range(L + 1):
         for I in words_of_length(d, m):
             vec = [Fraction(0)] * len(basis)
-            for piece in _expand_monomial(Monomial(I, I), d, L):
-                vec[index[piece]] = Fraction(1)
+            for piece, one in expanded([(Monomial(I, I), Fraction(1))], d, {0: L}):
+                vec[index[piece]] = one
             diagonal.append(vec)
     diag_reducer = RowReducer(len(basis))
     diag_dim = sum(diag_reducer.add_row(v) for v in diagonal)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from inspect import signature
 
 from . import scalars
 from .algebra import CuntzElement, Monomial
@@ -484,28 +483,24 @@ def verify_cesaro(cut=8, weights=None):
     }
 
 
+# each suite with the inputs it reads; a suite that does not read
+# weights draws its own
 SUITES = {
-    "multiplications": verify_multiplications,
-    "relations": verify_relations,
-    "phi": verify_phi,
-    "delta": verify_delta,
-    "masa": verify_masa,
-    "dr": verify_dr,
-    "quantize": verify_quantize,
-    "harmonic": verify_harmonic,
-    "cesaro": verify_cesaro,
+    "multiplications": (verify_multiplications, ("trials", "seed")),
+    "relations": (verify_relations, ("seed",)),
+    "phi": (verify_phi, ("weights",)),
+    "delta": (verify_delta, ("trials", "seed", "weights")),
+    "masa": (verify_masa, ("weights",)),
+    "dr": (verify_dr, ("weights",)),
+    "quantize": (verify_quantize, ("seed",)),
+    "harmonic": (verify_harmonic, ("seed", "weights")),
+    "cesaro": (verify_cesaro, ("weights",)),
 }
 
 
-def suites_drawing_weights(name):
-    """The suites among ``name`` (every suite for 'all') that draw their
-    own weights and so cannot run on given ones."""
-    names = SUITES if name == "all" else [name]
-    return [n for n in names if "weights" not in signature(SUITES[n]).parameters]
-
-
 def run_suite(name, seed=7, trials=None, weights=None):
-    """Run one named suite (or 'all') with a fixed seed."""
+    """Run one named suite (or 'all') with a fixed seed; each suite gets
+    the inputs it reads that are not None."""
     if name == "all":
         reports = [
             run_suite(n, seed=seed, trials=trials, weights=weights)
@@ -516,13 +511,6 @@ def run_suite(name, seed=7, trials=None, weights=None):
             "ok": all(r["ok"] for r in reports),
             "reports": reports,
         }
-    fn = SUITES[name]
-    kwargs = {}
-    params = signature(fn).parameters
-    if "seed" in params:
-        kwargs["seed"] = seed
-    if trials is not None and "trials" in params:
-        kwargs["trials"] = trials
-    if weights is not None and "weights" in params:
-        kwargs["weights"] = weights
-    return fn(**kwargs)
+    fn, inputs = SUITES[name]
+    given = {"seed": seed, "trials": trials, "weights": weights}
+    return fn(**{k: given[k] for k in inputs if given[k] is not None})

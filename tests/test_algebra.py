@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockboundary.algebra import CuntzElement, Monomial, mono_product
+from fockboundary.algebra import CuntzElement, Monomial, expanded
 from fockboundary.errors import ModeMixError, TermBudgetError
 from fockboundary.fock import WeightVector, is_harmonic
 from fockboundary.scalars import GaussianRational, term_cap
@@ -22,24 +22,6 @@ def elements(weights):
     return st.dictionaries(monomials, coeffs, max_size=3).map(
         lambda t: CuntzElement(t, weights)
     )
-
-
-class TestMonoProduct:
-    def test_contraction_cases(self):
-        # K extends J
-        assert mono_product(Monomial((1,), (2,)), Monomial((2, 1), ())) == \
-            Monomial((1, 1), ())
-        # J extends K
-        assert mono_product(Monomial((1,), (2, 1)), Monomial((2,), ())) == \
-            Monomial((1,), (1,))
-        # mismatch kills the product
-        assert mono_product(Monomial((1,), (2,)), Monomial((1,), ())) is None
-
-    def test_identity(self):
-        m = Monomial((1, 2), (2,))
-        e = Monomial((), ())
-        assert mono_product(m, e) == m
-        assert mono_product(e, m) == m
 
 
 class TestCuntzElement:
@@ -71,10 +53,10 @@ class TestCuntzElement:
     def test_is_zero_ground_truth(self, w13):
         # M(I,J) = sum_K M(IK, JK): zero despite four raw terms
         x = CuntzElement.monomial(w13, (1,), (2,))
-        expanded = x.expand(1)
-        assert len((x - expanded).terms) == 3
-        assert (x - expanded).is_zero()
-        assert x.equals(expanded)
+        y = CuntzElement(dict(expanded(x.terms.items(), 2, {0: 2})), w13)
+        assert len((x - y).terms) == 3
+        assert (x - y).is_zero()
+        assert x.equals(y)
 
     def test_gns_inner_diagonal(self, w13):
         a = CuntzElement.monomial(w13, (1,), (2,))
@@ -91,9 +73,11 @@ class TestCuntzElement:
 
     def test_term_budget(self, w13, monkeypatch):
         monkeypatch.setenv("FOCK_TERM_CAP", "3")
-        x = CuntzElement.monomial(w13, (1,), (2,))
-        with pytest.raises(TermBudgetError):
-            x.expand(2)
+        # the normal form expands M(1, 2) to M(1K, 2K), |K| = 2
+        x = CuntzElement.monomial(w13, (1,), (2,)) + \
+            CuntzElement.monomial(w13, (1, 1, 1), (2, 1, 1))
+        with pytest.raises(TermBudgetError, match="normal form"):
+            x.normal_form()
 
     @pytest.mark.parametrize("raw", ["1e5", "0", "-3", "many"])
     def test_bad_term_cap_is_refused(self, raw, monkeypatch):
@@ -162,4 +146,5 @@ class TestToTruncated:
 
     def test_expansion_same_operator(self, w13):
         x = CuntzElement.monomial(w13, (1,), (2,))
-        assert x.to_truncated(4) == x.expand(1).to_truncated(4)
+        y = CuntzElement(dict(expanded(x.terms.items(), 2, {0: 2})), w13)
+        assert x.to_truncated(4) == y.to_truncated(4)

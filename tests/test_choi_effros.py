@@ -69,7 +69,7 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_mixed("iv", ((1,),), l1, w13)
 
-    @pytest.mark.parametrize("kind", [0, 8, -1])
+    @pytest.mark.parametrize("kind", [0, 1, 8, -1])
     def test_rejects_out_of_range_int_kind(self, kind, w13):
         x = TruncatedOperator.identity(4, 2)
         with pytest.raises(ValueError, match="unknown form %d" % kind):

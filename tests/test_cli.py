@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,13 @@ class TestSpectrum:
                         "--max-len", "2")
         assert code == 0
         assert json.loads(out)["values"] == ["1/4", "1/2", "1", "2", "4"]
+
+    def test_long_words_from_letter_counts(self, capsys):
+        # 55 letter-count vectors, where 1023 words would make 1046529 pairs
+        code, out = run(capsys, "spectrum", "--weights", "1/3,2/3",
+                        "--max-len", "9")
+        assert code == 0
+        assert len(json.loads(out)["values"]) == 271
 
 
 class TestProduct:
@@ -181,7 +191,7 @@ class TestLibraryErrors:
 
     def test_spectrum_too_large(self, capsys):
         self.assert_one_line_exit_2(
-            capsys, ["spectrum", "--weights", "1/2,1/2", "--max-len", "9"],
+            capsys, ["spectrum", "--weights", "1/3,1/3,1/3", "--max-len", "13"],
             "exceed the cap")
 
     def test_iterative_cut_below_word_length(self, capsys, tmp_path, w_half):
@@ -237,6 +247,49 @@ class TestLibraryErrors:
         self.assert_one_line_exit_2(
             capsys, ["verify", "all", "--weights", "1/4,3/4"],
             "draws its own weights in multiplications, relations, quantize")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "phi", "--trials", "3"],
+        ["verify", "phi", "--seed", "3"],
+        ["verify", "masa", "--seed", "1"],
+        ["verify", "cesaro", "--trials", "2"],
+        ["verify", "relations", "--trials", "2"],
+        ["verify", "quantize", "--trials", "2"],
+        ["probe", "masa", "--weights", "1/3,2/3", "--trials", "5"],
+        ["probe", "masa", "--weights", "1/3,2/3", "--seed", "1"],
+        ["probe", "masa", "--weights", "1/3,2/3", "--element", "x.json"],
+        ["probe", "dr", "--weights", "1/3,2/3", "--element", "x.json"],
+        ["probe", "dr", "--weights", "1/3,2/3", "--trials", "2"],
+        ["probe", "diffuse", "--weights", "1/3,2/3", "--word", "12"],
+        ["probe", "center", "--weights", "1/3,2/3", "--word", "12"],
+    ])
+    def test_unread_flag_is_refused(self, capsys, argv):
+        flag = next(a for a in argv[2:] if a.startswith("--")
+                    and a != "--weights")
+        self.assert_one_line_exit_2(capsys, argv, "does not read %s" % flag)
+
+    def test_verify_all_reads_flags_some_suite_reads(self, capsys):
+        code, out = run(capsys, "verify", "all", "--trials", "2", "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["ok"]
+
+
+def readme_commands():
+    """The README's CLI example lines that need no input file."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", text, re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("fockboundary ") and ".json" not in line]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example_runs(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
 
 
 class TestBadCounts:

@@ -1,8 +1,9 @@
 """The kernels against the direct formulations they replace.
 
 Each reference below is the textbook form of an operation: the product
-as a double loop of the monomial contraction rule, the GNS inner
-product as phi(y* . x) through that product, the generator
+as a double loop of the monomial contraction rule, the normal form and
+the joint coordinates as the Cuntz expansion on plain word pairs, the
+GNS inner product as phi(y* . x) through that product, the generator
 substitution as chained products of generator images, the closed
 forms as compositions of generator compressions, the exact type
 classification through prime-exponent vectors, and the truncated
@@ -12,6 +13,7 @@ word tuples.  Exact mode must agree term for term; float mode within
 """
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockboundary import fock, scalars
-from fockboundary.algebra import CuntzElement, Monomial, mono_product
+from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
     FORM_KINDS,
     _append,
@@ -62,6 +64,7 @@ from fockboundary.quantization import (
     symbolic_gamma,
 )
 from fockboundary.scalars import GaussianRational, accumulate, accumulate_products
+from fockboundary.structure import joint_coordinates
 
 EXACT_WEIGHTS = {
     2: WeightVector([Fraction(1, 3), Fraction(2, 3)]),
@@ -118,6 +121,20 @@ def assert_scalars_agree(got, want, mode):
 # -- references ------------------------------------------------------------
 
 
+def mono_product(a, b):
+    """Contraction rule for M(I,J) . M(K,L); returns the resulting
+    Monomial or None when the product vanishes."""
+    (I, J), (K, L) = a, b
+    n = len(J)
+    if len(K) >= n:
+        if K[:n] == J:
+            return Monomial(I + K[n:], L)
+        return None
+    if J[: len(K)] == K:
+        return Monomial(I, L + J[len(K):])
+    return None
+
+
 def pairwise_product(x, y):
     """Every term of x against every term of y by ``mono_product``."""
     terms = {}
@@ -127,6 +144,40 @@ def pairwise_product(x, y):
             if m is not None:
                 terms[m] = terms.get(m, x.mode.zero) + ca * cb
     return CuntzElement(terms, x.weights)
+
+
+def expand_to_levels(term_lists, d):
+    """Each list of (word pair, coefficient) terms with every M(I, J)
+    expanded by the Cuntz relation to the largest |J| of its class
+    k = |I| - |J| over all the lists: a list of (word pair,
+    coefficient) pieces per list, in term order."""
+    top = {}
+    for terms in term_lists:
+        for (I, J), _ in terms:
+            top[len(I) - len(J)] = max(top.get(len(I) - len(J), 0), len(J))
+    return [[((I + K, J + K), c) for (I, J), c in terms
+             for K in itertools.product(range(1, d + 1),
+                                        repeat=top[len(I) - len(J)] - len(J))]
+            for terms in term_lists]
+
+
+def normal_form_by_expansion(x):
+    """x's terms, class by class in order of first appearance, expanded
+    and summed key by key; a sum that is zero (within 1e-12 in FLOAT)
+    drops its key, which a later piece re-appends."""
+    zero = (lambda v: not v) if x.mode == scalars.EXACT else (lambda v: abs(v) <= 1e-12)
+    classes = {}
+    for (I, J), c in x.terms.items():
+        classes.setdefault(len(I) - len(J), []).append(((I, J), c))
+    out = {}
+    [pieces] = expand_to_levels([sum(classes.values(), [])], x.weights.d)
+    for key, c in pieces:
+        value = out[key] + c if key in out else c
+        if zero(value):
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
 
 
 def pairwise_phased_product(x, y):
@@ -343,6 +394,69 @@ class TestInner:
         assert diff.is_zero()
         assert_scalars_agree(diff.gns_norm_sq(),
                              inner_through_product(diff, diff), w.mode)
+
+
+class TestMonoProduct:
+    def test_contraction_cases(self):
+        # K extends J
+        assert mono_product(Monomial((1,), (2,)), Monomial((2, 1), ())) == \
+            Monomial((1, 1), ())
+        # J extends K
+        assert mono_product(Monomial((1,), (2, 1)), Monomial((2,), ())) == \
+            Monomial((1,), (1,))
+        # mismatch kills the product
+        assert mono_product(Monomial((1,), (2,)), Monomial((1,), ())) is None
+
+    def test_identity(self):
+        m = Monomial((1, 2), (2,))
+        e = Monomial((), ())
+        assert mono_product(m, e) == m
+        assert mono_product(e, m) == m
+
+
+def real_elements(weights, max_len=3, max_terms=6):
+    small = st.integers(-3, 3)
+    coeff = st.builds(weights.mode.coerce, small.map(lambda a: Fraction(a, 4)))
+    words = st.lists(st.integers(1, weights.d), max_size=max_len).map(tuple)
+    return st.dictionaries(
+        st.builds(Monomial, words, words), coeff, max_size=max_terms,
+    ).map(lambda terms: CuntzElement(terms, weights))
+
+
+class TestExpansion:
+    """The Cuntz expansion that ``normal_form`` and ``joint_coordinates``
+    share, against the same expansion on plain word pairs."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_normal_form(self, data):
+        w = session_weights(*data.draw(sessions()))
+        x = data.draw(elements(w))
+        got = x.normal_form().terms
+        want = normal_form_by_expansion(x)
+        assert list(got) == list(want)
+        assert all(type(m) is Monomial for m in got)
+        assert_terms_agree(got, want, w.mode, tol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_normal_form_of_zero(self, mode):
+        w = session_weights(2, mode)
+        assert CuntzElement.zero(w).normal_form().terms == {}
+        assert normal_form_by_expansion(CuntzElement.zero(w)) == {}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_joint_coordinates(self, data):
+        w = session_weights(*data.draw(sessions()))
+        els = data.draw(st.lists(real_elements(w), min_size=1, max_size=3))
+        keys, rows = joint_coordinates(els, w)
+        want = expand_to_levels([list(el.terms.items()) for el in els], w.d)
+        assert keys == list(dict.fromkeys(k for row in want for k, _ in row))
+        for row, pieces in zip(rows, want):
+            sums = {}
+            for key, c in pieces:
+                sums[key] = sums.get(key, w.mode.zero) + c
+            assert row == [w.mode.rational(sums.get(k, w.mode.zero)) for k in keys]
 
 
 class TestSubstitution:

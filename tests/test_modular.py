@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.errors import ModeMixError
-from fockboundary.fock import WeightVector
+from fockboundary.fock import WeightVector, words_up_to
 from fockboundary.modular import (
     GnsVector,
     PhasedElement,
     delta_apply,
     evaluate_at,
     gram_matrix,
-    is_centralizer,
     modular_conjugation,
     monomial_family,
     s_operator,
@@ -87,13 +86,6 @@ class TestModularFlow:
         got = by_base.get(Fraction(1), GaussianRational(0))
         assert got == phi
 
-    def test_centralizer(self, w13):
-        assert is_centralizer(CuntzElement.monomial(w13, (1, 2), (2, 1)))
-        assert not is_centralizer(CuntzElement.monomial(w13, (1,), (2,)))
-        # uniform weights: everything is in the centralizer
-        wu = WeightVector.uniform(2)
-        assert is_centralizer(CuntzElement.monomial(wu, (1,), (2,)))
-
     def test_float_evaluation(self):
         wf = WeightVector([0.5, 0.5], mode="float")
         x = CuntzElement.monomial(wf, (1, 1), (2,), coeff=1.0)
@@ -146,6 +138,25 @@ class TestSpectrumAndGram:
         assert spectrum_sample(w_half, 2) == [
             Fraction(1, 4), Fraction(1, 2), Fraction(1),
             Fraction(2), Fraction(4)]
+
+    @pytest.mark.parametrize("values, max_len", [
+        ([Fraction(1, 3), Fraction(2, 3)], 4),
+        ([Fraction(1, 2), Fraction(1, 2)], 3),
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 3),
+        ([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 3),
+        ([Fraction(1, 5)] * 3 + [Fraction(2, 5)], 2),
+    ])
+    def test_spectrum_sample_by_word_pairs(self, values, max_len):
+        w = WeightVector(values)
+        word_weights = [w.word_weight(v) for v in words_up_to(w.d, max_len)]
+        assert spectrum_sample(w, max_len) == sorted(
+            {a / b for a in word_weights for b in word_weights})
+
+    def test_float_spectrum_has_one_value_per_ratio(self):
+        # 0.3 and 0.7 are multiplicatively independent: a ratio per count
+        # difference, with no rounding duplicates
+        wf = WeightVector.parse("0.3,0.7", mode="float")
+        assert len(spectrum_sample(wf, 5)) == 91
 
     def test_gram_diagonal(self, w13):
         fam, rows = gram_matrix(w13, 1)

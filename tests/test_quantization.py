@@ -224,7 +224,7 @@ def composition_form(x, weights, V):
     out = TruncatedOperator.zero(cut, d, mode)
     for i in range(1, d + 1):
         lf = TruncatedOperator.zero(cut, d, mode)
-        for j, v in enumerate(V.apply(i), start=1):
+        for j, v in enumerate(V.rows[i - 1], start=1):
             lf = lf + op_left_creation((j,), cut, d, mode).scale(v)
         out = out + lf.adjoint().compose(x).compose(lf).scale(weights.values[i - 1])
     return out.recut(cut - 1)

@@ -8,7 +8,6 @@ from fockboundary.structure import (
     alpha_endo,
     canonical_basis,
     center_probe,
-    diagonal_part,
     dr_convergence,
     flip_unitary,
     is_diagonal,
@@ -44,12 +43,6 @@ class TestExactLinalg:
 
 
 class TestDiagonal:
-    def test_diagonal_part(self, w13):
-        x = CuntzElement.monomial(w13, (1,), (1,)) + \
-            CuntzElement.monomial(w13, (1,), (2,))
-        dp = diagonal_part(x)
-        assert dp.equals(CuntzElement.monomial(w13, (1,), (1,)))
-
     def test_is_diagonal(self, w13):
         assert is_diagonal(CuntzElement.monomial(w13, (1, 2), (1, 2)))
         assert not is_diagonal(CuntzElement.monomial(w13, (1,), (2,)))
