@@ -49,7 +49,7 @@ def op_right_creation(word, cut, d, mode=scalars.EXACT):
     pairs = prepend_words(encode(word_reverse(word), d), 1, d, room)
     # a creation raises every degree by |W|; with no room it has no entries
     return TruncatedOperator(dict.fromkeys(pairs, mode.one), cut, d, mode,
-                             _trusted=True,
+                             _trusted=True, _word_map=True,
                              _shifts=(len(word), 0) if room >= 0 else (0, 0))
 
 
@@ -64,7 +64,7 @@ def op_left_creation(word, cut, d, mode=scalars.EXACT):
     low = encode(word, d) ^ (1 << shift)
     entries = {((v << shift) | low, v): mode.one
                for v, _ in prepend_words(1, 1, d, room)}
-    return TruncatedOperator(entries, cut, d, mode, _trusted=True,
+    return TruncatedOperator(entries, cut, d, mode, _trusted=True, _word_map=True,
                              _shifts=(len(word), 0) if room >= 0 else (0, 0))
 
 

@@ -110,6 +110,8 @@ def cmd_spectrum(args):
 
 def cmd_product(args):
     weights = _weights_from_args(args)
+    _refuse_unread(args, "product --method %s" % args.method,
+                   ("cut",) if args.method == "iterative" else (), ("cut",))
     x = _load_element(args.x, weights)
     y = _load_element(args.y, weights)
     if args.method == "symbolic":
@@ -121,12 +123,13 @@ def cmd_product(args):
             "result": result,
         }
     else:
+        cut = 6 if args.cut is None else args.cut
         longest = max(x.max_word_length(), y.max_word_length())
-        if args.cut < longest:
+        if cut < longest:
             raise UsageError("--cut %d below the maximal word length %d"
-                             % (args.cut, longest))
-        xt = x.to_truncated(args.cut)
-        yt = y.to_truncated(args.cut)
+                             % (cut, longest))
+        xt = x.to_truncated(cut)
+        yt = y.to_truncated(cut)
         res, steps = product_iterative(xt, yt, weights)
         report = {
             "schema": SCHEMA,
@@ -292,8 +295,8 @@ def build_parser():
     p.add_argument("y", help="JSON file with the right element")
     p.add_argument("--method", choices=["symbolic", "iterative"],
                    default="symbolic")
-    p.add_argument("--cut", type=int, default=6,
-                   help="truncation cut for the iterative method")
+    p.add_argument("--cut", type=int, default=None,
+                   help="iterative only, default 6")
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("verify", help="run an identity verification suite")

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import eq, is_
+from itertools import chain
 
 from .errors import (
     CutExhaustedError,
@@ -258,17 +257,21 @@ class TruncatedOperator(Frozen):
 
     ``_shifts`` caches ``degree_shifts()``: None until the first call
     computes it, unless the constructor that built the operator knew
-    it (``_shifts`` with ``_trusted``).  It is not part of equality or
-    JSON, and ``copy`` and ``pickle`` keep it as it is.
+    it (``_shifts`` with ``_trusted``).  ``_word_map`` marks a 0/1 word
+    map for ``compose`` (every value ``mode.one``, each row and each
+    column word in one entry): r_W, l_W, the identity and the vacuum
+    projection set it, and ``adjoint`` and ``recut`` keep it.  Neither
+    is part of equality or JSON; ``copy`` and ``pickle`` keep both.
     """
 
-    __slots__ = ("entries", "cut", "d", "mode", "_shifts")
+    __slots__ = ("entries", "cut", "d", "mode", "_shifts", "_word_map")
 
-    def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None):
+    def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None,
+                 _word_map=False):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
         if _trusted:
-            self._fill(entries, cut, d, mode, _shifts)
+            self._fill(entries, cut, d, mode, _shifts, _word_map)
             return
         mode = field(mode)
         clean = {}
@@ -282,7 +285,7 @@ class TruncatedOperator(Frozen):
             val = mode.coerce(val)
             if not mode.near_zero(val):
                 clean[(encode(row, d), encode(col, d))] = val
-        self._fill(clean, cut, d, mode, None)
+        self._fill(clean, cut, d, mode, None, False)
 
     # -- constructors -----------------------------------------------------
 
@@ -295,12 +298,13 @@ class TruncatedOperator(Frozen):
         mode = field(mode)
         check_word_budget("identity at cut %d" % cut, d, (cut,))
         entries = {(r, r): mode.one for r, _ in prepend_words(1, 1, d, cut)}
-        return cls(entries, cut, d, mode, _trusted=True, _shifts=(0, 0))
+        return cls(entries, cut, d, mode, _trusted=True, _shifts=(0, 0), _word_map=True)
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
         mode = field(mode)
-        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True, _shifts=(0, 0))
+        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True, _shifts=(0, 0),
+                   _word_map=True)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -344,21 +348,22 @@ class TruncatedOperator(Frozen):
         for products of generator compressions this holds on the degree
         <= cut - (number of creation factors) block.
 
-        When a factor is a 0/1 word map (see ``_word_map``), each result
-        key gets one product, so the other factor's entries move to
-        their new keys with no sum: ``accumulate_products``'s dict, in
-        the same key order.
+        When a factor is marked as a 0/1 word map (``_word_map``), each
+        result key gets one product, so the other factor's entries move
+        to their new keys with no sum: ``accumulate_products``'s dict,
+        in the same key order.
         """
         self._check_compatible(other)
         mode = self.mode
-        right = _word_map(other.entries, mode.one, 0)
-        if right is not None:
+        one = mode.one
+        if other._word_map:
+            right = dict(other.entries.keys())  # middle word -> target word
             entries = mode.moved_products(
-                [((row, hit[0]), val, hit[1])
+                [((row, col), val, one)
                  for (row, mid), val in self.entries.items()
-                 if (hit := right.get(mid)) is not None], 1)
+                 if (col := right.get(mid)) is not None], 1)
             return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
-        left = _word_map(self.entries, mode.one, 1)
+        left = {mid for _, mid in self.entries} if self._word_map else None
         by_mid = {}
         for (mid, col), val in other.entries.items():
             # a word map on the left reads only its own middle words
@@ -376,12 +381,14 @@ class TruncatedOperator(Frozen):
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
 
     def adjoint(self):
-        entries = {
-            (col, row): val.conjugate() for (row, col), val in self.entries.items()
-        }
+        items = self.entries.items()
+        # a word map's adjoint is the inverse map, with the same values
+        entries = ({(c, r): v for (r, c), v in items} if self._word_map
+                   else {(c, r): v.conjugate() for (r, c), v in items})
         shifts = self._shifts
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True,
-                                 _shifts=None if shifts is None else shifts[::-1])
+                                 _shifts=None if shifts is None else shifts[::-1],
+                                 _word_map=self._word_map)
 
     def degree_shifts(self):
         """``(up, down)``: the largest |I| - |J| and the largest
@@ -426,8 +433,8 @@ class TruncatedOperator(Frozen):
         is only meaningful for operators supported in low degree."""
         if new_cut == self.cut:
             return self
-        return TruncatedOperator(
-            self._block(new_cut), new_cut, self.d, self.mode, _trusted=True)
+        return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
+                                 _trusted=True, _word_map=self._word_map)
 
     # -- comparisons ------------------------------------------------------
 
@@ -499,26 +506,6 @@ class TruncatedOperator(Frozen):
         return cls(entries, int(obj["cut"]), int(obj["d"]), mode)
 
 
-def _word_map(entries, one, mid):
-    """For the entries of a 0/1 word map, the dict middle word -> (target
-    word, value); otherwise None.  A 0/1 word map (r_W, l_W and their
-    adjoints) has every value equal to ``one``, each middle word in one
-    entry and each target word in one entry.  ``mid`` is the place of
-    the middle word in a key: 0 in a right factor, 1 in a left one.
-    The value test stops at the first value that is not one, after a
-    first pass by identity, which the creations' values pass; an empty
-    operator is no word map."""
-    values = entries.values()
-    if not entries or not (all(map(is_, values, repeat(one)))
-                           or all(map(eq, values, repeat(one)))):
-        return None
-    target = 1 - mid
-    found = {key[mid]: (key[target], val) for key, val in entries.items()}
-    if len(found) < len(entries) or len({key[target] for key in entries}) < len(found):
-        return None
-    return found
-
-
 # ---------------------------------------------------------------------------
 # the Markov operator
 
@@ -569,23 +556,16 @@ class HarmonicityReport(Frozen):
 def is_harmonic(x, weights, tol=1e-12):
     """Check <x e_J, e_I> = sum_i w_i <x e_{iJ}, e_{iI}> on all (I, J)
     with |I|, |J| <= cut - 1.  ``defects`` maps failing word pairs
-    (I, J) to P(x) - x entry values."""
+    (I, J) to P(x) - x entry values.  The field's ``harmonic_defects``
+    decides it in one pass over x, with no Markov step built."""
     if x.cut < 1:
         raise CutExhaustedError("need cut >= 1 to test harmonicity")
-    stepped = markov_step(x, weights)
+    if x.d != weights.d or x.mode != weights.mode:
+        raise ModeMixError("operator and weights are incompatible")
+    d = x.d
     degree = x.cut - 1
-    inner = x._block(degree)
-    mode = x.mode
-    if mode.same_entries(stepped.entries, inner, tol):
-        return HarmonicityReport(True, {}, degree, 0.0)
-    defects = {}
-    z = mode.zero
-    worst = 0.0
-    for key in stepped.entries.keys() | inner.keys():
-        a = stepped.entries.get(key, z)
-        b = inner.get(key, z)
-        if not mode.eq(a, b, tol):
-            diff = a - b
-            defects[(decode(key[0], x.d), decode(key[1], x.d))] = diff
-            worst = max(worst, abs(complex(diff)))
-    return HarmonicityReport(False, defects, degree, worst)
+    found = x.mode.harmonic_defects(x.entries, weights.values, letter_bits(d),
+                                    block_bound(degree, d), tol)
+    defects = {(decode(r, d), decode(c, d)): v for (r, c), v in found.items()}
+    worst = max((abs(complex(v)) for v in found.values()), default=0.0)
+    return HarmonicityReport(not found, defects, degree, worst)

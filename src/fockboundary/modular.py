@@ -227,17 +227,17 @@ def sigma_t(x):
     :class:`PhasedElement`; evaluate with ``evaluate_at`` in float mode.
     """
     w = x.weights
-    memo = {EMPTY_WORD: w.mode.real_one}
-
-    def weight(word):
-        # word_weight's product order, with one product per new word
-        if word not in memo:
-            memo[word] = weight(word[:-1]) * w.values[word[-1] - 1]
-        return memo[word]
-
+    weight = {EMPTY_WORD: w.mode.real_one}
+    for word in chain.from_iterable(x.terms):
+        # word_weight's product order, with one product per new prefix
+        n = len(word)
+        while word[:n] not in weight:
+            n -= 1
+        for k in range(n, len(word)):
+            weight[word[:k + 1]] = weight[word[:k]] * w.values[word[k] - 1]
     # an element's coefficients and ratios of field reals: already clean
     return PhasedElement(
-        {(m, weight(m[0]) / weight(m[1])): c for m, c in x.terms.items()},
+        {(m, weight[m[0]] / weight[m[1]]): c for m, c in x.terms.items()},
         w, _trusted=True)
 
 
@@ -279,9 +279,10 @@ def spectrum_sample(weights, max_len):
               for n in range(max_len + 1)
               for word in combinations_with_replacement(letters, n)]
     differences = {tuple(map(sub, a, b)) for a in counts for b in counts}
-    one = weights.mode.real_one
-    return sorted({math.prod(map(pow, weights.values, k), start=one)
-                   for k in differences})
+    # exact ratios of the (float: binary) weights, rounded once: one value each
+    exact = [Fraction(v) for v in weights.values]
+    return sorted(set(map(weights.mode.real, {
+        math.prod(map(pow, exact, k), start=Fraction(1)) for k in differences})))
 
 
 def monomial_family(d, max_len):

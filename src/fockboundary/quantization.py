@@ -232,14 +232,15 @@ def symbolic_gamma(U, x):
     images = {EMPTY_WORD: {EMPTY_WORD: mode.one}}
 
     def image(word):
-        """{K: prod_s u_{word_s K_s}} over the words K with |K| = |word|."""
-        img = images.get(word)
-        if img is None:
-            head = image(word[:-1])
-            row = rows[word[-1] - 1]
-            img = {K + (j,): c * u for K, c in head.items() for j, u in row}
-            images[word] = img
-        return img
+        """{K: prod_s u_{word_s K_s}} over the words K with |K| = |word|,
+        filling the prefixes of word that ``images`` lacks, shortest first."""
+        n = len(word)
+        while word[:n] not in images:
+            n -= 1
+        for k in range(n, len(word)):
+            images[word[:k + 1]] = {K + (j,): c * u for K, c in images[word[:k]].items()
+                                    for j, u in rows[word[k] - 1]}
+        return images[word]
 
     def triples():
         for (I, J), coeff in x.terms.items():

@@ -367,9 +367,9 @@ class Field(str):
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
     ``sum_products(triples, what)``, the loop of
-    ``accumulate_products``; ``markov_sum(entries, table, bits)``, the
-    Markov steps' loop; ``moved_products(triples, moved)``, products
-    with one factor equal to one;
+    ``accumulate_products``; ``markov_sum`` and ``harmonic_defects``, the
+    loops of the Markov steps and of ``is_harmonic``; ``moved_products(
+    triples, moved)``, products with one factor equal to one;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
     for a real coefficient; ``to_json``/``from_json``;
@@ -564,6 +564,42 @@ class _Exact(Field):
                 del sums[key]
         return _reduce_sums(sums)
 
+    def harmonic_defects(self, entries, weights, bits, bound, tol=1e-12):
+        """The dict of sum_a w_a x[ar, ac] - x[r, c] at x's word-code keys
+        below ``bound`` where it is not zero: d lookups an entry, summed on
+        integer triples over the weights' common denominator; ``_lacking``."""
+        den = math.lcm(*(w.denominator for w in weights))
+        letters = list(enumerate(w.numerator * den // w.denominator for w in weights))
+        mask = (1 << bits) - 1
+        get = entries.get
+        defects = {}
+        same = hits = 0
+        for (r, c), v in entries.items():
+            if r > mask and c > mask and not (r ^ c) & mask:
+                same += 1
+            if r >= bound or c >= bound:
+                continue
+            R, C = r << bits, c << bits
+            a = b = 0
+            e = 1  # the sum is (a + b i) / (den * e)
+            for digit, n in letters:
+                y = get((R | digit, C | digit))
+                if y is not None:
+                    hits += 1
+                    if y._den == e:
+                        a += n * y._a
+                        b += n * y._b
+                    else:
+                        a = a * y._den + n * y._a * e
+                        b = b * y._den + n * y._b * e
+                        e *= y._den
+            e *= den
+            a = a * v._den - v._a * e
+            b = b * v._den - v._b * e
+            if a or b:
+                defects[r, c] = _reduced(a, b, e * v._den)
+        return _lacking(self, entries, weights, bits, same - hits, defects, tol)
+
     def moved_products(self, triples, moved):
         """The dict of (key, x, y) triples with distinct keys, where the
         operand that is not the one at index ``moved`` (1 for x, 2 for y)
@@ -658,11 +694,49 @@ class _Float(Field):
                     terms[key] = value
         return terms
 
+    def harmonic_defects(self, entries, weights, bits, bound, tol=1e-12):
+        """``_Exact.harmonic_defects`` in FLOAT: defects exceed ``tol``."""
+        letters = list(enumerate(weights))
+        mask = (1 << bits) - 1
+        get = entries.get
+        defects = {}
+        same = hits = 0
+        for (r, c), v in entries.items():
+            if r > mask and c > mask and not (r ^ c) & mask:
+                same += 1
+            if r >= bound or c >= bound:
+                continue
+            R, C = r << bits, c << bits
+            s = -v
+            for digit, w in letters:
+                y = get((R | digit, C | digit))
+                if y is not None:
+                    hits += 1
+                    s += w * y
+            if abs(s) > tol:
+                defects[r, c] = s
+        return _lacking(self, entries, weights, bits, same - hits, defects, tol)
+
     def moved_products(self, triples, moved):
         """The dict of (key, x, y) triples with distinct keys: each x * y,
         dropped within 1e-12 as ``sum_products`` drops it, so that a
         factor equal to one still sets the sign of a zero part."""
         return {key: p for key, x, y in triples if not abs(p := x * y) <= 1e-12}
+
+
+def _lacking(mode, entries, weights, bits, short, defects, tol):
+    """``defects`` and the Markov step's sums beyond ``tol`` at keys x lacks:
+    an entry whose words share a first letter is one lookup's hit unless x
+    lacks its stripped key, so ``markov_sum`` runs only when hits fall short."""
+    if short:
+        table = [[mode.coerce(w) if a == b else None for b in range(len(weights))]
+                 for a, w in enumerate(weights)]
+        lacking = {k: y for k, y in entries.items()
+                   if (k[0] >> bits, k[1] >> bits) not in entries}
+        for key, s in mode.markov_sum(lacking, table, bits).items():
+            if not mode.near_zero(s, tol):
+                defects[key] = s
+    return defects
 
 
 EXACT = _Exact("exact")

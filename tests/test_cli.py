@@ -95,6 +95,14 @@ class TestProduct:
                    for e in rep["result"]["entries"]}
         assert entries[("", "")] == "1/2"
 
+    def test_iterative_cut_defaults_to_6(self, capsys, element_files):
+        xp, yp = element_files
+        argv = ["product", "--weights", "1/2,1/2", xp, yp, "--method", "iterative"]
+        code, out = run(capsys, *argv)
+        rep = json.loads(out)
+        assert code == 0 and rep["result"]["cut"] == 6 - rep["steps_used"] - 1
+        assert run(capsys, *argv, "--cut", "6") == (code, out)
+
     def test_iterative_cut_over_budget_exit_2(self, capsys, element_files):
         # x's truncation at cut 40 would hold 2**40 - 1 entries
         xp, yp = element_files
@@ -263,6 +271,9 @@ class TestLibraryErrors:
         ["probe", "dr", "--weights", "1/3,2/3", "--trials", "2"],
         ["probe", "diffuse", "--weights", "1/3,2/3", "--word", "12"],
         ["probe", "center", "--weights", "1/3,2/3", "--word", "12"],
+        ["product", "--weights", "1/2,1/2", "x.json", "x.json", "--cut", "-5"],
+        ["product", "--weights", "1/2,1/2", "x.json", "x.json", "--cut", "6",
+         "--method", "symbolic"],
     ])
     def test_unread_flag_is_refused(self, capsys, argv):
         flag = next(a for a in argv[2:] if a.startswith("--")

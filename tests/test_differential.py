@@ -819,6 +819,11 @@ def creation_maps(word, cut, d, mode):
     return [r, r.adjoint(), left, left.adjoint()]
 
 
+def unmarked_twin(m):
+    """The operator with m's entries, built with no word-map mark."""
+    return TruncatedOperator(m.entries, m.cut, m.d, m.mode, _trusted=True)
+
+
 def creation_form_by_sums(y, side, rev, weights):
     """``_creation_form`` as a chain of operator sums, one
     ``out + term.scale(...)`` per vacuum term."""
@@ -932,8 +937,9 @@ class TestCodeKernels:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_word_map_compose(self, data):
-        # compose moves entries when a factor is a 0/1 word map: the dict
-        # must be tuple_compose's, key order and float bits included
+        # compose moves entries when a factor is marked as a 0/1 word map:
+        # the dict must be tuple_compose's, and the sum path's for the
+        # unmarked twin, key order and float bits included
         d, mode = data.draw(code_sessions())
         cut = data.draw(st.integers(0, 4))
         w = WeightVector.uniform(d, mode)
@@ -944,12 +950,17 @@ class TestCodeKernels:
         tiny = x.scale(mode.coerce(Fraction(1, 2 ** 39)))
         x = data.draw(st.sampled_from([x, x.adjoint(), tiny]))
         word = data.draw(any_words(d, max_len=3))
-        for m in creation_maps(word, cut, d, mode):
-            for a, b in ((x, m), (m, x)):
+        maps = creation_maps(word, cut, d, mode) + [
+            TruncatedOperator.identity(cut, d, mode),
+            TruncatedOperator.vacuum_projection(cut, d, mode)]
+        for m in maps:
+            twin = unmarked_twin(m)
+            for a, b, a2, b2 in ((x, m, x, twin), (m, x, twin, x)):
                 got, summed = products_taken(a, b)
+                want, twin_summed = products_taken(a2, b2)
                 assert_same_dict(got.word_entries(), tuple_compose(a, b), mode)
-                if m.entries:
-                    assert not summed
+                assert_same_dict(got.entries, want.entries, mode)
+                assert twin_summed and not summed
 
     @pytest.mark.parametrize("mode", MODES)
     def test_word_map_near_misses_sum_products(self, mode):
@@ -1009,3 +1020,207 @@ class TestCodeKernels:
         got = closed_form_mixed(kind, words, x, w, check_harmonic=False)
         assert_same_dict(got.entries,
                          creation_kind_by_sums(kind, words, x, w).entries, mode)
+
+
+# -- harmonicity in one pass against the Markov step ----------------------------
+
+
+def stepped_defects(x, weights, tol=1e-12):
+    """``is_harmonic``'s defects through the Markov step: P(x) built as an
+    operator, then compared key by key with x's degree <= cut - 1 block."""
+    stepped = markov_step(x, weights).word_entries()
+    inner = tuple_block(x.word_entries(), x.cut - 1)
+    mode = x.mode
+    z = mode.zero
+    return {key: stepped.get(key, z) - inner.get(key, z)
+            for key in stepped.keys() | inner.keys()
+            if not mode.eq(stepped.get(key, z), inner.get(key, z), tol)}
+
+
+def assert_report_matches(x, weights, tol=1e-12):
+    """``is_harmonic`` against ``stepped_defects``: exact defects equal as
+    dicts, float defects on the same keys within 1e-12."""
+    report = is_harmonic(x, weights, tol)
+    want = stepped_defects(x, weights, tol)
+    assert report.ok == (not want)
+    assert report.checked_degree == x.cut - 1
+    assert report.defects.keys() == want.keys()
+    worst = max((abs(complex(v)) for v in want.values()), default=0.0)
+    if x.mode == scalars.EXACT:
+        assert report.defects == want
+        assert report.max_abs_defect == worst
+    else:
+        assert all(abs(report.defects[k] - v) <= 1e-12 for k, v in want.items())
+        assert abs(report.max_abs_defect - worst) <= 1e-12
+    return report
+
+
+def with_entry(x, key, value):
+    """x with the word entry at ``key`` set to ``value`` (zero drops it)."""
+    entries = x.word_entries()
+    entries[key] = value
+    return TruncatedOperator(entries, x.cut, x.d, x.mode)
+
+
+class TestOnePassHarmonicity:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_harmonic_operators(self, data):
+        d, mode = data.draw(code_sessions())
+        w = WeightVector.uniform(d, mode) if d == 5 else session_weights(d, mode)
+        cut = data.draw(st.integers(2, 4 if d == 2 else 3))
+        x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
+        report = assert_report_matches(x, w)
+        assert report.ok and report.defects == {} and report.max_abs_defect == 0.0
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_entry_perturbed(self, data):
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode)
+        cut = data.draw(st.integers(2, 4 if d == 2 else 3))
+        x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
+        words = words_up_to(d, cut)
+        key = (data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words)))
+        delta = data.draw(coefficients(mode).filter(bool))
+        y = with_entry(x, key, x.entry(*key) + delta)
+        report = assert_report_matches(y, w)
+        # an entry below the top degree is its own defect at least
+        if len(key[0]) < cut and len(key[1]) < cut:
+            assert key in report.defects
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stripped_key_missing(self, data):
+        # dropping an inner entry of a harmonic x leaves P(x) there with no
+        # entry of x to compare it with
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode)
+        cut = data.draw(st.integers(2, 4 if d == 2 else 3))
+        x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
+        inner = sorted(k for k in x.word_entries()
+                       if len(k[0]) < cut and len(k[1]) < cut)
+        if not inner:
+            return
+        key = data.draw(st.sampled_from(inner))
+        report = assert_report_matches(with_entry(x, key, 0), w)
+        assert key in report.defects
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_missing_keys_whose_sums_cancel_or_not(self, d, mode):
+        w = session_weights(d, mode)
+        w1, w2 = (mode.coerce(v) for v in w.values[:2])
+        c = mode.coerce(GaussianRational(2, -1))
+        cut = 3
+        # at (2, 1) the Markov step sums w1 c w2 - w2 c w1 = 0; at (21, 12)
+        # it sums w1 c, and x has neither key
+        cancel = {((1, 2), (1, 1)): c * w2, ((2, 2), (2, 1)): -(c * w1)}
+        stays = {((1, 2, 1), (1, 1, 2)): c}
+        for entries, missing_defect in ((cancel, False), (stays, True),
+                                        ({**cancel, **stays}, True)):
+            x = TruncatedOperator(entries, cut, d, mode)
+            report = assert_report_matches(x, w)
+            assert ((((2, 1), (1, 2)) in report.defects) == missing_defect)
+            assert ((2,), (1,)) not in report.defects
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_float_defects_beyond_the_tolerance(self, mode):
+        w = session_weights(3, mode)
+        x = CuntzElement({Monomial((1, 2), (3,)): mode.one}, w).to_truncated(4)
+        key = ((2, 1), (3,))
+        for delta, defect in ((1e-9, True), (1e-14, mode == scalars.EXACT)):
+            y = with_entry(x, key, x.entry(*key) + mode.coerce(Fraction(delta)))
+            report = assert_report_matches(y, w)
+            assert (key in report.defects) == defect
+        # a small sum at a key x lacks, under the default and a wider tol
+        small = mode.coerce(Fraction(1e-9))
+        y = TruncatedOperator({((1, 2), (1, 3)): small}, 4, 3, mode)
+        assert ((2,), (3,)) in assert_report_matches(y, w).defects
+        assert assert_report_matches(y, w, 1e-6).ok == (mode != scalars.EXACT)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_takes_no_markov_step(self, mode):
+        w = session_weights(2, mode)
+        # entries with an empty row and with an empty column
+        x = CuntzElement({Monomial((1,), (2, 1)): mode.one,
+                          Monomial((2, 1), (1,)): mode.one}, w).to_truncated(4)
+        kernel = type(mode).markov_sum
+        # without its entry at ((), (2,)), x lacks the key that the step
+        # sums ((1,), (1, 2)) into
+        lacking = with_entry(x, ((), (2,)), 0)
+        with mock.patch.object(fock, "markov_step", wraps=markov_step) as step, \
+                mock.patch.object(type(mode), "markov_sum", autospec=True,
+                                  side_effect=kernel) as summed:
+            assert is_harmonic(x, w).ok
+            assert not summed.called
+            assert not is_harmonic(lacking, w).ok
+        assert not step.called
+        # only the entries whose stripped key x lacks are summed: the
+        # entry above ((), (2,)) and those with an empty word
+        [call] = summed.call_args_list
+        assert [(decode(r, 2), decode(c, 2)) for r, c in call.args[1]] == [
+            ((1,), (1, 2)), ((2,), ())]
+
+
+# -- word maps marked by their constructors ------------------------------------
+
+MARKED = {
+    "right creation": lambda cut, d, mode: op_right_creation((1, 2), cut, d, mode),
+    "left creation": lambda cut, d, mode: op_left_creation((2,), cut, d, mode),
+    "identity": TruncatedOperator.identity,
+    "vacuum projection": TruncatedOperator.vacuum_projection,
+}
+
+UNMARKED = {
+    "zero": TruncatedOperator.zero,
+    "constructor": lambda cut, d, mode: TruncatedOperator(
+        op_right_creation((1,), cut, d, mode).word_entries(), cut, d, mode),
+    "compose": lambda cut, d, mode: op_right_creation((1,), cut, d, mode).compose(
+        op_right_creation((2,), cut, d, mode)),
+    "markov step": lambda cut, d, mode: markov_step(
+        TruncatedOperator.identity(cut + 1, d, mode), WeightVector.uniform(d, mode)),
+    "scale": lambda cut, d, mode: TruncatedOperator.identity(cut, d, mode).scale(1),
+    "sum": lambda cut, d, mode: TruncatedOperator.identity(cut, d, mode)
+    + TruncatedOperator.zero(cut, d, mode),
+    "to_truncated": lambda cut, d, mode: CuntzElement.identity(
+        WeightVector.uniform(d, mode)).to_truncated(cut),
+    "second quantization": lambda cut, d, mode: second_quantize(
+        UnitaryMatrix.swap(d, 1, 2, mode), cut),
+}
+
+
+class TestWordMapMarks:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(MARKED) + sorted(UNMARKED))
+    def test_constructors_adjoint_and_recut(self, name, mode):
+        marked = name in MARKED
+        m = (MARKED if marked else UNMARKED)[name](3, 2, mode)
+        assert m._word_map is marked
+        assert m.adjoint()._word_map is marked
+        assert m.adjoint().adjoint() == m
+        assert m.recut(2)._word_map is marked
+        assert m.recut(3) is m
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(MARKED))
+    def test_equality_and_json_ignore_the_mark(self, name, mode):
+        m = MARKED[name](3, 3, mode)
+        twin = unmarked_twin(m)
+        assert not twin._word_map
+        assert m == twin and twin == m
+        assert m.to_json() == twin.to_json()
+        back = TruncatedOperator.from_json(m.to_json())
+        assert back == m and not back._word_map
+
+    @pytest.mark.parametrize("name", ["right creation", "constructor"])
+    def test_copy_and_pickle_keep_the_mark(self, name):
+        m = {**MARKED, **UNMARKED}[name](3, 2, scalars.EXACT)
+        copies = [copy.copy(m), copy.deepcopy(m)]
+        copies += [pickle.loads(pickle.dumps(m, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c._word_map is m._word_map and c == m for c in copies)
+
+    def test_adjoint_of_a_word_map_moves_the_values(self):
+        m = op_right_creation((1,), 3, 2, scalars.FLOAT)
+        assert all(v is scalars.FLOAT.one for v in m.adjoint().entries.values())

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockboundary
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import op_left_creation, op_right_creation
 from fockboundary.errors import (
@@ -238,6 +243,14 @@ class TestMarkov:
     def test_identity_harmonic(self, w13):
         assert is_harmonic(TruncatedOperator.identity(5, 2), w13)
 
+    def test_harmonicity_refuses_other_sessions(self, w13, w3):
+        for x in (TruncatedOperator.identity(3, 2, FLOAT),
+                  TruncatedOperator.identity(3, 3)):
+            with pytest.raises(ModeMixError):
+                is_harmonic(x, w13)
+        with pytest.raises(CutExhaustedError):
+            is_harmonic(TruncatedOperator.identity(0, 3), w3)
+
     def test_left_creation_defect(self, w13):
         l1 = op_left_creation((1,), 5, 2)
         rep = is_harmonic(l1, w13)
@@ -253,3 +266,44 @@ class TestMarkov:
         ri = op_right_creation((i,), cut, 2)
         rj = op_right_creation((j,), cut, 2)
         assert is_harmonic(ri.compose(rj), w13)
+
+
+# the truncated and symbolic kernels of the benchmark, in both fields
+KERNELS_SCRIPT = """
+import random
+import sys
+from fractions import Fraction
+
+from fockboundary.algebra import CuntzElement, Monomial
+from fockboundary.choi_effros import (
+    closed_form_mixed, op_right_creation, product_iterative)
+from fockboundary.fock import WeightVector, is_harmonic
+from fockboundary.quantization import random_exact_unitary, symbolic_gamma
+
+for mode in ("exact", "float"):
+    w = WeightVector([Fraction(1, 3), Fraction(2, 3)], mode)
+    x = CuntzElement({Monomial((1,), (2, 1)): 1, Monomial((), (2,)): 2}, w)
+    xt = x.to_truncated(5)
+    assert is_harmonic(xt, w).ok
+    r = op_right_creation((1, 2), 5, 2, mode)
+    xt.compose(r)
+    r.adjoint().compose(xt)
+    closed_form_mixed("vi", ((1,), (2, 2)), xt, w)
+    product_iterative(xt, r, w)
+    x * x
+u = WeightVector.uniform(3)
+y = CuntzElement({Monomial((1, 3), (2,)): 1}, u)
+symbolic_gamma(random_exact_unitary(3, random.Random(1)), y)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_the_kernels_import_no_numpy():
+    # importing numpy adds about 12 MB to a run's peak RSS, more than the
+    # benchmark's bound on peak_rss_mb allows
+    src = str(Path(fockboundary.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    run = subprocess.run([sys.executable, "-c", KERNELS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

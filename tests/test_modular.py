@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,19 @@ class TestSigmaT:
         assert got.weights is want.weights
 
 
+def test_sigma_t_leaves_no_reference_cycle(w13):
+    # the memo of word weights is freed with the call, not by the GC
+    x = CuntzElement.monomial(w13, (1, 2), (2,)) + CuntzElement.monomial(
+        w13, (2, 2, 1), ())
+    gc.collect()
+    gc.disable()
+    try:
+        sigma_t(x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestSpectrumAndGram:
     def test_spectrum_sample(self, w_half):
         assert spectrum_sample(w_half, 2) == [
@@ -157,6 +171,19 @@ class TestSpectrumAndGram:
         # difference, with no rounding duplicates
         wf = WeightVector.parse("0.3,0.7", mode="float")
         assert len(spectrum_sample(wf, 5)) == 91
+
+    @pytest.mark.parametrize("text, max_len, count", [
+        ("1/3,1/3,1/3", 2, 5),
+        ("0.2,0.2,0.6", 3, 37),
+    ])
+    def test_float_spectrum_rounds_equal_ratios_alike(self, text, max_len, count):
+        # equal float weights make count differences of equal ratio, which
+        # products of the rounded powers would round apart
+        wf = WeightVector.parse(text, mode="float")
+        values = spectrum_sample(wf, max_len)
+        assert len(values) == count
+        assert len(spectrum_sample(WeightVector.parse(text), max_len)) == count
+        assert all(b - a > 1e-9 * b for a, b in zip(values, values[1:]))
 
     def test_gram_diagonal(self, w13):
         fam, rows = gram_matrix(w13, 1)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -152,6 +153,20 @@ class TestSymbolicGamma:
             symbolic_gamma(u, x).adjoint())
         assert symbolic_gamma(u, symbolic_gamma(v, x)).equals(
             symbolic_gamma(u.compose(v), x))
+
+    def test_leaves_no_reference_cycle(self):
+        # the memo of generator images is freed with the call, not by the GC
+        w = WeightVector.uniform(3)
+        u = random_exact_unitary(3, random.Random(2))
+        x = CuntzElement.monomial(w, (1, 2, 3), (2, 1)) + CuntzElement.monomial(
+            w, (3, 3), ())
+        gc.collect()
+        gc.disable()
+        try:
+            symbolic_gamma(u, x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_matches_conjugation_for_uniform(self):
         # for uniform weights the generator substitution agrees with
