@@ -32,10 +32,10 @@ class UsageError(Exception):
 
 # the flags that only some probe kinds read, by kind
 PROBE_INPUTS = {
-    "masa": (),
+    "masa": ("max_len",),
     "center": ("element", "trials", "seed"),
-    "dr": ("word",),
-    "diffuse": ("element",),
+    "dr": ("word", "max_len"),
+    "diffuse": ("element", "max_len"),
 }
 
 
@@ -73,7 +73,8 @@ def _refuse_unread(args, command, reads, flags):
     not read."""
     for flag in flags:
         if getattr(args, flag) is not None and flag not in reads:
-            raise UsageError("%s does not read --%s" % (command, flag))
+            raise UsageError("%s does not read --%s"
+                             % (command, flag.replace("_", "-")))
 
 
 def _emit(report, args):
@@ -203,7 +204,7 @@ def cmd_probe(args):
 
     weights = _weights_from_args(args)
     _refuse_unread(args, "probe %s" % args.kind, PROBE_INPUTS[args.kind],
-                   ("element", "word", "trials", "seed"))
+                   ("element", "word", "trials", "seed", "max_len"))
     # the element of center and diffuse, the identity by default
     x = (_load_element(args.element, weights) if args.element
          else CuntzElement.identity(weights))

@@ -39,7 +39,6 @@ from .scalars import (
     EXACT,
     Frozen,
     accumulate,
-    accumulate_products,
     common_mode,
     field,
     subtract,
@@ -348,43 +347,56 @@ class TruncatedOperator(Frozen):
         for products of generator compressions this holds on the degree
         <= cut - (number of creation factors) block.
 
-        When a factor is marked as a 0/1 word map (``_word_map``), each
-        result key gets one product, so the other factor's entries move
-        to their new keys with no sum: ``accumulate_products``'s dict,
-        in the same key order.
+        The field's ``compose_sum`` sums the products: the dict that
+        ``accumulate_products`` gives over the triples, in the same key
+        order.  When a factor is marked as a 0/1 word map
+        (``_word_map``), each result key gets one product, so the other
+        factor's entries move to their new keys with no sum: the same
+        dict again.
         """
         self._check_compatible(other)
         mode = self.mode
-        one = mode.one
         if other._word_map:
+            one = mode.one
             right = dict(other.entries.keys())  # middle word -> target word
             entries = mode.moved_products(
                 [((row, col), val, one)
                  for (row, mid), val in self.entries.items()
                  if (col := right.get(mid)) is not None], 1)
-            return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
-        left = {mid for _, mid in self.entries} if self._word_map else None
-        by_mid = {}
-        for (mid, col), val in other.entries.items():
+        elif self._word_map:
             # a word map on the left reads only its own middle words
-            if left is None or mid in left:
-                by_mid.setdefault(mid, []).append((col, val))
-        triples = (
-            ((row, col), val, val2)
-            for (row, mid), val in self.entries.items()
-            for col, val2 in by_mid.get(mid, ())
-        )
-        if left is None:
-            entries = accumulate_products(triples, mode)
+            left = {mid for _, mid in self.entries}
+            by_mid = {}
+            for (mid, col), val in other.entries.items():
+                if mid in left:
+                    by_mid.setdefault(mid, []).append((col, val))
+            entries = mode.moved_products(
+                [((row, col), val, val2)
+                 for (row, mid), val in self.entries.items()
+                 for col, val2 in by_mid.get(mid, ())], 2)
         else:
-            entries = mode.moved_products(triples, 2)
+            entries = mode.compose_sum(self.entries, other.entries)
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
 
     def adjoint(self):
+        """The conjugate transpose.  Entries may share value objects (the
+        entries of ``second_quantize`` do; no kernel changes a value, each
+        mutates only the sums it allocates).  Each distinct value object
+        is conjugated once, so the adjoint's entries share the conjugates
+        in the same way.  A word map's adjoint is the inverse map, with
+        the same values."""
         items = self.entries.items()
-        # a word map's adjoint is the inverse map, with the same values
-        entries = ({(c, r): v for (r, c), v in items} if self._word_map
-                   else {(c, r): v.conjugate() for (r, c), v in items})
+        if self._word_map:
+            entries = {(c, r): v for (r, c), v in items}
+        else:
+            entries = {}
+            conjugates = {}  # id(v) -> conj(v), while self holds each v
+            get = conjugates.get
+            for (r, c), v in items:
+                w = get(id(v))
+                if w is None:
+                    w = conjugates[id(v)] = v.conjugate()
+                entries[c, r] = w
         shifts = self._shifts
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True,
                                  _shifts=None if shifts is None else shifts[::-1],

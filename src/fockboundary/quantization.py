@@ -166,7 +166,10 @@ def second_quantize(U, cut):
     value depends only on how many times each u_{ji} occurs: its
     exponent vector, carried as one int in base cut + 1.  Each distinct
     exponent vector's product is computed once, in ``values``, and the
-    entries share those values."""
+    entries share those value objects.  No kernel changes a value it is
+    given (each mutates only the sums it allocates), so the sharing is
+    safe; ``adjoint`` keeps it, and the exact ``compose`` computes each
+    product once per pair of shared values."""
     base = cut + 1
     letters = []  # (j, i, code of u_{ji}, u_{ji}): U e_j = sum_i u_{ji} e_i
     for j, image in enumerate(_nonzero_rows(U), 1):

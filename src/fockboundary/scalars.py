@@ -367,7 +367,8 @@ class Field(str):
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
     ``sum_products(triples, what)``, the loop of
-    ``accumulate_products``; ``markov_sum`` and ``harmonic_defects``, the
+    ``accumulate_products``; ``compose_sum(left, right)``, the sparse
+    product of ``compose``; ``markov_sum`` and ``harmonic_defects``, the
     loops of the Markov steps and of ``is_harmonic``; ``moved_products(
     triples, moved)``, products with one factor equal to one;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
@@ -375,6 +376,10 @@ class Field(str):
     for a real coefficient; ``to_json``/``from_json``;
     ``random_coeff(rng)``; and, for the modular data, ``sqrt(q)``,
     ``ratio_power(q, p)`` and ``gns_value(c)``.
+
+    Stored values may be shared: one value object can sit at many keys
+    and in many dicts.  So a kernel changes no value it was given, and
+    mutates only the running sums it allocates itself.
     """
 
     __slots__ = ()
@@ -600,6 +605,75 @@ class _Exact(Field):
                 defects[r, c] = _reduced(a, b, e * v._den)
         return _lacking(self, entries, weights, bits, same - hits, defects, tol)
 
+    def compose_sum(self, left, right):
+        """The sparse product of two dicts of word-code entries: each
+        product x * y of entries (row, mid) of ``left`` and (mid, col) of
+        ``right`` summed into the key (row, col), left's entries and then
+        right's in order, as ``accumulate_products`` sums the triples:
+        the same dict, in the same key order.
+
+        Each product is computed once per distinct pair of value objects,
+        reduced, and shared: a key that gets one product stores that
+        object.  A key that gets a second product gets a running sum of
+        its own, an unreduced ``[a, b, den]`` list, reduced at the end.
+        No value object is changed."""
+        by_mid = _by_mid(right)
+        memo = {}  # id(x) -> {id(y): x * y}
+        held = []  # each x and y in the memo, so that no id is reused
+        sums = {}
+        get = sums.get
+        for (row, mid), x in left.items():
+            cols = by_mid.get(mid)
+            if cols is None:
+                continue
+            products = memo.get(id(x))
+            if products is None:
+                products = memo[id(x)] = {}
+                held.append(x)
+            for col, y in cols:
+                p = products.get(id(y))
+                if p is None:
+                    p = products[id(y)] = x * y
+                    held.append(y)
+                key = (row, col)
+                s = get(key)
+                if s is None:
+                    if p._a or p._b:
+                        sums[key] = p
+                    continue
+                a = p._a
+                b = p._b
+                den = p._den
+                if s.__class__ is list:
+                    sa, sb, sden = s
+                else:
+                    sa = s._a
+                    sb = s._b
+                    sden = s._den
+                    s = sums[key] = [0, 0, 1]
+                if sden == den:
+                    a += sa
+                    b += sb
+                else:
+                    # over lcm(sden, den) = sden / g * den
+                    g = gcd(sden, den)
+                    m = den // g
+                    n = sden // g
+                    a = sa * m + a * n
+                    b = sb * m + b * n
+                    den = sden * m
+                # den > 0, so the sum is zero exactly when a == b == 0
+                if a or b:
+                    s[0] = a
+                    s[1] = b
+                    s[2] = den
+                else:
+                    del sums[key]
+        for key, s in sums.items():
+            if s.__class__ is list:
+                sums[key] = _reduced(*s)
+        return sums
+
     def moved_products(self, triples, moved):
         """The dict of (key, x, y) triples with distinct keys, where the
         operand that is not the one at index ``moved`` (1 for x, 2 for y)
@@ -717,11 +791,48 @@ class _Float(Field):
                 defects[r, c] = s
         return _lacking(self, entries, weights, bits, same - hits, defects, tol)
 
+    def compose_sum(self, left, right):
+        """``_Exact.compose_sum`` in FLOAT: ``accumulate`` over the
+        products, with no memo."""
+        by_mid = _by_mid(right)
+        terms = {}
+        get = terms.get
+        for (row, mid), x in left.items():
+            for col, y in by_mid.get(mid, ()):
+                value = x * y
+                key = (row, col)
+                s = get(key)
+                if s is None:
+                    if abs(value) <= 1e-12:
+                        continue
+                    terms[key] = value
+                else:
+                    value = s + value
+                    if abs(value) <= 1e-12:
+                        del terms[key]
+                    else:
+                        terms[key] = value
+        return terms
+
     def moved_products(self, triples, moved):
         """The dict of (key, x, y) triples with distinct keys: each x * y,
         dropped within 1e-12 as ``sum_products`` drops it, so that a
         factor equal to one still sets the sign of a zero part."""
         return {key: p for key, x, y in triples if not abs(p := x * y) <= 1e-12}
+
+
+def _by_mid(entries):
+    """Word-code entries (mid, col) grouped by their row word: mid ->
+    [(col, value), ..] in entry order."""
+    by_mid = {}
+    get = by_mid.get
+    for (mid, col), value in entries.items():
+        cols = get(mid)
+        if cols is None:
+            by_mid[mid] = [(col, value)]
+        else:
+            cols.append((col, value))
+    return by_mid
 
 
 def _lacking(mode, entries, weights, bits, short, defects, tol):

@@ -271,6 +271,7 @@ class TestLibraryErrors:
         ["probe", "dr", "--weights", "1/3,2/3", "--trials", "2"],
         ["probe", "diffuse", "--weights", "1/3,2/3", "--word", "12"],
         ["probe", "center", "--weights", "1/3,2/3", "--word", "12"],
+        ["probe", "center", "--weights", "1/3,2/3", "--max-len", "5"],
         ["product", "--weights", "1/2,1/2", "x.json", "x.json", "--cut", "-5"],
         ["product", "--weights", "1/2,1/2", "x.json", "x.json", "--cut", "6",
          "--method", "symbolic"],
@@ -279,6 +280,14 @@ class TestLibraryErrors:
         flag = next(a for a in argv[2:] if a.startswith("--")
                     and a != "--weights")
         self.assert_one_line_exit_2(capsys, argv, "does not read %s" % flag)
+
+    @pytest.mark.parametrize("kind", ["masa", "dr", "diffuse"])
+    def test_probe_kinds_that_read_max_len(self, capsys, kind):
+        argv = ["probe", kind, "--weights", "1/3,2/3"]
+        _, default = run(capsys, *argv)
+        code, out = run(capsys, *argv, "--max-len", "0")
+        assert code != 2
+        assert json.loads(out)["report"] != json.loads(default)["report"]
 
     def test_verify_all_reads_flags_some_suite_reads(self, capsys):
         code, out = run(capsys, "verify", "all", "--trials", "2", "--seed", "3")

@@ -856,8 +856,9 @@ def creation_kind_by_sums(kind, words, x, weights):
 
 def products_taken(x, y):
     """x.compose(y), and whether it summed products (not moved entries)."""
-    with mock.patch.object(fock, "accumulate_products",
-                           wraps=fock.accumulate_products) as summed:
+    kernel = type(x.mode).compose_sum
+    with mock.patch.object(type(x.mode), "compose_sum", autospec=True,
+                           side_effect=kernel) as summed:
         z = x.compose(y)
     return z, summed.called
 
@@ -1224,3 +1225,136 @@ class TestWordMapMarks:
     def test_adjoint_of_a_word_map_moves_the_values(self):
         m = op_right_creation((1,), 3, 2, scalars.FLOAT)
         assert all(v is scalars.FLOAT.one for v in m.adjoint().entries.values())
+
+
+# -- compose over shared value objects ------------------------------------------
+#
+# second_quantize gives many entries one value object, adjoint keeps that
+# sharing, and the exact compose kernel computes each product once per pair
+# of value objects and stores it at every key that gets only that product.
+
+
+def random_unitary(d, mode, rng):
+    if mode == scalars.EXACT:
+        return random_exact_unitary(d, rng)
+    return random_float_unitary(d, rng)
+
+
+def nonzero_coefficients(mode):
+    return coefficients(mode).filter(bool)
+
+
+def code_operator(entries, cut, d, mode):
+    """The operator with these word entries, each value object kept as
+    it is."""
+    return TruncatedOperator({(encode(r, d), encode(c, d)): v
+                              for (r, c), v in entries.items()},
+                             cut, d, mode, _trusted=True)
+
+
+def one_repeated_value(x, value):
+    """An operator with x's keys and one value object at every key."""
+    return TruncatedOperator(dict.fromkeys(x.entries, value), x.cut, x.d, x.mode,
+                             _trusted=True)
+
+
+def cancel_and_return(c, y, mode, d=2, cut=3):
+    """Factors a, b whose product sums, into the key (R, C), c * y and
+    c * y again, then c * (-2 y), which cancels them, and then c * y,
+    which brings the key back after (R, C2) took c * y: every value of a
+    is one object, and so is every y of b."""
+    words = words_up_to(d, cut)
+    R, C, C2 = words[1:4]
+    mids = words[4:8]
+    a = code_operator({(R, mid): c for mid in mids}, cut, d, mode)
+    b = code_operator({(mids[0], C): y, (mids[0], C2): y, (mids[1], C): y,
+                       (mids[2], C): -(y + y), (mids[3], C): y}, cut, d, mode)
+    return a, b, [(R, C2), (R, C)]
+
+
+class TestComposeKernel:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_values_against_tuple_compose(self, data):
+        d, mode = data.draw(sessions())
+        cut = data.draw(st.integers(0, 4 if d == 2 else 2))
+        V = random_unitary(d, mode, random.Random(data.draw(st.integers(0, 99))))
+        g = second_quantize(V, cut)
+        x = data.draw(operators(WeightVector.uniform(d, mode), cut))
+        c = data.draw(nonzero_coefficients(mode))
+        factors = [g, g.adjoint(), x, one_repeated_value(x, c),
+                   one_repeated_value(g, c)]
+        for a in factors:
+            for b in factors:
+                assert_same_dict(a.compose(b).word_entries(), tuple_compose(a, b),
+                                 mode)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_summed_twice_cancel_and_come_back(self, data):
+        mode = data.draw(st.sampled_from(MODES))
+        c = data.draw(nonzero_coefficients(mode))
+        y = data.draw(nonzero_coefficients(mode))
+        a, b, order = cancel_and_return(c, y, mode)
+        got = a.compose(b).word_entries()
+        assert_same_dict(got, tuple_compose(a, b), mode)
+        assert list(got) == order
+        assert all(mode.eq(v, c * y) for v in got.values())
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d,cut", [(2, 5), (3, 3)])
+    def test_adjoint_keeps_the_sharing(self, d, cut, mode):
+        rng = random.Random(d)
+        for _ in range(3):
+            g = second_quantize(random_unitary(d, mode, rng), cut)
+            star = g.adjoint()
+            ids = {id(v) for v in g.entries.values()}
+            assert len(ids) < len(g.entries)
+            assert len({id(v) for v in star.entries.values()}) == len(ids)
+            assert_entries_match(star, {(c, r): v.conjugate() for (r, c), v
+                                        in g.word_entries().items()}, mode)
+
+
+def value_snapshot(operators):
+    """Each exact value object of the operators, with its integer triple."""
+    return {id(v): (v, (v._a, v._b, v._den))
+            for x in operators for v in x.entries.values()}
+
+
+class TestNoKernelChangesAValue:
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
+    def test_operands_and_results_keep_their_values(self, d, cut):
+        mode = scalars.EXACT
+        rng = random.Random(cut)
+        w = session_weights(d, mode)
+        V = random_exact_unitary(d, rng)
+        basis = words_up_to(d, cut)
+        x = TruncatedOperator(
+            {(rng.choice(basis), rng.choice(basis)): mode.random_coeff(rng)
+             for _ in range(12)}, cut, d, mode)
+        g = second_quantize(V, cut)
+        c, y = GaussianRational(1, 2), GaussianRational(-3, 1)
+        # c * y is stored at (R, C2) and at (R, C), and (R, C) then sums a
+        # second product: the shared product must not take the sum
+        a, b, _ = cancel_and_return(c, y, mode, d, cut)
+        ab = a.compose(b)
+        operands = [x, g, g.adjoint(), one_repeated_value(x, c), a, b]
+        results = [p.compose(q) for p in operands for q in operands]
+        harmonic = CuntzElement(
+            {Monomial((1,), (1, 2)): c, Monomial((2,), ()): y}, w).to_truncated(cut)
+        operators = operands + results + [ab, harmonic]
+        before = value_snapshot(operators)
+        for p in operators:
+            for q in (g, p):
+                p.compose(q)
+                q.compose(p)
+            p.adjoint()
+            markov_step(p, w)
+            markov_step_in_basis(p, w, V)
+            is_harmonic(p, w)
+        words = ((1,), (2, 1))
+        for kind in FORM_KINDS:
+            closed_form_mixed(kind, words[:2 if kind in ("iii", "vi", "vii") else 1],
+                              harmonic, w)
+        assert value_snapshot(operators) == before
+        assert_same_dict(ab.word_entries(), tuple_compose(a, b), mode)
