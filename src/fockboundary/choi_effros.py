@@ -23,138 +23,59 @@ from fractions import Fraction
 
 from .errors import StabilizationError
 from .fock import (
+    NO_AFFIX,
     TruncatedOperator,
-    block_bound,
     check_word,
     check_word_budget,
-    encode,
     is_harmonic,
-    letter_bits,
     markov_step,
-    prepend_words,
+    prefix,
+    relabel,
+    suffix,
     word_reverse,
 )
 from . import scalars
 
 
 # -- generator compressions --------------------------------------------------
+#
+# r_W and l_W are word maps (see ``fock.relabel``): built with no entries,
+# their products with x move x's entries to new row or column words.
 
 
 def op_right_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of r_W = r_{w1} .. r_{wk}: e_V -> e_{V . W^op}."""
     word = check_word(word, d)
-    mode = scalars.field(mode)
-    room = cut - len(word)
-    check_word_budget("op_right_creation at cut %d" % cut, d, (room,))
-    pairs = prepend_words(encode(word_reverse(word), d), 1, d, room)
-    # a creation raises every degree by |W|; with no room it has no entries
-    return TruncatedOperator(dict.fromkeys(pairs, mode.one), cut, d, mode,
-                             _trusted=True, _word_map=True,
-                             _shifts=(len(word), 0) if room >= 0 else (0, 0))
+    check_word_budget("op_right_creation at cut %d" % cut, d, (cut - len(word),))
+    return TruncatedOperator.word_map(suffix(word_reverse(word), d), NO_AFFIX,
+                                      cut - len(word), cut, d, mode)
 
 
 def op_left_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of l_W: e_V -> e_{W . V}."""
     word = check_word(word, d)
-    mode = scalars.field(mode)
-    room = cut - len(word)
-    check_word_budget("op_left_creation at cut %d" % cut, d, (room,))
-    # W . V has the digits of V above those of W
-    shift = letter_bits(d) * len(word)
-    low = encode(word, d) ^ (1 << shift)
-    entries = {((v << shift) | low, v): mode.one
-               for v, _ in prepend_words(1, 1, d, room)}
-    return TruncatedOperator(entries, cut, d, mode, _trusted=True, _word_map=True,
-                             _shifts=(len(word), 0) if room >= 0 else (0, 0))
+    check_word_budget("op_left_creation at cut %d" % cut, d, (cut - len(word),))
+    return TruncatedOperator.word_map(prefix(word, d), NO_AFFIX, cut - len(word),
+                                      cut, d, mode)
 
 
-# -- products with generators as word relabelings -------------------------------
-#
-# r_W, r_W*, l_W* and the vacuum projection are partial isometries with
-# 0/1 entries on injective word maps, so a product of one of them with
-# x moves x's entries to new row or column words and keeps their values.
-# Each map below takes and returns word codes; it returns None where the
-# product has no entry (the word lacks the affix, or the appended word
-# passes the cut).
-
-
-def _moved(x, side, word_map):
-    """The entries of x with each row (side "row") or column (side
-    "col") word v moved to word_map(v); entries whose word maps to None
-    are dropped."""
-    if side == "row":
-        return {(new, c): val for (r, c), val in x.entries.items()
-                if (new := word_map(r)) is not None}
-    return {(r, new): val for (r, c), val in x.entries.items()
-            if (new := word_map(c)) is not None}
-
-
-def _relabel(x, side, word_map):
-    """``_moved`` as an operator."""
-    return TruncatedOperator(_moved(x, side, word_map), x.cut, x.d, x.mode,
-                             _trusted=True)
-
-
-def _strip_suffix(s):
-    # x . r_W on columns, r_W* . x on rows, with s the code of W^op:
-    # v = u . s when the top digits of v, with its top 1, are s
-    n = s.bit_length()
-    flip = s ^ 1
-
-    def strip(v):
-        shift = v.bit_length() - n
-        if shift >= 0 and v >> shift == s:
-            return v ^ (flip << shift)
-    return strip
-
-
-def _strip_prefix(p):
-    # x . l_W on columns, l_W* . x on rows, with p the code of W:
-    # v = p . u when the low digits of v are those of p
-    shift = p.bit_length() - 1
-    low = p ^ (1 << shift)
-    mask = (1 << shift) - 1
-
-    def strip(v):
-        u = v >> shift
-        if u and v & mask == low:
-            return u
-    return strip
-
-
-def _append(s, cut, d):
-    # r_W . x on rows, x . r_W* on columns, with s the code of W^op
-    flip = s ^ 1
-    bound = block_bound(cut, d)
-
-    def append(v):
-        new = v ^ (flip << (v.bit_length() - 1))
-        if new < bound:
-            return new
-    return append
-
-
-def _vacuum(v):
-    # the vacuum projection P on either side
-    return v if v == 1 else None
-
-
-def _creation_form(y, side, rev, weights):
-    """r_W . y + sum_t w(head) r_tail . P . y . l_head (side "row"), or
-    its mirror y . r_W* + sum_t w(head) l_head* . y . P . r_tail*
-    (side "col"), where rev = W^op, head = (W^op)_t for t = 1..|W| and
-    tail = W_{|W|-t}, so that tail^op = rev[t:].  The vacuum terms are
-    summed into the moved entries of y in place."""
+def _creation_form(y, side, rev, weights, cut):
+    """The entries of r_W . y + sum_t w(head) r_tail . P . y . l_head
+    (side "row"), or of its mirror y . r_W* + sum_t w(head) l_head* . y
+    . P . r_tail* (side "col"), for the entries y, where rev = W^op,
+    head = (W^op)_t for t = 1..|W| and tail = W_{|W|-t}, so that
+    tail^op = rev[t:].  The vacuum terms are summed into the moved
+    entries of y in place."""
     other = "col" if side == "row" else "row"
-    d = y.d
-    out = _moved(y, side, _append(encode(rev, d), y.cut, d))
-    vac = _relabel(y, side, _vacuum)
+    d, mode = weights.d, weights.mode
+    out = relabel(y, side, d, cut - len(rev), add=suffix(rev, d))
+    vac = relabel(y, side, d, 0)
     for t in range(1, len(rev) + 1):
-        term = _relabel(vac, other, _strip_prefix(encode(rev[:t], d)))
-        term = _relabel(term, side, _append(encode(rev[t:], d), y.cut, d))
-        scalars.accumulate(term.scale(weights.word_weight(rev[:t])).entries.items(),
-                           y.mode, into=out)
-    return TruncatedOperator(out, y.cut, d, y.mode, _trusted=True)
+        term = relabel(vac, other, d, cut, strip=prefix(rev[:t], d))
+        term = relabel(term, side, d, cut - len(rev) + t, add=suffix(rev[t:], d))
+        c = mode.coerce(weights.word_weight(rev[:t]))
+        scalars.accumulate(((k, c * v) for k, v in term.items()), mode, into=out)
+    return out
 
 
 # -- iterative product ----------------------------------------------------------
@@ -204,6 +125,16 @@ def product_iterative(x, y, weights, max_steps=None):
     )
 
 
+def certified_product(x, y, weights):
+    """``product_iterative`` recut to the block that its guard certifies:
+    ``(result, steps_used)``, the result at cut - steps_used - 1 - guard,
+    where guard = min(down shift of x, up shift of y), so that no entry
+    beyond it is read from a truncated composition."""
+    guard = min(_down_shift(x), _up_shift(y))
+    res, steps = product_iterative(x, y, weights)
+    return res.recut(max(res.cut - guard, 0)), steps
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
@@ -227,30 +158,33 @@ def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
         raise ValueError("unknown form %r" % (kind,))
     if check_harmonic and not is_harmonic(x, weights):
         raise ValueError("closed forms require a harmonic operator")
+    d, cut = x.d, x.cut
     if kind in ("iii", "vi", "vii"):
         I, J = words
-        rj = word_reverse(check_word(J, x.d))
+        rj = word_reverse(check_word(J, d))
     else:
         (I,) = words
-    ri = word_reverse(check_word(I, x.d))
+    ri = word_reverse(check_word(I, d))
 
+    # x . r_I strips the suffix I^op from the columns, r_I* . x from the rows
     if kind == "i":
-        return _relabel(x, "col", _strip_suffix(encode(ri, x.d)))
-    if kind == "ii":
-        return _relabel(x, "row", _strip_suffix(encode(ri, x.d)))
-    if kind == "iii":
-        rx = _relabel(x, "row", _strip_suffix(encode(rj, x.d)))
-        return _relabel(rx, "col", _strip_suffix(encode(ri, x.d)))
-    if kind == "iv":
-        return _creation_form(x, "row", ri, weights)
-    if kind == "v":
-        return _creation_form(x, "col", ri, weights)
-    if kind == "vi":
-        stripped = _relabel(x, "col", _strip_suffix(encode(ri, x.d)))
-        return _creation_form(stripped, "col", rj, weights)
-    # kind == "vii"
-    stripped = _relabel(x, "row", _strip_suffix(encode(rj, x.d)))
-    return _creation_form(stripped, "row", ri, weights)
+        entries = relabel(x.entries, "col", d, cut, strip=suffix(ri, d))
+    elif kind == "ii":
+        entries = relabel(x.entries, "row", d, cut, strip=suffix(ri, d))
+    elif kind == "iii":
+        rows = relabel(x.entries, "row", d, cut, strip=suffix(rj, d))
+        entries = relabel(rows, "col", d, cut, strip=suffix(ri, d))
+    elif kind == "iv":
+        entries = _creation_form(x.entries, "row", ri, weights, cut)
+    elif kind == "v":
+        entries = _creation_form(x.entries, "col", ri, weights, cut)
+    elif kind == "vi":
+        stripped = relabel(x.entries, "col", d, cut, strip=suffix(ri, d))
+        entries = _creation_form(stripped, "col", rj, weights, cut)
+    else:  # kind == "vii"
+        stripped = relabel(x.entries, "row", d, cut, strip=suffix(rj, d))
+        entries = _creation_form(stripped, "row", ri, weights, cut)
+    return TruncatedOperator(entries, cut, d, x.mode, _trusted=True)
 
 
 # -- Cesaro projection -----------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import errors, scalars
 from .algebra import CuntzElement, Monomial
-from .choi_effros import product_iterative
+from .choi_effros import certified_product
 from .classification import DEFAULT_TOLERANCE, classify
 from .errors import LetterRangeError
 from .fock import WeightVector, parse_word
@@ -131,7 +131,7 @@ def cmd_product(args):
                              % (cut, longest))
         xt = x.to_truncated(cut)
         yt = y.to_truncated(cut)
-        res, steps = product_iterative(xt, yt, weights)
+        res, steps = certified_product(xt, yt, weights)
         report = {
             "schema": SCHEMA,
             "command": "product",

@@ -161,6 +161,73 @@ def prepend_words(row, col, d, max_len):
 
 
 # ---------------------------------------------------------------------------
+# word maps on codes
+#
+# An affix is ``(code, is_suffix)``: the word of the code, to sit after
+# (suffix) or before (prefix) a word u.  ``NO_AFFIX`` is the empty word.
+# A word map ``(rows, cols, top)`` is the 0/1 operator with the entries
+# (rows . u, cols . u), one for each word u of length <= top, in the
+# length-then-lex order of u: r_W has rows the suffix W^op, l_W the
+# prefix W, their adjoints swap rows and cols, the identity at cut c has
+# no affix and top c, and the vacuum projection no affix and top 0.
+# At most one of the two affixes is not empty.
+
+NO_AFFIX = (1, False)
+
+
+def suffix(word, d):
+    """The affix u -> u . word."""
+    return encode(word, d), True
+
+
+def prefix(word, d):
+    """The affix u -> word . u."""
+    return encode(word, d), False
+
+
+def relabel(entries, side, d, top, strip=NO_AFFIX, add=NO_AFFIX):
+    """The entries with each row (side "row") or column (side "col")
+    word v = strip . u, for a word u of length <= top, moved to add . u,
+    in entry order, values as they are; entries whose word has no such
+    u are dropped.  One of ``strip`` and ``add`` is ``NO_AFFIX``.  With
+    the affixes of a word map M = (rows, cols, top), the column side
+    (strip rows, add cols) gives the entries of x . M and the row side
+    (strip cols, add rows) those of M . x."""
+    bound = block_bound(top, d)
+    items = entries.items()
+    code, is_suffix = strip if strip[0] != 1 else add
+    if strip[0] != 1 and is_suffix:  # v = u . s: the top digits of v are s
+        n, flip = code.bit_length(), code ^ 1
+        if side == "col":
+            return {(r, u): val for (r, c), val in items
+                    if (k := c.bit_length() - n) >= 0 and c >> k == code
+                    and (u := c ^ (flip << k)) < bound}
+        return {(u, c): val for (r, c), val in items
+                if (k := r.bit_length() - n) >= 0 and r >> k == code
+                and (u := r ^ (flip << k)) < bound}
+    if is_suffix:  # u -> u . s: s replaces the top 1 of u
+        flip = code ^ 1
+        if side == "col":
+            return {(r, c ^ (flip << (c.bit_length() - 1))): val
+                    for (r, c), val in items if c < bound}
+        return {(r ^ (flip << (r.bit_length() - 1)), c): val
+                for (r, c), val in items if r < bound}
+    k = code.bit_length() - 1
+    low = code ^ (1 << k)
+    if strip[0] != 1:  # v = p . u: the low digits of v are those of p
+        mask = (1 << k) - 1
+        if side == "col":
+            return {(r, u): val for (r, c), val in items
+                    if c & mask == low and 0 < (u := c >> k) < bound}
+        return {(u, c): val for (r, c), val in items
+                if r & mask == low and 0 < (u := r >> k) < bound}
+    # u -> p . u, the identity for the empty prefix
+    if side == "col":
+        return {(r, (c << k) | low): val for (r, c), val in items if c < bound}
+    return {((r << k) | low, c): val for (r, c), val in items if r < bound}
+
+
+# ---------------------------------------------------------------------------
 # weight vectors
 
 
@@ -254,23 +321,28 @@ class TruncatedOperator(Frozen):
     keys ``(I, J)``; with ``_trusted`` it takes code keys as they are.
     Values are immutable; all arithmetic returns new operators.
 
+    ``_map`` is the word map ``(rows, cols, top)`` (see ``relabel``) of
+    a 0/1 word map, else None.  r_W, l_W, the identity and the vacuum
+    projection are built as word maps, with no entries: ``_entries`` is
+    None until something reads ``entries`` (``==``, JSON, a kernel, or
+    ``compose`` with the map on the left), which builds them in the
+    length-then-lex order of u and caches them.  ``adjoint`` and
+    ``recut`` of a word map give a word map with no entries.
     ``_shifts`` caches ``degree_shifts()``: None until the first call
     computes it, unless the constructor that built the operator knew
-    it (``_shifts`` with ``_trusted``).  ``_word_map`` marks a 0/1 word
-    map for ``compose`` (every value ``mode.one``, each row and each
-    column word in one entry): r_W, l_W, the identity and the vacuum
-    projection set it, and ``adjoint`` and ``recut`` keep it.  Neither
-    is part of equality or JSON; ``copy`` and ``pickle`` keep both.
+    it (``_shifts`` with ``_trusted``; the word-map constructors).
+    Neither is part of equality or JSON; ``copy`` and ``pickle`` keep
+    all three.
     """
 
-    __slots__ = ("entries", "cut", "d", "mode", "_shifts", "_word_map")
+    __slots__ = ("_entries", "cut", "d", "mode", "_shifts", "_map")
 
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None,
-                 _word_map=False):
+                 _map=None):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
         if _trusted:
-            self._fill(entries, cut, d, mode, _shifts, _word_map)
+            self._fill(entries, cut, d, mode, _shifts, _map)
             return
         mode = field(mode)
         clean = {}
@@ -284,7 +356,24 @@ class TruncatedOperator(Frozen):
             val = mode.coerce(val)
             if not mode.near_zero(val):
                 clean[(encode(row, d), encode(col, d))] = val
-        self._fill(clean, cut, d, mode, None, False)
+        self._fill(clean, cut, d, mode, None, None)
+
+    @property
+    def entries(self):
+        entries = self._entries
+        if entries is None:  # a word map's, built at the first read
+            rows, cols, top = self._map
+            one, d = self.mode.one, self.d
+            if rows[1] or cols[1] or rows == cols:
+                # no prefix: the words u prepended to the suffixes
+                entries = dict.fromkeys(prepend_words(rows[0], cols[0], d, top), one)
+            else:
+                # a prefix on one side: the identity at top, moved on that side
+                side, affix = ("row", rows) if cols == NO_AFFIX else ("col", cols)
+                entries = relabel(dict.fromkeys(prepend_words(1, 1, d, top), one),
+                                  side, d, top, add=affix)
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     # -- constructors -----------------------------------------------------
 
@@ -293,17 +382,21 @@ class TruncatedOperator(Frozen):
         return cls({}, cut, d, field(mode), _trusted=True, _shifts=(0, 0))
 
     @classmethod
+    def word_map(cls, rows, cols, top, cut, d, mode=EXACT):
+        """The 0/1 word map (rows, cols, top) at this cut, with no
+        entries built; the caller has checked the words and the budget."""
+        op = cls(None, cut, d, field(mode), _trusted=True, _map=(rows, cols, top))
+        op.degree_shifts()
+        return op
+
+    @classmethod
     def identity(cls, cut, d, mode=EXACT):
-        mode = field(mode)
         check_word_budget("identity at cut %d" % cut, d, (cut,))
-        entries = {(r, r): mode.one for r, _ in prepend_words(1, 1, d, cut)}
-        return cls(entries, cut, d, mode, _trusted=True, _shifts=(0, 0), _word_map=True)
+        return cls.word_map(NO_AFFIX, NO_AFFIX, cut, cut, d, mode)
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
-        mode = field(mode)
-        return cls({(1, 1): mode.one}, cut, d, mode, _trusted=True, _shifts=(0, 0),
-                   _word_map=True)
+        return cls.word_map(NO_AFFIX, NO_AFFIX, 0, cut, d, mode)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -348,22 +441,23 @@ class TruncatedOperator(Frozen):
         <= cut - (number of creation factors) block.
 
         The field's ``compose_sum`` sums the products: the dict that
-        ``accumulate_products`` gives over the triples, in the same key
-        order.  When a factor is marked as a 0/1 word map
-        (``_word_map``), each result key gets one product, so the other
-        factor's entries move to their new keys with no sum: the same
-        dict again.
+        ``accumulate_products`` gives over the triples, keyed in the
+        order of the left factor's entries, then of the right factor's.
+        When a factor is a word map (``_map``), each result key gets one
+        product, so the other factor's entries move to their new keys
+        with no sum, and the field's ``moved_products`` takes the
+        products with one: the same dict again.  A word map on the
+        right relabels the left factor's columns in the order of its
+        entries, and builds no entries of its own.  A word map on the
+        left sets the key order by its entries, so they are built.
         """
         self._check_compatible(other)
         mode = self.mode
-        if other._word_map:
-            one = mode.one
-            right = dict(other.entries.keys())  # middle word -> target word
+        if other._map is not None:
+            rows, cols, top = other._map
             entries = mode.moved_products(
-                [((row, col), val, one)
-                 for (row, mid), val in self.entries.items()
-                 if (col := right.get(mid)) is not None], 1)
-        elif self._word_map:
+                relabel(self.entries, "col", self.d, top, rows, cols))
+        elif self._map is not None:
             # a word map on the left reads only its own middle words
             left = {mid for _, mid in self.entries}
             by_mid = {}
@@ -371,9 +465,9 @@ class TruncatedOperator(Frozen):
                 if mid in left:
                     by_mid.setdefault(mid, []).append((col, val))
             entries = mode.moved_products(
-                [((row, col), val, val2)
-                 for (row, mid), val in self.entries.items()
-                 for col, val2 in by_mid.get(mid, ())], 2)
+                {(row, col): val
+                 for row, mid in self.entries
+                 for col, val in by_mid.get(mid, ())})
         else:
             entries = mode.compose_sum(self.entries, other.entries)
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
@@ -383,33 +477,40 @@ class TruncatedOperator(Frozen):
         entries of ``second_quantize`` do; no kernel changes a value, each
         mutates only the sums it allocates).  Each distinct value object
         is conjugated once, so the adjoint's entries share the conjugates
-        in the same way.  A word map's adjoint is the inverse map, with
-        the same values."""
-        items = self.entries.items()
-        if self._word_map:
-            entries = {(c, r): v for (r, c), v in items}
-        else:
-            entries = {}
-            conjugates = {}  # id(v) -> conj(v), while self holds each v
-            get = conjugates.get
-            for (r, c), v in items:
-                w = get(id(v))
-                if w is None:
-                    w = conjugates[id(v)] = v.conjugate()
-                entries[c, r] = w
+        in the same way.  A word map's adjoint is the inverse word map,
+        with no entries built."""
         shifts = self._shifts
+        if shifts is not None:
+            shifts = shifts[::-1]
+        if self._map is not None:
+            rows, cols, top = self._map
+            return TruncatedOperator(None, self.cut, self.d, self.mode, _trusted=True,
+                                     _shifts=shifts, _map=(cols, rows, top))
+        entries = {}
+        conjugates = {}  # id(v) -> conj(v), while self holds each v
+        get = conjugates.get
+        for (r, c), v in self.entries.items():
+            w = get(id(v))
+            if w is None:
+                w = conjugates[id(v)] = v.conjugate()
+            entries[c, r] = w
         return TruncatedOperator(entries, self.cut, self.d, self.mode, _trusted=True,
-                                 _shifts=None if shifts is None else shifts[::-1],
-                                 _word_map=self._word_map)
+                                 _shifts=shifts)
 
     def degree_shifts(self):
         """``(up, down)``: the largest |I| - |J| and the largest
         |J| - |I| over the entries (I, J), each clamped at 0, so how
         far the operator raises and lowers degree.  Computed at the
-        first call and cached on the operator."""
+        first call and cached on the operator; a word map reads them
+        off its affixes."""
         shifts = self._shifts
         if shifts is None:
-            diffs = {r.bit_length() - c.bit_length() for r, c in self.entries}
+            if self._map is None:
+                diffs = {r.bit_length() - c.bit_length() for r, c in self.entries}
+            else:
+                rows, cols, top = self._map
+                diffs = () if top < 0 else {
+                    rows[0].bit_length() - cols[0].bit_length()}
             b = letter_bits(self.d)
             shifts = (max(0, max(diffs, default=0)) // b,
                       max(0, -min(diffs, default=0)) // b)
@@ -442,11 +543,18 @@ class TruncatedOperator(Frozen):
     def recut(self, new_cut):
         """Restrict (or formally extend) to a new cut.  Shrinking drops
         entries above the new cut; growing adds no entries, so growing
-        is only meaningful for operators supported in low degree."""
+        is only meaningful for operators supported in low degree.  A
+        word map stays a word map with no entries built: shrinking
+        lowers its top to the longest u whose words fit the new cut."""
         if new_cut == self.cut:
             return self
-        return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
-                                 _trusted=True, _word_map=self._word_map)
+        if self._map is None:
+            return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
+                                     _trusted=True)
+        rows, cols, top = self._map
+        longest = (max(rows[0], cols[0]).bit_length() - 1) // letter_bits(self.d)
+        return TruncatedOperator(None, new_cut, self.d, self.mode, _trusted=True,
+                                 _map=(rows, cols, min(top, new_cut - longest)))
 
     # -- comparisons ------------------------------------------------------
 

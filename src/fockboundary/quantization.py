@@ -354,8 +354,8 @@ def basis_independence_check(weights, V, cut, trials=20, rng=None, tol=1e-10):
     basis = words_up_to(weights.d, cut)
     gamma = second_quantize(V, cut)
     gamma_star = gamma.adjoint()
-    gamma_small = second_quantize(V, cut - 1)
-    gamma_small_star = gamma_small.adjoint()
+    gamma_small = gamma.recut(cut - 1)
+    gamma_small_star = gamma_star.recut(cut - 1)
     worst = 0.0
     cases = []
     for n in range(trials):

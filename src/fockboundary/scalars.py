@@ -370,7 +370,7 @@ class Field(str):
     ``accumulate_products``; ``compose_sum(left, right)``, the sparse
     product of ``compose``; ``markov_sum`` and ``harmonic_defects``, the
     loops of the Markov steps and of ``is_harmonic``; ``moved_products(
-    triples, moved)``, products with one factor equal to one;
+    entries)``, the products of moved values with one;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
     for a real coefficient; ``to_json``/``from_json``;
@@ -674,11 +674,10 @@ class _Exact(Field):
                 sums[key] = _reduced(*s)
         return sums
 
-    def moved_products(self, triples, moved):
-        """The dict of (key, x, y) triples with distinct keys, where the
-        operand that is not the one at index ``moved`` (1 for x, 2 for y)
-        equals one: the moved values themselves, with no arithmetic."""
-        return {t[0]: t[moved] for t in triples}
+    def moved_products(self, entries):
+        """The products of the moved values in ``entries`` with a factor
+        equal to one: the entries themselves, with no arithmetic."""
+        return entries
 
 
 class _Float(Field):
@@ -814,11 +813,12 @@ class _Float(Field):
                         terms[key] = value
         return terms
 
-    def moved_products(self, triples, moved):
-        """The dict of (key, x, y) triples with distinct keys: each x * y,
-        dropped within 1e-12 as ``sum_products`` drops it, so that a
-        factor equal to one still sets the sign of a zero part."""
-        return {key: p for key, x, y in triples if not abs(p := x * y) <= 1e-12}
+    def moved_products(self, entries):
+        """Each moved value in ``entries`` times one, dropped within 1e-12
+        as ``sum_products`` drops it, so that the factor one still sets
+        the sign of a zero part (one * v and v * one agree bit for bit)."""
+        one = self.one
+        return {key: p for key, v in entries.items() if not abs(p := v * one) <= 1e-12}
 
 
 def _by_mid(entries):

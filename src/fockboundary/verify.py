@@ -15,13 +15,11 @@ from . import scalars
 from .algebra import CuntzElement, Monomial
 from .choi_effros import (
     FORM_KINDS,
-    _down_shift,
-    _up_shift,
     cesaro_project,
+    certified_product,
     closed_form_mixed,
     op_left_creation,
     op_right_creation,
-    product_iterative,
 )
 from .exact_linalg import RowReducer, is_psd
 from .fock import (
@@ -84,19 +82,15 @@ def random_element(weights, rng, max_len=2, nterms=2, min_terms=1):
 
 
 def _iterative_chain(ops, weights):
-    """Fold ``product_iterative`` over a factor list, trimming each
-    intermediate to its certified-exact block so that truncation noise
-    never propagates.  Returns (result, max stage steps)."""
+    """Fold ``certified_product`` over a factor list, so that each
+    intermediate is its certified-exact block and truncation noise never
+    propagates.  Returns (result, max stage steps)."""
     acc = ops[0]
     steps_max = 0
     for op in ops[1:]:
         c = min(acc.cut, op.cut)
-        a = acc.recut(c)
-        b = op.recut(c)
-        guard = min(_down_shift(a), _up_shift(b))
-        res, n = product_iterative(a, b, weights)
+        acc, n = certified_product(acc.recut(c), op.recut(c), weights)
         steps_max = max(steps_max, n)
-        acc = res.recut(max(res.cut - guard, 0))
     return acc, steps_max
 
 

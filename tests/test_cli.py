@@ -103,6 +103,27 @@ class TestProduct:
         assert code == 0 and rep["result"]["cut"] == 6 - rep["steps_used"] - 1
         assert run(capsys, *argv, "--cut", "6") == (code, out)
 
+    def test_iterative_reports_only_the_certified_block(self, capsys, tmp_path):
+        # S_1* S_1 is the identity.  The guard of the product is 1, so at
+        # cut 5 only the degree <= 3 block is certified: the degree 4
+        # block of the stabilized iterate lacks the identity's 16 entries
+        from fockboundary.algebra import CuntzElement
+        from fockboundary.fock import WeightVector, words_up_to
+
+        w = WeightVector.parse("1/3,2/3")
+        paths = []
+        for name, (I, J) in (("x", ((), (1,))), ("y", ((1,), ()))):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(CuntzElement.monomial(w, I, J).to_json()))
+            paths.append(str(path))
+        code, out = run(capsys, "product", "--weights", "1/3,2/3", *paths,
+                        "--method", "iterative", "--cut", "5")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["cut"] == 3
+        assert [(e["row"], e["col"], e["re"], e["im"]) for e in result["entries"]] \
+            == [("".join(map(str, v)),) * 2 + ("1", "0") for v in words_up_to(2, 3)]
+
     def test_iterative_cut_over_budget_exit_2(self, capsys, element_files):
         # x's truncation at cut 40 would hold 2**40 - 1 entries
         xp, yp = element_files

@@ -29,11 +29,6 @@ from fockboundary import fock, scalars
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
     FORM_KINDS,
-    _append,
-    _relabel,
-    _strip_prefix,
-    _strip_suffix,
-    _vacuum,
     closed_form_mixed,
     op_left_creation,
     op_right_creation,
@@ -50,7 +45,10 @@ from fockboundary.fock import (
     is_harmonic,
     letter_bits,
     markov_step,
+    prefix,
     prepend_words,
+    relabel,
+    suffix,
     word_reverse,
     words_up_to,
 )
@@ -783,19 +781,31 @@ class TestWordCodes:
     @given(ALPHABETS, st.data())
     @settings(max_examples=500, deadline=None)
     def test_word_maps(self, d, data):
+        # relabel moves the word v on either side of an entry as the
+        # tuple map moves it, and drops the entry where that gives None
         v = data.draw(any_words(d))
         affix = affixes(data, d, v)
         cut = data.draw(st.integers(0, 9))
+        other = data.draw(any_words(d, max_len=3))
+        code, o = encode(v, d), encode(other, d)
 
-        def agree(code_map, tuple_map):
-            got = code_map(encode(v, d))
+        def agree(tuple_map, top, **strip_or_add):
             want = tuple_map(v)
-            assert (got is None and want is None) or decode(got, d) == want
+            for side, entry in (("row", (code, o)), ("col", (o, code))):
+                got = relabel({entry: 1}, side, d, top, **strip_or_add)
+                if want is None:
+                    assert got == {}
+                    continue
+                [key] = got
+                moved, kept = key if side == "row" else key[::-1]
+                assert decode(moved, d) == want and kept == o and got[key] == 1
 
-        agree(_strip_prefix(encode(affix, d)), tuple_strip_prefix(affix))
-        agree(_strip_suffix(encode(affix, d)), tuple_strip_suffix(affix))
-        agree(_append(encode(affix, d), cut, d), tuple_append(affix, cut))
-        agree(_vacuum, tuple_vacuum)
+        agree(tuple_strip_prefix(affix), len(v), strip=prefix(affix, d))
+        agree(tuple_strip_suffix(affix), len(v), strip=suffix(affix, d))
+        agree(tuple_append(affix, cut), cut - len(affix), add=suffix(affix, d))
+        agree(lambda u: affix + u if len(u) + len(affix) <= cut else None,
+              cut - len(affix), add=prefix(affix, d))
+        agree(tuple_vacuum, 0)
         assert (encode(v, d) < block_bound(cut, d)) == (len(v) <= cut)
 
 
@@ -824,16 +834,22 @@ def unmarked_twin(m):
     return TruncatedOperator(m.entries, m.cut, m.d, m.mode, _trusted=True)
 
 
+def moved(y, side, top, **affix):
+    """``relabel`` of y's entries, as an operator."""
+    return TruncatedOperator(relabel(y.entries, side, y.d, top, **affix),
+                             y.cut, y.d, y.mode, _trusted=True)
+
+
 def creation_form_by_sums(y, side, rev, weights):
     """``_creation_form`` as a chain of operator sums, one
     ``out + term.scale(...)`` per vacuum term."""
     other = "col" if side == "row" else "row"
-    d = y.d
-    out = _relabel(y, side, _append(encode(rev, d), y.cut, d))
-    vac = _relabel(y, side, _vacuum)
+    d, cut = y.d, y.cut
+    out = moved(y, side, cut - len(rev), add=suffix(rev, d))
+    vac = moved(y, side, 0)
     for t in range(1, len(rev) + 1):
-        term = _relabel(vac, other, _strip_prefix(encode(rev[:t], d)))
-        term = _relabel(term, side, _append(encode(rev[t:], d), y.cut, d))
+        term = moved(vac, other, cut, strip=prefix(rev[:t], d))
+        term = moved(term, side, cut - len(rev) + t, add=suffix(rev[t:], d))
         out = out + term.scale(weights.word_weight(rev[:t]))
     return out
 
@@ -848,9 +864,9 @@ def creation_kind_by_sums(kind, words, x, weights):
         return creation_form_by_sums(x, "col", ri, weights)
     rj = word_reverse(words[1])
     if kind == "vi":
-        stripped = _relabel(x, "col", _strip_suffix(encode(ri, d)))
+        stripped = moved(x, "col", x.cut, strip=suffix(ri, d))
         return creation_form_by_sums(stripped, "col", rj, weights)
-    stripped = _relabel(x, "row", _strip_suffix(encode(rj, d)))
+    stripped = moved(x, "row", x.cut, strip=suffix(rj, d))
     return creation_form_by_sums(stripped, "row", ri, weights)
 
 
@@ -1164,7 +1180,7 @@ class TestOnePassHarmonicity:
             ((1,), (1, 2)), ((2,), ())]
 
 
-# -- word maps marked by their constructors ------------------------------------
+# -- word maps built by their constructors -------------------------------------
 
 MARKED = {
     "right creation": lambda cut, d, mode: op_right_creation((1, 2), cut, d, mode),
@@ -1191,16 +1207,20 @@ UNMARKED = {
 }
 
 
+def is_word_map(m):
+    return m._map is not None
+
+
 class TestWordMapMarks:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(MARKED) + sorted(UNMARKED))
     def test_constructors_adjoint_and_recut(self, name, mode):
         marked = name in MARKED
         m = (MARKED if marked else UNMARKED)[name](3, 2, mode)
-        assert m._word_map is marked
-        assert m.adjoint()._word_map is marked
+        assert is_word_map(m) is marked
+        assert is_word_map(m.adjoint()) is marked
         assert m.adjoint().adjoint() == m
-        assert m.recut(2)._word_map is marked
+        assert is_word_map(m.recut(2)) is marked
         assert m.recut(3) is m
 
     @pytest.mark.parametrize("mode", MODES)
@@ -1208,11 +1228,11 @@ class TestWordMapMarks:
     def test_equality_and_json_ignore_the_mark(self, name, mode):
         m = MARKED[name](3, 3, mode)
         twin = unmarked_twin(m)
-        assert not twin._word_map
+        assert not is_word_map(twin)
         assert m == twin and twin == m
         assert m.to_json() == twin.to_json()
         back = TruncatedOperator.from_json(m.to_json())
-        assert back == m and not back._word_map
+        assert back == m and not is_word_map(back)
 
     @pytest.mark.parametrize("name", ["right creation", "constructor"])
     def test_copy_and_pickle_keep_the_mark(self, name):
@@ -1220,11 +1240,105 @@ class TestWordMapMarks:
         copies = [copy.copy(m), copy.deepcopy(m)]
         copies += [pickle.loads(pickle.dumps(m, protocol))
                    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        assert all(c._word_map is m._word_map and c == m for c in copies)
+        assert all(c._map == m._map and c == m for c in copies)
 
     def test_adjoint_of_a_word_map_moves_the_values(self):
         m = op_right_creation((1,), 3, 2, scalars.FLOAT)
         assert all(v is scalars.FLOAT.one for v in m.adjoint().entries.values())
+
+
+# -- word maps build their entries only when read --------------------------------
+#
+# The references are the eager constructors the word maps replace, and
+# adjoint and recut as they act on those entries: the keys swapped, the
+# values kept; the entries above a smaller cut dropped, none added.
+
+
+def eager_right_creation(word, cut, d, mode):
+    pairs = prepend_words(encode(word_reverse(word), d), 1, d, cut - len(word))
+    return dict.fromkeys(pairs, mode.one)
+
+
+def eager_left_creation(word, cut, d, mode):
+    shift = letter_bits(d) * len(word)
+    low = encode(word, d) ^ (1 << shift)
+    return {((v << shift) | low, v): mode.one
+            for v, _ in prepend_words(1, 1, d, cut - len(word))}
+
+
+def eager_identity(cut, d, mode):
+    return {(r, r): mode.one for r, _ in prepend_words(1, 1, d, cut)}
+
+
+def eager_vacuum_projection(cut, d, mode):
+    return {(1, 1): mode.one}
+
+
+# name -> (word map, its eager entries), each a function of (word, cut, d, mode)
+LAZY_MAPS = {
+    "r_W": (op_right_creation, eager_right_creation),
+    "r_W*": (lambda *a: op_right_creation(*a).adjoint(),
+             lambda *a: {(c, r): v for (r, c), v in eager_right_creation(*a).items()}),
+    "l_W": (op_left_creation, eager_left_creation),
+    "l_W*": (lambda *a: op_left_creation(*a).adjoint(),
+             lambda *a: {(c, r): v for (r, c), v in eager_left_creation(*a).items()}),
+    "identity": (lambda word, *a: TruncatedOperator.identity(*a),
+                 lambda word, *a: eager_identity(*a)),
+    "vacuum projection": (lambda word, *a: TruncatedOperator.vacuum_projection(*a),
+                          lambda word, *a: eager_vacuum_projection(*a)),
+}
+
+
+class TestLazyWordMaps:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_equal_the_eager_constructors(self, data):
+        d, mode = data.draw(code_sessions())
+        cut = data.draw(st.integers(0, 4))
+        word = data.draw(any_words(d, max_len=3))
+        build, eager = LAZY_MAPS[data.draw(st.sampled_from(sorted(LAZY_MAPS)))]
+        m = build(word, cut, d, mode)
+        want = eager(word, cut, d, mode)
+        steps = data.draw(st.lists(st.one_of(
+            st.just("adjoint"), st.integers(0, 6)), max_size=5))
+        for n, step in enumerate([None] + steps):
+            if step == "adjoint":
+                m = m.adjoint()
+                want = {(c, r): v for (r, c), v in want.items()}
+            elif step is not None:
+                if step < m.cut:
+                    bound = block_bound(step, d)
+                    want = {k: v for k, v in want.items()
+                            if k[0] < bound and k[1] < bound}
+                m = m.recut(step)
+            # read the entries of the last link and of some others
+            if n == len(steps) or data.draw(st.booleans()):
+                assert m._map is not None
+                assert list(m.entries.items()) == list(want.items())
+                assert all(v is mode.one for v in m.entries.values())
+                shifts = m.degree_shifts()
+                assert shifts == TruncatedOperator(
+                    want, m.cut, d, mode, _trusted=True).degree_shifts()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(LAZY_MAPS))
+    def test_no_entries_built_until_read(self, name, mode):
+        d, cut = 2, 4
+        x = TruncatedOperator({((1,), (2, 1)): 1, ((2, 1, 1), ()): 2,
+                               ((), ()): 3}, cut, d, mode)
+        build = LAZY_MAPS[name][0]
+        with mock.patch.object(fock, "prepend_words", wraps=prepend_words) as built:
+            m = build((1, 2), cut, d, mode)
+            chain = [m, m.adjoint(), m.recut(2), m.recut(6), m.recut(2).recut(6),
+                     m.adjoint().recut(3)]
+            for op in chain:
+                op.degree_shifts()
+                x.recut(op.cut).compose(op)
+            assert not built.called
+            assert all(op._entries is None for op in chain)
+            # a read builds the entries once and caches them
+            assert m.entries is m.entries
+            assert built.call_count == 1
 
 
 # -- compose over shared value objects ------------------------------------------

@@ -218,7 +218,25 @@ class TestBasisIndependence:
         rng = random.Random(3)
         v = random_exact_unitary(2, rng)
         assert basis_independence_check(w13, v, cut=4, trials=5, rng=rng).ok
-        assert sorted(calls) == [3, 4]
+        assert calls == [4]
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("d,cut", [(2, 5), (3, 4)])
+    def test_recut_gamma_is_the_smaller_gamma(self, d, cut, mode):
+        # basis_independence_check builds Gamma(V) once and recuts it and
+        # its adjoint: the dicts of the two built at cut - 1, key order
+        # included
+        rng = random.Random(d)
+        for _ in range(25):
+            if mode == EXACT:
+                V = random_exact_unitary(d, rng)
+            else:
+                V = random_float_unitary(d, rng)
+            gamma = second_quantize(V, cut)
+            small = second_quantize(V, cut - 1)
+            for got, want in ((gamma.recut(cut - 1), small),
+                              (gamma.adjoint().recut(cut - 1), small.adjoint())):
+                assert list(got.entries.items()) == list(want.entries.items())
 
     def test_conjugated_markov_consistency(self, w13):
         # conjugation by the swap maps harmonic compressions to
