@@ -5,9 +5,9 @@ Three realizations are provided:
 * ``product_iterative`` -- compose, then iterate the Markov operator
   until the iterates stabilize exactly on the surviving block; this is
   the defining SOT-limit evaluated at desk scale.
-* ``closed_form_mixed`` -- the seven exact closed forms for products
-  with right-creation words, valid for harmonic x, computed by moving
-  x's entries to new row and column words.
+* ``closed_form`` -- the exact closed form of r_A r_B* . x . r_C r_D*
+  for harmonic x, computed by moving x's entries to new row and column
+  words; ``closed_form_mixed`` fills its slots by kind (``FORMS``).
 * ``cesaro_project`` -- Cesaro means of the Markov orbit, projecting
   onto harmonic elements.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import StabilizationError
+from .errors import ModeMixError, StabilizationError
 from .fock import (
     NO_AFFIX,
     TruncatedOperator,
@@ -138,53 +138,49 @@ def certified_product(x, y, weights):
 # -- closed forms ---------------------------------------------------------------
 
 
-FORM_KINDS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+# the slots of r_A r_B* . x . r_C r_D* that each kind's words fill, in order
+FORMS = {"i": "C", "ii": "B", "iii": "CB", "iv": "A", "v": "D", "vi": "CD", "vii": "AB"}
+FORM_KINDS = tuple(FORMS)
 
 
-def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
-    """Exact closed form for the mixed product of a harmonic x with
-    right-creation words.
-
-    kind (words) -> formula:
-      "i"   (I,)    x . r_I
-      "ii"  (I,)    r_I* . x
-      "iii" (I, J)  r_J* . x . r_I
-      "iv"  (I,)    r_I . x
-      "v"   (I,)    x . r_I*
-      "vi"  (I, J)  x . r_I . r_J*
-      "vii" (I, J)  r_I . r_J* . x
-    """
-    if kind not in FORM_KINDS:
-        raise ValueError("unknown form %r" % (kind,))
+def closed_form(x, weights, left=((), ()), right=((), ()), check_harmonic=True):
+    """Exact closed form of r_A r_B* . x . r_C r_D* for a harmonic x,
+    with left = (A, B) and right = (C, D): strip B^op from the rows
+    (r_B* . x) and C^op from the columns (x . r_C), then add the
+    creation terms of r_A on the rows and of r_D* on the columns.  A
+    step whose word is empty is skipped.  The result is exact on the
+    degrees <= cut - (|A| + |B| + |C| + |D|)."""
+    if x.d != weights.d or x.mode != weights.mode:
+        raise ModeMixError("operator and weights are incompatible")
     if check_harmonic and not is_harmonic(x, weights):
         raise ValueError("closed forms require a harmonic operator")
     d, cut = x.d, x.cut
-    if kind in ("iii", "vi", "vii"):
-        I, J = words
-        rj = word_reverse(check_word(J, d))
-    else:
-        (I,) = words
-    ri = word_reverse(check_word(I, d))
-
-    # x . r_I strips the suffix I^op from the columns, r_I* . x from the rows
-    if kind == "i":
-        entries = relabel(x.entries, "col", d, cut, strip=suffix(ri, d))
-    elif kind == "ii":
-        entries = relabel(x.entries, "row", d, cut, strip=suffix(ri, d))
-    elif kind == "iii":
-        rows = relabel(x.entries, "row", d, cut, strip=suffix(rj, d))
-        entries = relabel(rows, "col", d, cut, strip=suffix(ri, d))
-    elif kind == "iv":
-        entries = _creation_form(x.entries, "row", ri, weights, cut)
-    elif kind == "v":
-        entries = _creation_form(x.entries, "col", ri, weights, cut)
-    elif kind == "vi":
-        stripped = relabel(x.entries, "col", d, cut, strip=suffix(ri, d))
-        entries = _creation_form(stripped, "col", rj, weights, cut)
-    else:  # kind == "vii"
-        stripped = relabel(x.entries, "row", d, cut, strip=suffix(rj, d))
-        entries = _creation_form(stripped, "row", ri, weights, cut)
+    A, B, C, D = (word_reverse(check_word(w, d)) for w in (*left, *right))
+    entries = x.entries
+    if B:
+        entries = relabel(entries, "row", d, cut, strip=suffix(B, d))
+    if C:
+        entries = relabel(entries, "col", d, cut, strip=suffix(C, d))
+    if A:
+        entries = _creation_form(entries, "row", A, weights, cut)
+    if D:
+        entries = _creation_form(entries, "col", D, weights, cut)
     return TruncatedOperator(entries, cut, d, x.mode, _trusted=True)
+
+
+def closed_form_mixed(kind, words, x, weights, check_harmonic=True):
+    """``closed_form`` with a kind's words (I,) or (I, J) in its slots
+    ``FORMS[kind]``: "i" x . r_I, "ii" r_I* . x, "iii" r_J* . x . r_I,
+    "iv" r_I . x, "v" x . r_I*, "vi" x . r_I . r_J*, "vii" r_I . r_J* . x."""
+    if kind not in FORM_KINDS:
+        raise ValueError("unknown form %r" % (kind,))
+    slots = FORMS[kind]
+    if len(words) != len(slots):
+        raise ValueError("form %r takes %d word(s), got %d"
+                         % (kind, len(slots), len(words)))
+    word = dict(zip(slots, words))
+    A, B, C, D = (word.get(s, ()) for s in "ABCD")
+    return closed_form(x, weights, (A, B), (C, D), check_harmonic)
 
 
 # -- Cesaro projection -----------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import scalars
 from .algebra import CuntzElement, Monomial
 from .choi_effros import (
+    FORMS,
     FORM_KINDS,
     cesaro_project,
     certified_product,
@@ -97,24 +98,15 @@ def _iterative_chain(ops, weights):
 def _multiplication_instance(rng, weights, cut, case_id):
     d = weights.d
     kind = rng.choice(FORM_KINDS)
-    nwords = 2 if kind in ("iii", "vi", "vii") else 1
-    words = tuple(random_word(d, rng, 3, min_len=1) for _ in range(nwords))
+    words = tuple(random_word(d, rng, 3, min_len=1) for _ in FORMS[kind])
     x = random_element(weights, rng).to_truncated(cut)
     closed = closed_form_mixed(kind, words, x, weights)
-    mode = weights.mode
-
-    def R(w):
-        return op_right_creation(w, cut, d, mode)
-
-    factors = {
-        "i": lambda: [x, R(words[0])],
-        "ii": lambda: [R(words[0]).adjoint(), x],
-        "iii": lambda: [R(words[1]).adjoint(), x, R(words[0])],
-        "iv": lambda: [R(words[0]), x],
-        "v": lambda: [x, R(words[0]).adjoint()],
-        "vi": lambda: [x, R(words[0]), R(words[1]).adjoint()],
-        "vii": lambda: [R(words[0]), R(words[1]).adjoint(), x],
-    }[kind]()
+    # r_A, r_B*, x, r_C, r_D*, without the empty slots
+    ops = {"x": x}
+    for s, w in zip(FORMS[kind], words):
+        r = op_right_creation(w, cut, d, weights.mode)
+        ops[s] = r.adjoint() if s in "BD" else r
+    factors = [ops[s] for s in "ABxCD" if s in ops]
     iterated, steps = _iterative_chain(factors, weights)
     total_len = sum(len(w) for w in words)
     compare_deg = min(iterated.cut, cut - total_len)

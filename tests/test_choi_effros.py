@@ -7,13 +7,14 @@ from fockboundary.choi_effros import (
     _down_shift,
     _up_shift,
     cesaro_project,
+    closed_form,
     closed_form_mixed,
     op_left_creation,
     op_right_creation,
     product_iterative,
 )
-from fockboundary.errors import StabilizationError
-from fockboundary.fock import TruncatedOperator, markov_step
+from fockboundary.errors import ModeMixError, StabilizationError
+from fockboundary.fock import TruncatedOperator, WeightVector, markov_step
 
 
 class TestGeneratorCompressions:
@@ -101,6 +102,22 @@ class TestClosedForms:
         ]:
             out = closed_form_mixed(kind, words, one, w13)
             assert out.cut == cut
+
+    @pytest.mark.parametrize("check_harmonic", [True, False])
+    @pytest.mark.parametrize("other", ["another alphabet", "another field"])
+    def test_rejects_weights_of_another_session(self, other, check_harmonic, w13):
+        # the suffixes are encoded with the weights' letter bits: d = 3
+        # weights on this d = 2 operator would give 31 entries, not 15;
+        # float weights would give an exact operator
+        one = TruncatedOperator.identity(4, 2)
+        weights = (WeightVector.uniform(3) if other == "another alphabet"
+                   else WeightVector(w13.values, "float"))
+        with pytest.raises(ModeMixError, match="incompatible"):
+            closed_form_mixed("iv", ((1,),), one, weights,
+                              check_harmonic=check_harmonic)
+        with pytest.raises(ModeMixError, match="incompatible"):
+            closed_form(one, weights, ((1,), (2,)), ((2,), (1,)),
+                        check_harmonic=check_harmonic)
 
 
 class TestCesaro:

@@ -29,6 +29,8 @@ from fockboundary import fock, scalars
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
     FORM_KINDS,
+    FORMS,
+    closed_form,
     closed_form_mixed,
     op_left_creation,
     op_right_creation,
@@ -241,8 +243,16 @@ def gamma_keyed_by_monomial(U, x):
     return accumulate_products(triples(), mode)
 
 
-def closed_form_by_compose(kind, words, x, weights):
-    """The seven closed forms as products of full generator compressions."""
+def form_words(kind, words):
+    """(A, B, C, D) with a kind's words in its slots ``FORMS[kind]``."""
+    slot = dict(zip(FORMS[kind], words))
+    return tuple(slot.get(s, ()) for s in "ABCD")
+
+
+def closed_form_by_compose(x, weights, A=(), B=(), C=(), D=()):
+    """r_A r_B* . x . r_C r_D* as products of full generator compressions:
+    y = r_B* . x . r_C, then r_A . y and (r_A . y) . r_D* with their
+    vacuum terms."""
     cut, d, mode = x.cut, x.d, x.mode
 
     def R(w):
@@ -258,43 +268,14 @@ def closed_form_by_compose(kind, words, x, weights):
 
     P = TruncatedOperator.vacuum_projection(cut, d, mode)
 
-    if kind == "i":
-        (I,) = words
-        return x.compose(R(I))
-    if kind == "ii":
-        (I,) = words
-        return R(I).adjoint().compose(x)
-    if kind == "iii":
-        I, J = words
-        return R(J).adjoint().compose(x).compose(R(I))
-    if kind == "iv":
-        (I,) = words
-        out = R(I).compose(x)
-        for head, tail in prefixes(I):
-            term = R(tail).compose(P).compose(x).compose(L(head))
-            out = out + term.scale(weights.word_weight(head))
-        return out
-    if kind == "v":
-        (I,) = words
-        out = x.compose(R(I).adjoint())
-        for head, tail in prefixes(I):
-            term = L(head).adjoint().compose(x).compose(P).compose(R(tail).adjoint())
-            out = out + term.scale(weights.word_weight(head))
-        return out
-    if kind == "vi":
-        I, J = words
-        xr = x.compose(R(I))
-        out = xr.compose(R(J).adjoint())
-        for head, tail in prefixes(J):
-            term = L(head).adjoint().compose(xr).compose(P).compose(R(tail).adjoint())
-            out = out + term.scale(weights.word_weight(head))
-        return out
-    # kind == "vii"
-    I, J = words
-    rx = R(J).adjoint().compose(x)
-    out = R(I).compose(rx)
-    for head, tail in prefixes(I):
-        term = R(tail).compose(P).compose(rx).compose(L(head))
+    y = R(B).adjoint().compose(x).compose(R(C))
+    z = R(A).compose(y)
+    for head, tail in prefixes(A):
+        term = R(tail).compose(P).compose(y).compose(L(head))
+        z = z + term.scale(weights.word_weight(head))
+    out = z.compose(R(D).adjoint())
+    for head, tail in prefixes(D):
+        term = L(head).adjoint().compose(z).compose(P).compose(R(tail).adjoint())
         out = out + term.scale(weights.word_weight(head))
     return out
 
@@ -517,35 +498,62 @@ class TestClosedForms:
         kind = data.draw(st.sampled_from(FORM_KINDS))
         # words from empty (and one letter: the empty tail) to past the cut
         word = st.lists(st.integers(1, d), max_size=cut + 1).map(tuple)
-        words = tuple(data.draw(word) for _ in range(
-            2 if kind in ("iii", "vi", "vii") else 1))
+        words = tuple(data.draw(word) for _ in FORMS[kind])
         harmonic = data.draw(st.booleans())
         if harmonic:
             x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
         else:
             x = data.draw(operators(w, cut))
         got = closed_form_mixed(kind, words, x, w, check_harmonic=harmonic)
-        want = closed_form_by_compose(kind, words, x, w)
+        want = closed_form_by_compose(x, w, *form_words(kind, words))
         assert (got.cut, got.d, got.mode) == (want.cut, want.d, want.mode)
         assert_terms_agree(got.entries, want.entries, mode, tol=1e-12)
 
     @pytest.mark.parametrize("kind", FORM_KINDS)
     def test_bad_letter(self, kind, w13):
         x = TruncatedOperator.identity(4, 2)
-        words = ((1, 3),) if kind in ("i", "ii", "iv", "v") else ((1,), (0,))
+        words = ((1, 3),) if len(FORMS[kind]) == 1 else ((1,), (0,))
         with pytest.raises(LetterRangeError):
             closed_form_mixed(kind, words, x, w13)
         with pytest.raises(LetterRangeError):
-            closed_form_by_compose(kind, words, x, w13)
+            closed_form_by_compose(x, w13, *form_words(kind, words))
 
     def test_word_count_and_kind(self, w13):
         x = TruncatedOperator.identity(4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="form 'i' takes 1 word"):
             closed_form_mixed("i", ((1,), (2,)), x, w13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="form 'vi' takes 2 word"):
             closed_form_mixed("vi", ((1,),), x, w13)
         with pytest.raises(ValueError):
             closed_form_mixed("viii", ((1,),), x, w13)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_two_sided(self, data):
+        # r_A r_B* . x . r_C r_D* with words on both sides: on harmonic x
+        # against the symbolic product on the block that it certifies,
+        # and on any operator against the compositions, entry for entry
+        d, mode = data.draw(sessions())
+        w = session_weights(d, mode)
+        word = st.lists(st.integers(1, d), max_size=2).map(tuple)
+        A, B, C, D = (data.draw(word) for _ in "ABCD")
+        degree = len(A + B + C + D)
+
+        def M(I, J):
+            return CuntzElement.monomial(w, I, J)
+
+        # M(B, C) keeps r_B* . a . r_C from vanishing for most draws
+        a = data.draw(elements(w, max_len=2, max_terms=4)) + M(B, C)
+        product = M(A, ()) * M((), B) * a * M(C, ()) * M((), D)
+        cut = max(degree + data.draw(st.integers(0, 2 if d == 2 else 1)),
+                  a.max_word_length(), product.max_word_length(), 1)
+        got = closed_form(a.to_truncated(cut), w, (A, B), (C, D))
+        assert got.equal_on_block(product.to_truncated(cut), cut - degree)
+        x = data.draw(operators(w, data.draw(st.integers(2, 5 if d == 2 else 4))))
+        got = closed_form(x, w, (A, B), (C, D), check_harmonic=False)
+        want = closed_form_by_compose(x, w, A, B, C, D)
+        assert (got.cut, got.d, got.mode) == (want.cut, want.d, want.mode)
+        assert_terms_agree(got.entries, want.entries, mode, tol=1e-12)
 
 
 POWER_TUPLES = [
@@ -854,20 +862,13 @@ def creation_form_by_sums(y, side, rev, weights):
     return out
 
 
-def creation_kind_by_sums(kind, words, x, weights):
-    """Closed-form kinds iv-vii through ``creation_form_by_sums``."""
+def closed_form_by_sums(x, weights, A=(), B=(), C=(), D=()):
+    """``closed_form`` through ``moved`` and ``creation_form_by_sums``."""
     d = x.d
-    ri = word_reverse(words[0])
-    if kind == "iv":
-        return creation_form_by_sums(x, "row", ri, weights)
-    if kind == "v":
-        return creation_form_by_sums(x, "col", ri, weights)
-    rj = word_reverse(words[1])
-    if kind == "vi":
-        stripped = moved(x, "col", x.cut, strip=suffix(ri, d))
-        return creation_form_by_sums(stripped, "col", rj, weights)
-    stripped = moved(x, "row", x.cut, strip=suffix(rj, d))
-    return creation_form_by_sums(stripped, "row", ri, weights)
+    y = moved(x, "row", x.cut, strip=suffix(word_reverse(B), d))
+    y = moved(y, "col", x.cut, strip=suffix(word_reverse(C), d))
+    y = creation_form_by_sums(y, "row", word_reverse(A), weights)
+    return creation_form_by_sums(y, "col", word_reverse(D), weights)
 
 
 def products_taken(x, y):
@@ -1032,11 +1033,12 @@ class TestCodeKernels:
         cut = data.draw(st.integers(3, 5 if d == 2 else 4))
         kind = data.draw(st.sampled_from(("iv", "v", "vi", "vii")))
         word = st.lists(st.integers(1, d), min_size=3, max_size=3).map(tuple)
-        words = (data.draw(word), data.draw(word))[:1 if kind in ("iv", "v") else 2]
+        words = tuple(data.draw(word) for _ in FORMS[kind])
         x = data.draw(elements(w, max_len=2, max_terms=4)).to_truncated(cut)
         got = closed_form_mixed(kind, words, x, w, check_harmonic=False)
         assert_same_dict(got.entries,
-                         creation_kind_by_sums(kind, words, x, w).entries, mode)
+                         closed_form_by_sums(x, w, *form_words(kind, words)).entries,
+                         mode)
 
 
 # -- harmonicity in one pass against the Markov step ----------------------------
@@ -1468,7 +1470,6 @@ class TestNoKernelChangesAValue:
             is_harmonic(p, w)
         words = ((1,), (2, 1))
         for kind in FORM_KINDS:
-            closed_form_mixed(kind, words[:2 if kind in ("iii", "vi", "vii") else 1],
-                              harmonic, w)
+            closed_form_mixed(kind, words[:len(FORMS[kind])], harmonic, w)
         assert value_snapshot(operators) == before
         assert_same_dict(ab.word_entries(), tuple_compose(a, b), mode)

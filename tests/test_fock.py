@@ -276,7 +276,7 @@ from fractions import Fraction
 
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
-    closed_form_mixed, op_right_creation, product_iterative)
+    closed_form, closed_form_mixed, op_right_creation, product_iterative)
 from fockboundary.fock import WeightVector, is_harmonic
 from fockboundary.quantization import random_exact_unitary, symbolic_gamma
 
@@ -289,6 +289,7 @@ for mode in ("exact", "float"):
     xt.compose(r)
     r.adjoint().compose(xt)
     closed_form_mixed("vi", ((1,), (2, 2)), xt, w)
+    closed_form(xt, w, left=((2,), (1,)), right=((1,), (2, 2)))
     product_iterative(xt, r, w)
     x * x
 u = WeightVector.uniform(3)
