@@ -25,6 +25,7 @@ serialization is deterministic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
 
@@ -228,6 +229,74 @@ def relabel(entries, side, d, top, strip=NO_AFFIX, add=NO_AFFIX):
 
 
 # ---------------------------------------------------------------------------
+# tensor powers
+#
+# A power ``(letters, top, star)`` is the second quantization Gamma(U) of a
+# d x d unitary U on the words of length <= top, or its adjoint with
+# ``star``.  ``letters`` lists (j, i, step, u_ji) for each nonzero u_ji,
+# where U e_j = sum_i u_ji e_i, j outer and i inner, with steps 1, B, B^2,
+# .. for a base B > top.  A degree-n entry is the product of n letters'
+# u_ji, so its value depends only on how many times each letter occurs:
+# its exponent vector, carried as one int, the sum of their steps.
+
+
+def power_entries(power, d, one, side=None, words=()):
+    """The entries of a power.  Level n + 1 prepends the letter pair
+    (i, j) of each letter, one letter at a time, to every entry of level
+    n.  With ``side`` ("row" or "col"), a level keeps only the entries
+    whose word on that side is a tail of a code in ``words`` (the word
+    with none or more first letters stripped), so the result is the
+    full entries less those whose word is no such tail, in the same
+    order.
+
+    Each exponent vector's product is computed once, and its entries
+    share that value object: ``one`` times the letters' u_ji in letter
+    order, as the vector less its last letter times that letter's u_ji.
+    The adjoint conjugates each value it uses once."""
+    letters, top, star = power
+    b = letter_bits(d)
+    keep = None
+    if side is not None:
+        k = (side == "col") != star  # the side in Gamma's own entries
+        keep = set()
+        for w in words:
+            while w and w not in keep:
+                keep.add(w)
+                w >>= b
+    # prepending the letter pair (i, j) to every entry of a level, one
+    # letter pair at a time, lists the next level in the order of
+    # appending each letter pair to each entry in turn
+    level = {(1, 1): 0}
+    codes = dict(level)
+    for _ in range(top):
+        if keep is None:
+            level = {((row << b) | (i - 1), (col << b) | (j - 1)): code + step
+                     for j, i, step, _u in letters
+                     for (row, col), code in level.items()}
+        else:
+            level = {key: code + step
+                     for j, i, step, _u in letters
+                     for (row, col), code in level.items()
+                     if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))[k] in keep}
+        codes.update(level)
+    steps = [step for _j, _i, step, _u in letters]
+    values = {0: one}
+    used = set(codes.values())
+    for code in used:
+        path = []
+        while code not in values:
+            last = bisect_right(steps, code) - 1
+            path.append((code, last))
+            code -= steps[last]
+        for code, last in reversed(path):
+            values[code] = values[code - steps[last]] * letters[last][3]
+    if star:
+        values = {code: values[code].conjugate() for code in used}
+        return {(col, row): values[code] for (row, col), code in codes.items()}
+    return {key: values[code] for key, code in codes.items()}
+
+
+# ---------------------------------------------------------------------------
 # weight vectors
 
 
@@ -328,21 +397,28 @@ class TruncatedOperator(Frozen):
     ``compose`` with the map on the left), which builds them in the
     length-then-lex order of u and caches them.  ``adjoint`` and
     ``recut`` of a word map give a word map with no entries.
+    ``_power`` is the power ``(letters, top, star)`` (see
+    ``power_entries``) of Gamma(U) or Gamma(U)*, else None.
+    ``second_quantize`` builds Gamma(U) as a power with no entries; the
+    first read of ``entries`` builds them all and caches them.
+    ``adjoint`` and ``recut`` of a power give a power with no entries,
+    and ``compose`` builds only the entries that the other factor
+    reaches, unless that factor is a word map or a power.
     ``_shifts`` caches ``degree_shifts()``: None until the first call
     computes it, unless the constructor that built the operator knew
-    it (``_shifts`` with ``_trusted``; the word-map constructors).
-    Neither is part of equality or JSON; ``copy`` and ``pickle`` keep
-    all three.
+    it (``_shifts`` with ``_trusted``; the word-map constructors and
+    the powers).  None of these is part of equality or JSON; ``copy``
+    and ``pickle`` keep them all.
     """
 
-    __slots__ = ("_entries", "cut", "d", "mode", "_shifts", "_map")
+    __slots__ = ("_entries", "cut", "d", "mode", "_shifts", "_map", "_power")
 
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None,
-                 _map=None):
+                 _map=None, _power=None):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
         if _trusted:
-            self._fill(entries, cut, d, mode, _shifts, _map)
+            self._fill(entries, cut, d, mode, _shifts, _map, _power)
             return
         mode = field(mode)
         clean = {}
@@ -356,22 +432,25 @@ class TruncatedOperator(Frozen):
             val = mode.coerce(val)
             if not mode.near_zero(val):
                 clean[(encode(row, d), encode(col, d))] = val
-        self._fill(clean, cut, d, mode, None, None)
+        self._fill(clean, cut, d, mode, None, None, None)
 
     @property
     def entries(self):
         entries = self._entries
-        if entries is None:  # a word map's, built at the first read
-            rows, cols, top = self._map
+        if entries is None:  # a word map's or a power's, built at the first read
             one, d = self.mode.one, self.d
-            if rows[1] or cols[1] or rows == cols:
-                # no prefix: the words u prepended to the suffixes
-                entries = dict.fromkeys(prepend_words(rows[0], cols[0], d, top), one)
+            if self._power is not None:
+                entries = power_entries(self._power, d, one)
             else:
-                # a prefix on one side: the identity at top, moved on that side
-                side, affix = ("row", rows) if cols == NO_AFFIX else ("col", cols)
-                entries = relabel(dict.fromkeys(prepend_words(1, 1, d, top), one),
-                                  side, d, top, add=affix)
+                rows, cols, top = self._map
+                if rows[1] or cols[1] or rows == cols:
+                    # no prefix: the words u prepended to the suffixes
+                    entries = dict.fromkeys(prepend_words(rows[0], cols[0], d, top), one)
+                else:
+                    # a prefix on one side: the identity at top, moved on that side
+                    side, affix = ("row", rows) if cols == NO_AFFIX else ("col", cols)
+                    entries = relabel(dict.fromkeys(prepend_words(1, 1, d, top), one),
+                                      side, d, top, add=affix)
             object.__setattr__(self, "_entries", entries)
         return entries
 
@@ -450,6 +529,12 @@ class TruncatedOperator(Frozen):
         right relabels the left factor's columns in the order of its
         entries, and builds no entries of its own.  A word map on the
         left sets the key order by its entries, so they are built.
+
+        A power (``_power``) with no entries built, composed with an
+        operator that is neither a word map nor a power, builds only
+        the entries whose inner word is a tail of one of the other
+        factor's: those ``compose_sum`` reads, in the same order, so
+        the result is the same dict.
         """
         self._check_compatible(other)
         mode = self.mode
@@ -469,8 +554,20 @@ class TruncatedOperator(Frozen):
                  for row, mid in self.entries
                  for col, val in by_mid.get(mid, ())})
         else:
-            entries = mode.compose_sum(self.entries, other.entries)
+            entries = mode.compose_sum(self._reached("col", other),
+                                       other._reached("row", self))
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
+
+    def _reached(self, side, other):
+        """The entries ``compose`` reads of this factor: of a power with
+        no entries built, facing a factor that is not a power, only
+        those whose word on ``side`` is a tail of one of the other
+        factor's words on the far side (see ``power_entries``)."""
+        if self._power is None or self._entries is not None or other._power is not None:
+            return self.entries
+        far = side == "row"  # other's columns meet this factor's rows
+        return power_entries(self._power, self.d, self.mode.one, side,
+                             {key[far] for key in other.entries})
 
     def adjoint(self):
         """The conjugate transpose.  Entries may share value objects (the
@@ -478,10 +575,14 @@ class TruncatedOperator(Frozen):
         mutates only the sums it allocates).  Each distinct value object
         is conjugated once, so the adjoint's entries share the conjugates
         in the same way.  A word map's adjoint is the inverse word map,
-        with no entries built."""
+        and Gamma(U)'s is Gamma(U)*, each with no entries built."""
         shifts = self._shifts
         if shifts is not None:
             shifts = shifts[::-1]
+        if self._power is not None:
+            letters, top, star = self._power
+            return TruncatedOperator(None, self.cut, self.d, self.mode, _trusted=True,
+                                     _shifts=shifts, _power=(letters, top, not star))
         if self._map is not None:
             rows, cols, top = self._map
             return TruncatedOperator(None, self.cut, self.d, self.mode, _trusted=True,
@@ -502,7 +603,7 @@ class TruncatedOperator(Frozen):
         |J| - |I| over the entries (I, J), each clamped at 0, so how
         far the operator raises and lowers degree.  Computed at the
         first call and cached on the operator; a word map reads them
-        off its affixes."""
+        off its affixes, and a power's are (0, 0)."""
         shifts = self._shifts
         if shifts is None:
             if self._map is None:
@@ -545,9 +646,16 @@ class TruncatedOperator(Frozen):
         entries above the new cut; growing adds no entries, so growing
         is only meaningful for operators supported in low degree.  A
         word map stays a word map with no entries built: shrinking
-        lowers its top to the longest u whose words fit the new cut."""
+        lowers its top to the longest u whose words fit the new cut.  A
+        power stays a power with no entries built, its top lowered to a
+        smaller cut."""
         if new_cut == self.cut:
             return self
+        if self._power is not None:
+            letters, top, star = self._power
+            return TruncatedOperator(None, new_cut, self.d, self.mode, _trusted=True,
+                                     _shifts=(0, 0),
+                                     _power=(letters, min(top, new_cut), star))
         if self._map is None:
             return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
                                      _trusted=True)

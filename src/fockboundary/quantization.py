@@ -21,7 +21,6 @@ from .fock import (
     EMPTY_WORD,
     TruncatedOperator,
     check_word_budget,
-    letter_bits,
     strip_first_letters,
 )
 from .scalars import Frozen, GaussianRational, accumulate_products
@@ -160,49 +159,31 @@ def _nonzero_rows(U):
 
 def second_quantize(U, cut):
     """Block-diagonal operator acting as the degree-n tensor power of U
-    on degree-n words (and fixing the vacuum).
+    on degree-n words (and fixing the vacuum), as a power (see
+    ``fock.power_entries``) with no entries built.
 
     A degree-n entry is a product of n nonzero entries u_{ji}, so its
     value depends only on how many times each u_{ji} occurs: its
-    exponent vector, carried as one int in base cut + 1.  Each distinct
-    exponent vector's product is computed once, in ``values``, and the
+    exponent vector, carried as one int in base cut + 1.  A build
+    computes each distinct exponent vector's product once, and the
     entries share those value objects.  No kernel changes a value it is
     given (each mutates only the sums it allocates), so the sharing is
     safe; ``adjoint`` keeps it, and the exact ``compose`` computes each
-    product once per pair of shared values."""
+    product once per pair of shared values.
+
+    The first read of ``entries`` (``==``, JSON, a Markov step, a
+    compose with a word map or a power) builds them all and caches
+    them.  ``adjoint`` and ``recut`` build none, and ``compose`` with
+    any other operator builds only the entries that the other factor's
+    words reach.  The cut and the word budget are checked here."""
     base = cut + 1
-    letters = []  # (j, i, code of u_{ji}, u_{ji}): U e_j = sum_i u_{ji} e_i
+    letters = []  # (j, i, step, u_{ji}): U e_j = sum_i u_{ji} e_i
     for j, image in enumerate(_nonzero_rows(U), 1):
         for i, u in image:
             letters.append((j, i, base ** len(letters), u))
     check_word_budget("second_quantize at cut %d" % cut, len(letters), (cut,))
-    values = {0: U.mode.one}
-    frontier = [0]
-    for _ in range(cut):
-        grown = []
-        for code in frontier:
-            val = values[code]
-            for _j, _i, step, u in letters:
-                up = code + step
-                if up not in values:
-                    values[up] = val * u
-                    grown.append(up)
-        frontier = grown
-    # prepending the letter pair (i, j) to every entry of a level, one
-    # letter pair at a time, lists the next level in the order of
-    # appending each letter pair to each entry in turn
-    b = letter_bits(U.d)
-    level = {(1, 1): 0}
-    codes = dict(level)
-    for _ in range(cut):
-        level = {
-            ((row << b) | (i - 1), (col << b) | (j - 1)): code + step
-            for j, i, step, _u in letters
-            for (row, col), code in level.items()
-        }
-        codes.update(level)
-    entries = {key: values[code] for key, code in codes.items()}
-    return TruncatedOperator(entries, cut, U.d, U.mode, _trusted=True)
+    return TruncatedOperator(None, cut, U.d, U.mode, _trusted=True, _shifts=(0, 0),
+                             _power=(tuple(letters), cut, False))
 
 
 def conjugate(U, x):

@@ -838,7 +838,8 @@ def creation_maps(word, cut, d, mode):
 
 
 def unmarked_twin(m):
-    """The operator with m's entries, built with no word-map mark."""
+    """The operator with m's entries, built with no word-map mark or
+    power."""
     return TruncatedOperator(m.entries, m.cut, m.d, m.mode, _trusted=True)
 
 
@@ -1454,7 +1455,12 @@ class TestNoKernelChangesAValue:
         # second product: the shared product must not take the sum
         a, b, _ = cancel_and_return(c, y, mode, d, cut)
         ab = a.compose(b)
-        operands = [x, g, g.adjoint(), one_repeated_value(x, c), a, b]
+        # V's own entries, which every power's values are products of
+        v = code_operator({((i,), (j,)): u for i, row in enumerate(V.rows, 1)
+                           for j, u in enumerate(row, 1)}, cut, d, mode)
+        lazy = second_quantize(V, cut)
+        operands = [x, g, g.adjoint(), lazy, lazy.adjoint(), v,
+                    one_repeated_value(x, c), a, b]
         results = [p.compose(q) for p in operands for q in operands]
         harmonic = CuntzElement(
             {Monomial((1,), (1, 2)): c, Monomial((2,), ()): y}, w).to_truncated(cut)
@@ -1468,8 +1474,139 @@ class TestNoKernelChangesAValue:
             markov_step(p, w)
             markov_step_in_basis(p, w, V)
             is_harmonic(p, w)
+        # fresh powers, which build only the entries an operand reaches
+        for p in operands:
+            for q in (second_quantize(V, cut), second_quantize(V, cut).adjoint()):
+                p.compose(q)
+                q.compose(p)
         words = ((1,), (2, 1))
         for kind in FORM_KINDS:
             closed_form_mixed(kind, words[:len(FORMS[kind])], harmonic, w)
         assert value_snapshot(operators) == before
         assert_same_dict(ab.word_entries(), tuple_compose(a, b), mode)
+
+
+# -- second quantization builds only the entries it is asked for ---------------
+#
+# second_quantize gives a power with no entries.  The reference is the same
+# operator with its entries built and no lazy state: composing with it reads
+# every entry, composing with the power only those the other factor reaches.
+
+
+def power_unitary(d, mode, rng):
+    """A draw of random_exact_unitary, in float mode as complex rows, so
+    that both fields get sparse and dense unitaries."""
+    V = random_exact_unitary(d, rng)
+    return V if mode == scalars.EXACT else UnitaryMatrix(V.rows, scalars.FLOAT)
+
+
+def eager_second_quantize(U, cut):
+    """Gamma(U)'s code-keyed entries as a level loop over all words: each
+    exponent vector's value computed once, breadth first, the first time
+    a vector one letter short reaches it, and shared by its entries."""
+    mode, base = U.mode, cut + 1
+    letters = [(j, i, u) for j, row in enumerate(U.rows, 1)
+               for i, u in enumerate(row, 1) if not mode.near_zero(u)]
+    steps = [base ** k for k in range(len(letters))]
+    values, frontier = {0: mode.one}, [0]
+    for _ in range(cut):
+        grown = []
+        for code in frontier:
+            for step, (_j, _i, u) in zip(steps, letters):
+                if code + step not in values:
+                    values[code + step] = values[code] * u
+                    grown.append(code + step)
+        frontier = grown
+    b = letter_bits(U.d)
+    level = {(1, 1): 0}
+    codes = dict(level)
+    for _ in range(cut):
+        level = {((row << b) | (i - 1), (col << b) | (j - 1)): code + step
+                 for step, (j, i, _u) in zip(steps, letters)
+                 for (row, col), code in level.items()}
+        codes.update(level)
+    return {key: values[code] for key, code in codes.items()}
+
+
+def sharing(x):
+    """x's keys grouped by value object, in entry order."""
+    groups = {}
+    for key, v in x.entries.items():
+        groups.setdefault(id(v), []).append(key)
+    return list(groups.values())
+
+
+def assert_same_product(got, want, mode):
+    assert_same_dict(got.word_entries(), want.word_entries(), mode)
+    assert sharing(got) == sharing(want)
+
+
+class TestLazyPower:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_equal_the_eager_build(self, data):
+        # key order, float bits and shared value objects
+        d, mode = data.draw(sessions())
+        cut = data.draw(st.integers(0, 5 if d == 2 else 3))
+        V = random_unitary(d, mode, random.Random(data.draw(st.integers(0, 99))))
+        g = second_quantize(V, cut)
+        want = TruncatedOperator(eager_second_quantize(V, cut), cut, d, mode,
+                                 _trusted=True)
+        assert_same_product(g, want, mode)
+        assert_same_product(g.adjoint(), want.adjoint(), mode)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_compose_against_the_built_power(self, data):
+        d, mode = data.draw(sessions())
+        cut = data.draw(st.integers(0, 4 if d == 2 else 3))
+        built_at = data.draw(st.integers(max(cut - 2, 0), cut + 1))  # recut down or up
+        V = power_unitary(d, mode, random.Random(data.draw(st.integers(0, 99))))
+        x = data.draw(operators(WeightVector.uniform(d, mode), cut))
+        r = op_right_creation((1,), cut, d, mode)
+
+        def fresh(star):
+            g = second_quantize(V, built_at).recut(cut)
+            return g.adjoint() if star else g
+
+        assert_same_dict(fresh(True).word_entries(),
+                         unmarked_twin(fresh(False)).adjoint().word_entries(), mode)
+        for star in (False, True):
+            want = unmarked_twin(fresh(star))
+            # a fresh power for every product, so that none reads built entries
+            for other in (x, r, fresh(not star)):
+                g = fresh(star)
+                assert_same_product(g.compose(other), want.compose(other), mode)
+                g = fresh(star)
+                assert_same_product(other.compose(g), other.compose(want), mode)
+                assert (g._entries is None) is (other is x)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_entries_built_until_read(self, mode):
+        d, cut = 2, 4
+        g = second_quantize(power_unitary(d, mode, random.Random(5)), cut)
+        x = TruncatedOperator({((1,), (2, 1)): 1, ((2, 1, 1), ()): 2,
+                               ((), ()): 3}, cut, d, mode)
+        chain = [g, g.adjoint(), g.recut(2), g.adjoint().recut(3)]
+        for op in chain:
+            assert op.degree_shifts() == (0, 0)
+            y = x.recut(op.cut)
+            op.compose(y)
+            y.compose(op)
+        assert all(op._entries is None for op in chain)
+        with mock.patch.object(fock, "power_entries", wraps=fock.power_entries) as build:
+            assert g.entries is g.entries
+            assert build.call_count == 1
+        assert g.adjoint()._entries is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_copy_pickle_and_recut_up(self, mode):
+        g = second_quantize(power_unitary(3, mode, random.Random(2)), 3)
+        copies = [copy.copy(g), copy.deepcopy(g)]
+        copies += [pickle.loads(pickle.dumps(g, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c._entries is None and c._power == g._power for c in copies)
+        assert all(c == g for c in copies)
+        up = g.recut(5)
+        assert up.cut == 5 and up._entries is None
+        assert_same_dict(up.word_entries(), g.word_entries(), mode)

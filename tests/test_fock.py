@@ -278,7 +278,9 @@ from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.choi_effros import (
     closed_form, closed_form_mixed, op_right_creation, product_iterative)
 from fockboundary.fock import WeightVector, is_harmonic
-from fockboundary.quantization import random_exact_unitary, symbolic_gamma
+from fockboundary.quantization import (
+    UnitaryMatrix, markov_step_in_basis, random_exact_unitary, second_quantize,
+    symbolic_gamma)
 
 for mode in ("exact", "float"):
     w = WeightVector([Fraction(1, 3), Fraction(2, 3)], mode)
@@ -292,6 +294,12 @@ for mode in ("exact", "float"):
     closed_form(xt, w, left=((2,), (1,)), right=((1,), (2, 2)))
     product_iterative(xt, r, w)
     x * x
+    # rotated-basis: rows that are exact in both fields, as random_float_unitary
+    # imports numpy
+    V = UnitaryMatrix([[Fraction(3, 5), Fraction(4, 5)],
+                       [Fraction(4, 5), Fraction(-3, 5)]], mode)
+    g = second_quantize(V, 5)
+    markov_step_in_basis(g.compose(xt).compose(g.adjoint()), w, V)
 u = WeightVector.uniform(3)
 y = CuntzElement({Monomial((1, 3), (2,)): 1}, u)
 symbolic_gamma(random_exact_unitary(3, random.Random(1)), y)
