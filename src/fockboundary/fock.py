@@ -269,15 +269,11 @@ def power_entries(power, d, one, side=None, words=()):
     level = {(1, 1): 0}
     codes = dict(level)
     for _ in range(top):
-        if keep is None:
-            level = {((row << b) | (i - 1), (col << b) | (j - 1)): code + step
-                     for j, i, step, _u in letters
-                     for (row, col), code in level.items()}
-        else:
-            level = {key: code + step
-                     for j, i, step, _u in letters
-                     for (row, col), code in level.items()
-                     if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))[k] in keep}
+        level = {key: code + step
+                 for j, i, step, _u in letters
+                 for (row, col), code in level.items()
+                 if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))
+                 and (keep is None or key[k] in keep)}
         codes.update(level)
     steps = [step for _j, _i, step, _u in letters]
     values = {0: one}
@@ -553,6 +549,8 @@ class TruncatedOperator(Frozen):
                 {(row, col): val
                  for row, mid in self.entries
                  for col, val in by_mid.get(mid, ())})
+        elif self._power is None and other._power is None:
+            entries = mode.compose_sum(self.entries, other.entries)
         else:
             entries = mode.compose_sum(self._reached("col", other),
                                        other._reached("row", self))
