@@ -25,6 +25,7 @@ from .errors import ModeMixError, StabilizationError
 from .fock import (
     NO_AFFIX,
     TruncatedOperator,
+    WordMap,
     check_word,
     check_word_budget,
     is_harmonic,
@@ -39,7 +40,7 @@ from . import scalars
 
 # -- generator compressions --------------------------------------------------
 #
-# r_W and l_W are word maps (see ``fock.relabel``): built with no entries,
+# r_W and l_W are word maps (see ``fock.WordMap``): built with no entries,
 # their products with x move x's entries to new row or column words.
 
 
@@ -47,16 +48,16 @@ def op_right_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of r_W = r_{w1} .. r_{wk}: e_V -> e_{V . W^op}."""
     word = check_word(word, d)
     check_word_budget("op_right_creation at cut %d" % cut, d, (cut - len(word),))
-    return TruncatedOperator.word_map(suffix(word_reverse(word), d), NO_AFFIX,
-                                      cut - len(word), cut, d, mode)
+    return TruncatedOperator.lazy(
+        WordMap((suffix(word_reverse(word), d), NO_AFFIX, cut - len(word))), cut, d, mode)
 
 
 def op_left_creation(word, cut, d, mode=scalars.EXACT):
     """Compression of l_W: e_V -> e_{W . V}."""
     word = check_word(word, d)
     check_word_budget("op_left_creation at cut %d" % cut, d, (cut - len(word),))
-    return TruncatedOperator.word_map(prefix(word, d), NO_AFFIX, cut - len(word),
-                                      cut, d, mode)
+    return TruncatedOperator.lazy(
+        WordMap((prefix(word, d), NO_AFFIX, cut - len(word))), cut, d, mode)
 
 
 def _creation_form(y, side, rev, weights, cut):
@@ -105,7 +106,7 @@ def product_iterative(x, y, weights, max_steps=None):
     """
     z = x.compose(y)
     # entries (R, C) of the composition are exact as long as
-    # min(|C| + up_shift(x), |R| + down_shift(y)) <= cut
+    # min(|R| + down_shift(x), |C| + up_shift(y)) <= cut
     guard = min(_down_shift(x), _up_shift(y))
     if max_steps is None:
         max_steps = z.cut - 1

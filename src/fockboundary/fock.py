@@ -166,12 +166,6 @@ def prepend_words(row, col, d, max_len):
 #
 # An affix is ``(code, is_suffix)``: the word of the code, to sit after
 # (suffix) or before (prefix) a word u.  ``NO_AFFIX`` is the empty word.
-# A word map ``(rows, cols, top)`` is the 0/1 operator with the entries
-# (rows . u, cols . u), one for each word u of length <= top, in the
-# length-then-lex order of u: r_W has rows the suffix W^op, l_W the
-# prefix W, their adjoints swap rows and cols, the identity at cut c has
-# no affix and top c, and the vacuum projection no affix and top 0.
-# At most one of the two affixes is not empty.
 
 NO_AFFIX = (1, False)
 
@@ -191,7 +185,7 @@ def relabel(entries, side, d, top, strip=NO_AFFIX, add=NO_AFFIX):
     word v = strip . u, for a word u of length <= top, moved to add . u,
     in entry order, values as they are; entries whose word has no such
     u are dropped.  One of ``strip`` and ``add`` is ``NO_AFFIX``.  With
-    the affixes of a word map M = (rows, cols, top), the column side
+    the affixes of a ``WordMap`` (rows, cols, top), the column side
     (strip rows, add cols) gives the entries of x . M and the row side
     (strip cols, add rows) those of M . x."""
     bound = block_bound(top, d)
@@ -229,67 +223,144 @@ def relabel(entries, side, d, top, strip=NO_AFFIX, add=NO_AFFIX):
 
 
 # ---------------------------------------------------------------------------
-# tensor powers
+# lazy values
 #
-# A power ``(letters, top, star)`` is the second quantization Gamma(U) of a
-# d x d unitary U on the words of length <= top, or its adjoint with
-# ``star``.  ``letters`` lists (j, i, step, u_ji) for each nonzero u_ji,
-# where U e_j = sum_i u_ji e_i, j outer and i inner, with steps 1, B, B^2,
-# .. for a base B > top.  A degree-n entry is the product of n letters'
-# u_ji, so its value depends only on how many times each letter occurs:
-# its exponent vector, carried as one int, the sum of their steps.
+# ``TruncatedOperator.lazy`` holds one of these in place of entries.  Each
+# is a tuple, built from the tuple of its fields, so equality, hashing,
+# copy and pickle are the tuple's.  Each gives its entries (``build``),
+# adjoint, recut and degree shifts.
 
 
-def power_entries(power, d, one, side=None, words=()):
-    """The entries of a power.  Level n + 1 prepends the letter pair
-    (i, j) of each letter, one letter at a time, to every entry of level
-    n.  With ``side`` ("row" or "col"), a level keeps only the entries
-    whose word on that side is a tail of a code in ``words`` (the word
-    with none or more first letters stripped), so the result is the
-    full entries less those whose word is no such tail, in the same
-    order.
+class WordMap(tuple):
+    """The 0/1 operator with the entries (rows . u, cols . u), one for
+    each word u of length <= top, in the length-then-lex order of u.
+    ``rows`` and ``cols`` are affixes, at most one of them not empty:
+    r_W has rows the suffix W^op, l_W the prefix W, their adjoints swap
+    rows and cols, the identity at cut c has no affix and top c, and
+    the vacuum projection no affix and top 0."""
 
-    Each exponent vector's product is computed once, and its entries
-    share that value object: ``one`` times the letters' u_ji in letter
-    order, as the vector less its last letter times that letter's u_ji.
-    The adjoint conjugates each value it uses once."""
-    letters, top, star = power
-    b = letter_bits(d)
-    keep = None
-    if side is not None:
-        k = (side == "col") != star  # the side in Gamma's own entries
-        keep = set()
-        for w in words:
-            while w and w not in keep:
-                keep.add(w)
-                w >>= b
-    # prepending the letter pair (i, j) to every entry of a level, one
-    # letter pair at a time, lists the next level in the order of
-    # appending each letter pair to each entry in turn
-    level = {(1, 1): 0}
-    codes = dict(level)
-    for _ in range(top):
-        level = {key: code + step
-                 for j, i, step, _u in letters
-                 for (row, col), code in level.items()
-                 if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))
-                 and (keep is None or key[k] in keep)}
-        codes.update(level)
-    steps = [step for _j, _i, step, _u in letters]
-    values = {0: one}
-    used = set(codes.values())
-    for code in used:
-        path = []
-        while code not in values:
-            last = bisect_right(steps, code) - 1
-            path.append((code, last))
-            code -= steps[last]
-        for code, last in reversed(path):
-            values[code] = values[code - steps[last]] * letters[last][3]
-    if star:
-        values = {code: values[code].conjugate() for code in used}
-        return {(col, row): values[code] for (row, col), code in codes.items()}
-    return {key: values[code] for key, code in codes.items()}
+    __slots__ = ()
+
+    def __repr__(self):
+        return "WordMap(rows=%r, cols=%r, top=%d)" % self
+
+    def build(self, d, one):
+        """The entries, each value ``one``."""
+        rows, cols, top = self
+        if rows[1] or cols[1] or rows == cols:
+            # no prefix: the words u prepended to the suffixes
+            return dict.fromkeys(prepend_words(rows[0], cols[0], d, top), one)
+        # a prefix on one side: the identity at top, moved on that side
+        side, affix = ("row", rows) if cols == NO_AFFIX else ("col", cols)
+        return relabel(dict.fromkeys(prepend_words(1, 1, d, top), one),
+                       side, d, top, add=affix)
+
+    def adjoint(self):
+        """The inverse word map: the affixes swapped."""
+        rows, cols, top = self
+        return WordMap((cols, rows, top))
+
+    def recut(self, cut, d):
+        """Top lowered to the longest u whose words fit ``cut``."""
+        rows, cols, top = self
+        longest = (max(rows[0], cols[0]).bit_length() - 1) // letter_bits(d)
+        return WordMap((rows, cols, min(top, cut - longest)))
+
+    def shifts(self, d):
+        """The degree shifts, from the affixes."""
+        rows, cols, top = self
+        diff = 0 if top < 0 else rows[0].bit_length() - cols[0].bit_length()
+        return max(diff, 0) // letter_bits(d), max(-diff, 0) // letter_bits(d)
+
+
+class Power(tuple):
+    """The second quantization Gamma(U) of a d x d unitary U on the
+    words of length <= top, or its adjoint with ``star``.  ``letters``
+    lists (j, i, step, u_ji) for each nonzero u_ji, where U e_j = sum_i
+    u_ji e_i, j outer and i inner, with steps 1, B, B^2, .. for a base
+    B > top.  A degree-n entry is the product of n letters' u_ji, so its
+    value depends only on how many times each letter occurs: its
+    exponent vector, carried as one int, the sum of their steps."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "Power(%d letters, top=%d, star=%r)" % (len(self[0]), self[1], self[2])
+
+    @classmethod
+    def of(cls, rows, cut):
+        """Gamma(U) at ``cut``, where row j of ``rows`` lists U's nonzero
+        u_ji as the pairs (i, u_ji), with steps in base cut + 1; refused
+        before any work when its entries would exceed the term budget."""
+        pairs = [(j, i, u) for j, image in enumerate(rows, 1) for i, u in image]
+        check_word_budget("second_quantize at cut %d" % cut, len(pairs), (cut,))
+        return cls((tuple((j, i, (cut + 1) ** n, u) for n, (j, i, u) in enumerate(pairs)),
+                    cut, False))
+
+    def build(self, d, one, side=None, words=()):
+        """The entries.  Level n + 1 prepends the letter pair (i, j) of
+        each letter, one letter at a time, to every entry of level n.
+        With ``side`` ("row" or "col"), a level keeps only the entries
+        whose word on that side is a tail of a code in ``words`` (the
+        word with none or more first letters stripped), so the result is
+        the full entries less those whose word is no such tail, in the
+        same order.
+
+        Each exponent vector's product is computed once, and its entries
+        share that value object: ``one`` times the letters' u_ji in
+        letter order, as the vector less its last letter times that
+        letter's u_ji.  The adjoint conjugates each value it uses once."""
+        letters, top, star = self
+        b = letter_bits(d)
+        keep = None
+        if side is not None:
+            k = (side == "col") != star  # the side in Gamma's own entries
+            keep = set()
+            for w in words:
+                while w and w not in keep:
+                    keep.add(w)
+                    w >>= b
+        # prepending the letter pair (i, j) to every entry of a level, one
+        # letter pair at a time, lists the next level in the order of
+        # appending each letter pair to each entry in turn
+        level = {(1, 1): 0}
+        codes = dict(level)
+        for _ in range(top):
+            level = {key: code + step
+                     for j, i, step, _u in letters
+                     for (row, col), code in level.items()
+                     if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))
+                     and (keep is None or key[k] in keep)}
+            codes.update(level)
+        steps = [step for _j, _i, step, _u in letters]
+        values = {0: one}
+        used = set(codes.values())
+        for code in used:
+            path = []
+            while code not in values:
+                last = bisect_right(steps, code) - 1
+                path.append((code, last))
+                code -= steps[last]
+            for code, last in reversed(path):
+                values[code] = values[code - steps[last]] * letters[last][3]
+        if star:
+            values = {code: values[code].conjugate() for code in used}
+            return {(col, row): values[code] for (row, col), code in codes.items()}
+        return {key: values[code] for key, code in codes.items()}
+
+    def adjoint(self):
+        """Gamma(U)* of Gamma(U), and back."""
+        letters, top, star = self
+        return Power((letters, top, not star))
+
+    def recut(self, cut, d):
+        """Top lowered to a smaller ``cut``, and kept on a larger one."""
+        letters, top, star = self
+        return Power((letters, min(top, cut), star))
+
+    def shifts(self, d):
+        """Gamma(U) keeps every degree."""
+        return 0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -386,35 +457,26 @@ class TruncatedOperator(Frozen):
     keys ``(I, J)``; with ``_trusted`` it takes code keys as they are.
     Values are immutable; all arithmetic returns new operators.
 
-    ``_map`` is the word map ``(rows, cols, top)`` (see ``relabel``) of
-    a 0/1 word map, else None.  r_W, l_W, the identity and the vacuum
-    projection are built as word maps, with no entries: ``_entries`` is
-    None until something reads ``entries`` (``==``, JSON, a kernel, or
-    ``compose`` with the map on the left), which builds them in the
-    length-then-lex order of u and caches them.  ``adjoint`` and
-    ``recut`` of a word map give a word map with no entries.
-    ``_power`` is the power ``(letters, top, star)`` (see
-    ``power_entries``) of Gamma(U) or Gamma(U)*, else None.
-    ``second_quantize`` builds Gamma(U) as a power with no entries; the
-    first read of ``entries`` builds them all and caches them.
-    ``adjoint`` and ``recut`` of a power give a power with no entries,
-    and ``compose`` builds only the entries that the other factor
-    reaches, unless that factor is a word map or a power.
-    ``_shifts`` caches ``degree_shifts()``: None until the first call
-    computes it, unless the constructor that built the operator knew
-    it (``_shifts`` with ``_trusted``; the word-map constructors and
-    the powers).  None of these is part of equality or JSON; ``copy``
+    ``_lazy`` is the lazy value (a ``WordMap`` or a ``Power``) of an
+    operator that ``lazy`` built with no entries, else None.
+    ``_entries`` is then None until something reads ``entries``, which
+    builds them through the value and caches them.  ``adjoint`` and
+    ``recut`` give the operator of the value's adjoint or recut, with no
+    entries built.  ``_shifts`` caches ``degree_shifts()``: None until
+    the first call computes it, unless the constructor that built the
+    operator knew it (``_shifts`` with ``_trusted``, and ``lazy``, from
+    the value).  None of these is part of equality or JSON; ``copy``
     and ``pickle`` keep them all.
     """
 
-    __slots__ = ("_entries", "cut", "d", "mode", "_shifts", "_map", "_power")
+    __slots__ = ("_entries", "cut", "d", "mode", "_shifts", "_lazy")
 
     def __init__(self, entries, cut, d, mode=EXACT, _trusted=False, _shifts=None,
-                 _map=None, _power=None):
+                 _lazy=None):
         if cut < 0:
             raise ValueError("cut must be >= 0, got %d" % cut)
         if _trusted:
-            self._fill(entries, cut, d, mode, _shifts, _map, _power)
+            self._fill(entries, cut, d, mode, _shifts, _lazy)
             return
         mode = field(mode)
         clean = {}
@@ -428,25 +490,13 @@ class TruncatedOperator(Frozen):
             val = mode.coerce(val)
             if not mode.near_zero(val):
                 clean[(encode(row, d), encode(col, d))] = val
-        self._fill(clean, cut, d, mode, None, None, None)
+        self._fill(clean, cut, d, mode, None, None)
 
     @property
     def entries(self):
         entries = self._entries
-        if entries is None:  # a word map's or a power's, built at the first read
-            one, d = self.mode.one, self.d
-            if self._power is not None:
-                entries = power_entries(self._power, d, one)
-            else:
-                rows, cols, top = self._map
-                if rows[1] or cols[1] or rows == cols:
-                    # no prefix: the words u prepended to the suffixes
-                    entries = dict.fromkeys(prepend_words(rows[0], cols[0], d, top), one)
-                else:
-                    # a prefix on one side: the identity at top, moved on that side
-                    side, affix = ("row", rows) if cols == NO_AFFIX else ("col", cols)
-                    entries = relabel(dict.fromkeys(prepend_words(1, 1, d, top), one),
-                                      side, d, top, add=affix)
+        if entries is None:  # a lazy operator's, built at the first read
+            entries = self._lazy.build(self.d, self.mode.one)
             object.__setattr__(self, "_entries", entries)
         return entries
 
@@ -457,21 +507,20 @@ class TruncatedOperator(Frozen):
         return cls({}, cut, d, field(mode), _trusted=True, _shifts=(0, 0))
 
     @classmethod
-    def word_map(cls, rows, cols, top, cut, d, mode=EXACT):
-        """The 0/1 word map (rows, cols, top) at this cut, with no
-        entries built; the caller has checked the words and the budget."""
-        op = cls(None, cut, d, field(mode), _trusted=True, _map=(rows, cols, top))
-        op.degree_shifts()
-        return op
+    def lazy(cls, value, cut, d, mode=EXACT):
+        """The operator of a lazy value at this cut, with no entries built;
+        the caller has checked the words and the budget."""
+        return cls(None, cut, d, field(mode), _trusted=True, _shifts=value.shifts(d),
+                   _lazy=value)
 
     @classmethod
     def identity(cls, cut, d, mode=EXACT):
         check_word_budget("identity at cut %d" % cut, d, (cut,))
-        return cls.word_map(NO_AFFIX, NO_AFFIX, cut, cut, d, mode)
+        return cls.lazy(WordMap((NO_AFFIX, NO_AFFIX, cut)), cut, d, mode)
 
     @classmethod
     def vacuum_projection(cls, cut, d, mode=EXACT):
-        return cls.word_map(NO_AFFIX, NO_AFFIX, 0, cut, d, mode)
+        return cls.lazy(WordMap((NO_AFFIX, NO_AFFIX, 0)), cut, d, mode)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -518,27 +567,22 @@ class TruncatedOperator(Frozen):
         The field's ``compose_sum`` sums the products: the dict that
         ``accumulate_products`` gives over the triples, keyed in the
         order of the left factor's entries, then of the right factor's.
-        When a factor is a word map (``_map``), each result key gets one
-        product, so the other factor's entries move to their new keys
-        with no sum, and the field's ``moved_products`` takes the
-        products with one: the same dict again.  A word map on the
-        right relabels the left factor's columns in the order of its
-        entries, and builds no entries of its own.  A word map on the
-        left sets the key order by its entries, so they are built.
-
-        A power (``_power``) with no entries built, composed with an
-        operator that is neither a word map nor a power, builds only
-        the entries whose inner word is a tail of one of the other
-        factor's: those ``compose_sum`` reads, in the same order, so
-        the result is the same dict.
+        When a factor is a ``WordMap``, each result key gets one product,
+        so the other factor's entries move to their new keys with no
+        sum, and the field's ``moved_products`` takes the products with
+        one: the same dict again.  A word map on the right relabels the
+        left factor's columns in the order of its entries, and builds no
+        entries of its own.  A word map on the left sets the key order
+        by its entries, so they are built.  Otherwise ``compose_sum``
+        reads what ``_reached`` gives of each factor.
         """
         self._check_compatible(other)
         mode = self.mode
-        if other._map is not None:
-            rows, cols, top = other._map
+        if isinstance(other._lazy, WordMap):
+            rows, cols, top = other._lazy
             entries = mode.moved_products(
                 relabel(self.entries, "col", self.d, top, rows, cols))
-        elif self._map is not None:
+        elif isinstance(self._lazy, WordMap):
             # a word map on the left reads only its own middle words
             left = {mid for _, mid in self.entries}
             by_mid = {}
@@ -549,42 +593,38 @@ class TruncatedOperator(Frozen):
                 {(row, col): val
                  for row, mid in self.entries
                  for col, val in by_mid.get(mid, ())})
-        elif self._power is None and other._power is None:
-            entries = mode.compose_sum(self.entries, other.entries)
         else:
             entries = mode.compose_sum(self._reached("col", other),
                                        other._reached("row", self))
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
 
     def _reached(self, side, other):
-        """The entries ``compose`` reads of this factor: of a power with
-        no entries built, facing a factor that is not a power, only
+        """The entries ``compose`` reads of this factor: of a ``Power``
+        with no entries built, facing a factor that is not a power, only
         those whose word on ``side`` is a tail of one of the other
-        factor's words on the far side (see ``power_entries``)."""
-        if self._power is None or self._entries is not None or other._power is not None:
+        factor's words on the far side (see ``Power.build``), in the
+        same order, so the product is the same dict."""
+        power = self._lazy
+        if (self._entries is not None or not isinstance(power, Power)
+                or isinstance(other._lazy, Power)):
             return self.entries
         far = side == "row"  # other's columns meet this factor's rows
-        return power_entries(self._power, self.d, self.mode.one, side,
-                             {key[far] for key in other.entries})
+        return power.build(self.d, self.mode.one, side,
+                           {key[far] for key in other.entries})
 
     def adjoint(self):
         """The conjugate transpose.  Entries may share value objects (the
-        entries of ``second_quantize`` do; no kernel changes a value, each
+        entries of a ``Power`` do; no kernel changes a value, each
         mutates only the sums it allocates).  Each distinct value object
         is conjugated once, so the adjoint's entries share the conjugates
-        in the same way.  A word map's adjoint is the inverse word map,
-        and Gamma(U)'s is Gamma(U)*, each with no entries built."""
+        in the same way.  A lazy operator's adjoint is that of its value,
+        with no entries built."""
+        if self._lazy is not None:
+            return TruncatedOperator.lazy(self._lazy.adjoint(), self.cut, self.d,
+                                          self.mode)
         shifts = self._shifts
         if shifts is not None:
             shifts = shifts[::-1]
-        if self._power is not None:
-            letters, top, star = self._power
-            return TruncatedOperator(None, self.cut, self.d, self.mode, _trusted=True,
-                                     _shifts=shifts, _power=(letters, top, not star))
-        if self._map is not None:
-            rows, cols, top = self._map
-            return TruncatedOperator(None, self.cut, self.d, self.mode, _trusted=True,
-                                     _shifts=shifts, _map=(cols, rows, top))
         entries = {}
         conjugates = {}  # id(v) -> conj(v), while self holds each v
         get = conjugates.get
@@ -600,16 +640,10 @@ class TruncatedOperator(Frozen):
         """``(up, down)``: the largest |I| - |J| and the largest
         |J| - |I| over the entries (I, J), each clamped at 0, so how
         far the operator raises and lowers degree.  Computed at the
-        first call and cached on the operator; a word map reads them
-        off its affixes, and a power's are (0, 0)."""
+        first call and cached on the operator."""
         shifts = self._shifts
         if shifts is None:
-            if self._map is None:
-                diffs = {r.bit_length() - c.bit_length() for r, c in self.entries}
-            else:
-                rows, cols, top = self._map
-                diffs = () if top < 0 else {
-                    rows[0].bit_length() - cols[0].bit_length()}
+            diffs = {r.bit_length() - c.bit_length() for r, c in self.entries}
             b = letter_bits(self.d)
             shifts = (max(0, max(diffs, default=0)) // b,
                       max(0, -min(diffs, default=0)) // b)
@@ -643,24 +677,15 @@ class TruncatedOperator(Frozen):
         """Restrict (or formally extend) to a new cut.  Shrinking drops
         entries above the new cut; growing adds no entries, so growing
         is only meaningful for operators supported in low degree.  A
-        word map stays a word map with no entries built: shrinking
-        lowers its top to the longest u whose words fit the new cut.  A
-        power stays a power with no entries built, its top lowered to a
-        smaller cut."""
+        lazy operator's recut is that of its value, with no entries
+        built."""
         if new_cut == self.cut:
             return self
-        if self._power is not None:
-            letters, top, star = self._power
-            return TruncatedOperator(None, new_cut, self.d, self.mode, _trusted=True,
-                                     _shifts=(0, 0),
-                                     _power=(letters, min(top, new_cut), star))
-        if self._map is None:
-            return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
-                                     _trusted=True)
-        rows, cols, top = self._map
-        longest = (max(rows[0], cols[0]).bit_length() - 1) // letter_bits(self.d)
-        return TruncatedOperator(None, new_cut, self.d, self.mode, _trusted=True,
-                                 _map=(rows, cols, min(top, new_cut - longest)))
+        if self._lazy is not None:
+            return TruncatedOperator.lazy(self._lazy.recut(new_cut, self.d), new_cut,
+                                          self.d, self.mode)
+        return TruncatedOperator(self._block(new_cut), new_cut, self.d, self.mode,
+                                 _trusted=True)
 
     # -- comparisons ------------------------------------------------------
 
@@ -691,12 +716,10 @@ class TruncatedOperator(Frozen):
         )
 
     def __repr__(self):
-        return "TruncatedOperator(%d entries, cut=%d, d=%d, mode=%r)" % (
-            len(self.entries),
-            self.cut,
-            self.d,
-            self.mode,
-        )
+        held = ("%d entries" % len(self._entries) if self._lazy is None
+                else repr(self._lazy))
+        return "TruncatedOperator(%s, cut=%d, d=%d, mode=%r)" % (
+            held, self.cut, self.d, self.mode)
 
     # -- numerics / serialization ------------------------------------------
 

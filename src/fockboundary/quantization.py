@@ -17,12 +17,7 @@ from fractions import Fraction
 from . import scalars
 from .algebra import CuntzElement, _monomial
 from .errors import LetterRangeError, ModeMixError
-from .fock import (
-    EMPTY_WORD,
-    TruncatedOperator,
-    check_word_budget,
-    strip_first_letters,
-)
+from .fock import EMPTY_WORD, Power, TruncatedOperator, strip_first_letters
 from .scalars import Frozen, GaussianRational, accumulate_products
 
 
@@ -159,31 +154,10 @@ def _nonzero_rows(U):
 
 def second_quantize(U, cut):
     """Block-diagonal operator acting as the degree-n tensor power of U
-    on degree-n words (and fixing the vacuum), as a power (see
-    ``fock.power_entries``) with no entries built.
-
-    A degree-n entry is a product of n nonzero entries u_{ji}, so its
-    value depends only on how many times each u_{ji} occurs: its
-    exponent vector, carried as one int in base cut + 1.  A build
-    computes each distinct exponent vector's product once, and the
-    entries share those value objects.  No kernel changes a value it is
-    given (each mutates only the sums it allocates), so the sharing is
-    safe; ``adjoint`` keeps it, and the exact ``compose`` computes each
-    product once per pair of shared values.
-
-    The first read of ``entries`` (``==``, JSON, a Markov step, a
-    compose with a word map or a power) builds them all and caches
-    them.  ``adjoint`` and ``recut`` build none, and ``compose`` with
-    any other operator builds only the entries that the other factor's
-    words reach.  The cut and the word budget are checked here."""
-    base = cut + 1
-    letters = []  # (j, i, step, u_{ji}): U e_j = sum_i u_{ji} e_i
-    for j, image in enumerate(_nonzero_rows(U), 1):
-        for i, u in image:
-            letters.append((j, i, base ** len(letters), u))
-    check_word_budget("second_quantize at cut %d" % cut, len(letters), (cut,))
-    return TruncatedOperator(None, cut, U.d, U.mode, _trusted=True, _shifts=(0, 0),
-                             _power=(tuple(letters), cut, False))
+    on degree-n words (and fixing the vacuum): the ``fock.Power`` of U,
+    with no entries built.  The word budget and the cut are checked
+    before any entry is."""
+    return TruncatedOperator.lazy(Power.of(_nonzero_rows(U), cut), cut, U.d, U.mode)
 
 
 def conjugate(U, x):

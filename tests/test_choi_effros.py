@@ -158,7 +158,7 @@ SHIFT_CASES = {
     "adjoint of a creation": lambda w: (op_left_creation((2,), 4, 2).adjoint(), True),
     "adjoint": lambda w: (element(w, *X).to_truncated(4).compose(
         op_right_creation((1,), 4, 2)).adjoint(), False),
-    "recut": lambda w: (op_right_creation((1, 2), 4, 2).recut(3), False),
+    "recut": lambda w: (op_right_creation((1, 2), 4, 2).recut(3), True),
     "compose": lambda w: (op_right_creation((1,), 4, 2).compose(
         element(w, *X).to_truncated(4)), False),
     "markov_step": lambda w: (markov_step(element(w, *X).to_truncated(4), w), False),

@@ -39,8 +39,10 @@ from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.errors import LetterRangeError, TermBudgetError
 from fockboundary.fock import (
     EMPTY_WORD,
+    Power,
     TruncatedOperator,
     WeightVector,
+    WordMap,
     block_bound,
     decode,
     encode,
@@ -837,9 +839,8 @@ def creation_maps(word, cut, d, mode):
     return [r, r.adjoint(), left, left.adjoint()]
 
 
-def unmarked_twin(m):
-    """The operator with m's entries, built with no word-map mark or
-    power."""
+def built_twin(m):
+    """The operator with m's entries, built with no lazy value."""
     return TruncatedOperator(m.entries, m.cut, m.d, m.mode, _trusted=True)
 
 
@@ -956,9 +957,9 @@ class TestCodeKernels:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_word_map_compose(self, data):
-        # compose moves entries when a factor is marked as a 0/1 word map:
-        # the dict must be tuple_compose's, and the sum path's for the
-        # unmarked twin, key order and float bits included
+        # compose moves entries when a factor is a 0/1 word map: the dict
+        # must be tuple_compose's, and the sum path's for the built twin,
+        # key order and float bits included
         d, mode = data.draw(code_sessions())
         cut = data.draw(st.integers(0, 4))
         w = WeightVector.uniform(d, mode)
@@ -973,7 +974,7 @@ class TestCodeKernels:
             TruncatedOperator.identity(cut, d, mode),
             TruncatedOperator.vacuum_projection(cut, d, mode)]
         for m in maps:
-            twin = unmarked_twin(m)
+            twin = built_twin(m)
             for a, b, a2, b2 in ((x, m, x, twin), (m, x, twin, x)):
                 got, summed = products_taken(a, b)
                 want, twin_summed = products_taken(a2, b2)
@@ -1185,14 +1186,14 @@ class TestOnePassHarmonicity:
 
 # -- word maps built by their constructors -------------------------------------
 
-MARKED = {
+WORD_MAPS = {
     "right creation": lambda cut, d, mode: op_right_creation((1, 2), cut, d, mode),
     "left creation": lambda cut, d, mode: op_left_creation((2,), cut, d, mode),
     "identity": TruncatedOperator.identity,
     "vacuum projection": TruncatedOperator.vacuum_projection,
 }
 
-UNMARKED = {
+NOT_WORD_MAPS = {
     "zero": TruncatedOperator.zero,
     "constructor": lambda cut, d, mode: TruncatedOperator(
         op_right_creation((1,), cut, d, mode).word_entries(), cut, d, mode),
@@ -1211,26 +1212,26 @@ UNMARKED = {
 
 
 def is_word_map(m):
-    return m._map is not None
+    return isinstance(m._lazy, WordMap)
 
 
 class TestWordMapMarks:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", sorted(MARKED) + sorted(UNMARKED))
+    @pytest.mark.parametrize("name", sorted(WORD_MAPS) + sorted(NOT_WORD_MAPS))
     def test_constructors_adjoint_and_recut(self, name, mode):
-        marked = name in MARKED
-        m = (MARKED if marked else UNMARKED)[name](3, 2, mode)
-        assert is_word_map(m) is marked
-        assert is_word_map(m.adjoint()) is marked
+        is_map = name in WORD_MAPS
+        m = (WORD_MAPS if is_map else NOT_WORD_MAPS)[name](3, 2, mode)
+        assert is_word_map(m) is is_map
+        assert is_word_map(m.adjoint()) is is_map
         assert m.adjoint().adjoint() == m
-        assert is_word_map(m.recut(2)) is marked
+        assert is_word_map(m.recut(2)) is is_map
         assert m.recut(3) is m
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", sorted(MARKED))
+    @pytest.mark.parametrize("name", sorted(WORD_MAPS))
     def test_equality_and_json_ignore_the_mark(self, name, mode):
-        m = MARKED[name](3, 3, mode)
-        twin = unmarked_twin(m)
+        m = WORD_MAPS[name](3, 3, mode)
+        twin = built_twin(m)
         assert not is_word_map(twin)
         assert m == twin and twin == m
         assert m.to_json() == twin.to_json()
@@ -1239,11 +1240,11 @@ class TestWordMapMarks:
 
     @pytest.mark.parametrize("name", ["right creation", "constructor"])
     def test_copy_and_pickle_keep_the_mark(self, name):
-        m = {**MARKED, **UNMARKED}[name](3, 2, scalars.EXACT)
+        m = {**WORD_MAPS, **NOT_WORD_MAPS}[name](3, 2, scalars.EXACT)
         copies = [copy.copy(m), copy.deepcopy(m)]
         copies += [pickle.loads(pickle.dumps(m, protocol))
                    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        assert all(c._map == m._map and c == m for c in copies)
+        assert all(c._lazy == m._lazy and c == m for c in copies)
 
     def test_adjoint_of_a_word_map_moves_the_values(self):
         m = op_right_creation((1,), 3, 2, scalars.FLOAT)
@@ -1316,7 +1317,7 @@ class TestLazyWordMaps:
                 m = m.recut(step)
             # read the entries of the last link and of some others
             if n == len(steps) or data.draw(st.booleans()):
-                assert m._map is not None
+                assert is_word_map(m)
                 assert list(m.entries.items()) == list(want.items())
                 assert all(v is mode.one for v in m.entries.values())
                 shifts = m.degree_shifts()
@@ -1570,9 +1571,9 @@ class TestLazyPower:
             return g.adjoint() if star else g
 
         assert_same_dict(fresh(True).word_entries(),
-                         unmarked_twin(fresh(False)).adjoint().word_entries(), mode)
+                         built_twin(fresh(False)).adjoint().word_entries(), mode)
         for star in (False, True):
-            want = unmarked_twin(fresh(star))
+            want = built_twin(fresh(star))
             # a fresh power for every product, so that none reads built entries
             for other in (x, r, fresh(not star)):
                 g = fresh(star)
@@ -1594,7 +1595,8 @@ class TestLazyPower:
             op.compose(y)
             y.compose(op)
         assert all(op._entries is None for op in chain)
-        with mock.patch.object(fock, "power_entries", wraps=fock.power_entries) as build:
+        with mock.patch.object(Power, "build", autospec=True,
+                               side_effect=Power.build) as build:
             assert g.entries is g.entries
             assert build.call_count == 1
         assert g.adjoint()._entries is None
@@ -1605,8 +1607,80 @@ class TestLazyPower:
         copies = [copy.copy(g), copy.deepcopy(g)]
         copies += [pickle.loads(pickle.dumps(g, protocol))
                    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        assert all(c._entries is None and c._power == g._power for c in copies)
+        assert all(c._entries is None and c._lazy == g._lazy for c in copies)
         assert all(c == g for c in copies)
         up = g.recut(5)
         assert up.cut == 5 and up._entries is None
         assert_same_dict(up.word_entries(), g.word_entries(), mode)
+
+
+# -- the lazy values, and the operator methods called unbound -------------------
+#
+# The benchmark calls TruncatedOperator.adjoint, .recut and .compose unbound,
+# so a lazy operator must take the same path through the class's own methods
+# that a bound call takes: a subclass that overrides them would be skipped
+# there, build the entries, and still give the same result.
+
+
+def lazy_operators(cut, d, mode):
+    """name -> a function building a fresh lazy operator at this cut."""
+    V = power_unitary(d, mode, random.Random(cut))
+    return {
+        "r_W": lambda: op_right_creation((1, 2), cut, d, mode),
+        "r_W*": lambda: op_right_creation((2,), cut, d, mode).adjoint(),
+        "l_W": lambda: op_left_creation((2, 1), cut, d, mode),
+        "identity": lambda: TruncatedOperator.identity(cut, d, mode),
+        "Gamma": lambda: second_quantize(V, cut),
+        "Gamma*": lambda: second_quantize(V, cut).adjoint(),
+    }
+
+
+class TestLazyValues:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(lazy_operators(3, 2, scalars.EXACT)))
+    def test_unbound_calls_equal_the_bound_calls(self, name, mode):
+        d, cut = 2, 4
+        fresh = lazy_operators(cut, d, mode)[name]
+        x = TruncatedOperator({((1,), (2, 1)): 1, ((2, 1, 1), ()): 2,
+                               ((), ()): 3, ((2, 2), (1, 2)): 4}, cut, d, mode)
+        T = TruncatedOperator
+        # name -> (the call through the class, the bound call)
+        calls = {
+            "adjoint": (T.adjoint, lambda op: op.adjoint()),
+            "recut down": (lambda op: T.recut(op, cut - 1), lambda op: op.recut(cut - 1)),
+            "recut up": (lambda op: T.recut(op, cut + 1), lambda op: op.recut(cut + 1)),
+            "on the left": (lambda op: T.compose(op, x), lambda op: op.compose(x)),
+            "on the right": (lambda op: T.compose(x, op), lambda op: x.compose(op)),
+        }
+        for what, (unbound, bound) in calls.items():
+            op, twin = fresh(), fresh()
+            got, want = unbound(op), bound(twin)
+            assert_same_dict(got.entries, want.entries, mode)
+            assert got.cut == want.cut and got.degree_shifts() == want.degree_shifts()
+            # a lazy operand stays lazy wherever the bound call leaves it so
+            assert op._entries is None or twin._entries is not None, what
+            if not what.startswith("on "):
+                assert twin._entries is None and type(got._lazy) is type(want._lazy)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(lazy_operators(3, 2, scalars.EXACT)))
+    def test_value_laws(self, name, mode):
+        d = 2
+        for cut in range(5):
+            value = lazy_operators(cut, d, mode)[name]()._lazy
+            assert value.adjoint().adjoint() == value
+            built = value.build(d, mode.one)
+            words = [(decode(r, d), decode(c, d)) for r, c in built]
+            assert value.shifts(d) == (max([0] + [len(I) - len(J) for I, J in words]),
+                                       max([0] + [len(J) - len(I) for I, J in words]))
+            for smaller in range(cut):
+                bound = block_bound(smaller, d)
+                assert_same_dict(value.recut(smaller, d).build(d, mode.one),
+                                 {k: v for k, v in built.items()
+                                  if k[0] < bound and k[1] < bound}, mode)
+
+    @pytest.mark.parametrize("name", sorted(lazy_operators(3, 2, scalars.EXACT)))
+    def test_repr_builds_no_entries(self, name):
+        op = lazy_operators(6, 2, scalars.EXACT)[name]()
+        assert repr(op._lazy) in repr(op) and "cut=6" in repr(op)
+        assert op._entries is None

@@ -8,6 +8,7 @@ import operator
 import os
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -622,3 +623,17 @@ class TestFieldGuard:
         found = {(p.name, function) for p in modules
                  for function in field_tests(p.read_text())}
         assert found <= ALLOWED_FIELD_TESTS
+
+
+# -- no module outside fock.py reaches into an operator's lazy state ---------
+
+LAZY_STATE = re.compile(r"\b(_lazy|_entries|_map|_power)\b")
+
+
+class TestLazyStateGuard:
+    def test_only_fock_names_the_lazy_state(self):
+        # quantization.py reaches Gamma only through Power.of and
+        # TruncatedOperator.lazy
+        src = Path(fockboundary.__file__).parent
+        found = {p.name for p in src.glob("*.py") if LAZY_STATE.search(p.read_text())}
+        assert found == {"fock.py"}
