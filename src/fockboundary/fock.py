@@ -721,18 +721,7 @@ class TruncatedOperator(Frozen):
         return "TruncatedOperator(%s, cut=%d, d=%d, mode=%r)" % (
             held, self.cut, self.d, self.mode)
 
-    # -- numerics / serialization ------------------------------------------
-
-    def to_dense(self):
-        """Dense complex matrix in the length-then-lex basis order."""
-        import numpy as np
-
-        basis = prepend_words(1, 1, self.d, self.cut)
-        index = {r: k for k, (r, _) in enumerate(basis)}
-        mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (row, col), val in self.entries.items():
-            mat[index[row], index[col]] = complex(val)
-        return mat
+    # -- serialization ----------------------------------------------------
 
     def to_json(self):
         items = []

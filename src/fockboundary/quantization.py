@@ -2,22 +2,25 @@
 
 For a unitary U on C^d, the second quantization acts as U tensored
 with itself degree-many times on each degree block, and conjugation by
-it maps l/r creations to the creations of the rotated vectors.  For
-uniform weights this conjugation restricts to a *-automorphism of the
-fixed-point algebra (implemented symbolically by generator
-substitution); for non-uniform weights it fails, and
+it maps l/r creations to the creations of the rotated vectors.  The
+generator substitution r_i -> r_{U e_i} (implemented symbolically) is
+multiplicative at any weights.  For uniform weights conjugation carries
+T(a) to T(substitution of a), a *-automorphism of the fixed-point
+algebra; for non-uniform weights it does not, and
 ``counterexample_report`` certifies the failure with an exact nonzero
 difference.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import scalars
 from .algebra import CuntzElement, _monomial
-from .errors import LetterRangeError, ModeMixError
-from .fock import EMPTY_WORD, Power, TruncatedOperator, strip_first_letters
+from .errors import InternalInconsistencyError, LetterRangeError, ModeMixError
+from .fock import (
+    EMPTY_WORD, Power, TruncatedOperator, is_harmonic, strip_first_letters)
 from .scalars import Frozen, GaussianRational, accumulate_products
 
 
@@ -132,15 +135,19 @@ def random_exact_unitary(d, rng):
 
 
 def random_float_unitary(d, rng):
-    """Haar-ish random unitary from QR of a seeded Gaussian matrix."""
-    import numpy as np
-
-    npr = np.random.default_rng(rng.randrange(2 ** 63))
-    m = npr.normal(size=(d, d)) + 1j * npr.normal(size=(d, d))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.diag(r) / abs(np.diag(r)))
-    return UnitaryMatrix([[complex(v) for v in row] for row in q],
-                         mode=scalars.FLOAT)
+    """Haar random unitary: Gram-Schmidt over the rows of a seeded
+    complex Gaussian matrix (QR with the phase fix), run twice so that
+    rounding leaves the rows orthonormal to about 1e-15."""
+    rows = []
+    for _ in range(d):
+        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
+        for _ in range(2):
+            for q in rows:
+                c = sum(a.conjugate() * b for a, b in zip(q, v))
+                v = [b - c * a for a, b in zip(q, v)]
+        norm = math.sqrt(sum(abs(b) ** 2 for b in v))
+        rows.append([b / norm for b in v])
+    return UnitaryMatrix(rows, mode=scalars.FLOAT)
 
 
 def _nonzero_rows(U):
@@ -174,8 +181,9 @@ def symbolic_gamma(U, x):
         Gamma(M(I, J)) = sum_{|K| = |I|, |L| = |J|}
             prod_s u_{I_s K_s} . prod_s conj(u_{J_s L_s}) . M(K, L).
 
-    Only valid for uniform weights: for non-uniform weights the
-    conjugation fails to be multiplicative (see
+    The substitution is multiplicative at any weights, but only at
+    uniform weights does conjugation by the second quantization
+    implement it and keep harmonicity, so other weights are refused (see
     ``counterexample_report``)."""
     weights = x.weights
     if not weights.is_uniform():
@@ -213,8 +221,9 @@ def symbolic_gamma(U, x):
 
 
 class CounterexampleReport(Frozen):
-    """Witness that conjugation by a swap fails to be multiplicative
-    for non-uniform weights."""
+    """Witness that, at non-uniform weights, conjugation by the second
+    quantization of a swap neither implements the generator
+    substitution nor keeps harmonicity."""
 
     __slots__ = (
         "i0", "j0", "coefficient", "truncated_norm", "difference",
@@ -232,37 +241,36 @@ class CounterexampleReport(Frozen):
 
 
 def counterexample_report(weights, i0, j0, cut=5):
-    """Exact failure of multiplicativity at non-uniform weights.
+    """Exact failure of conjugation to implement the substitution at
+    non-uniform weights.
 
-    With U the swap of letters i0 and j0, the conjugated diagonal
-    monomial differs from the product of the conjugated generators by
+    With U the swap of letters i0 and j0, the substitution carries
+    M(i0, i0) to M(j0, j0), but conjugation misses its truncation by
     exactly (w_{i0} - w_{j0}) times the vacuum projection:
 
-        conj(M(i0, i0)) - conj(r_{i0}) . conj(r_{i0})*
-            = (w_{i0} - w_{j0}) p_Omega.
+        conj(T(M(i0, i0))) - T(M(j0, j0)) = (w_{i0} - w_{j0}) p_Omega.
 
-    The same difference shows conj(M(i0, i0)) is not harmonic, so the
-    conjugation does not even preserve the fixed-point algebra."""
+    The difference is checked to be that one entry, so its norm is the
+    coefficient's modulus.  It also shows conj(T(M(i0, i0))) is not
+    harmonic: the conjugation does not even preserve the fixed-point
+    algebra."""
     if weights.weight(i0) == weights.weight(j0):
         raise ValueError(
             "weights at the chosen letters are equal; no counterexample exists"
         )
     u = UnitaryMatrix.swap(weights.d, i0, j0, weights.mode)
     lhs = conjugate(u, CuntzElement.monomial(weights, (i0,), (i0,)).to_truncated(cut))
-    # conj(r_{i0}) = r_{j0}, so the product of the images is M(j0, j0)
     rhs = CuntzElement.monomial(weights, (j0,), (j0,)).to_truncated(cut)
     difference = lhs - rhs
     coefficient = difference.entry(EMPTY_WORD, EMPTY_WORD)
-    import numpy as np
-
-    truncated_norm = float(
-        np.linalg.norm(difference.to_dense(), 2)
-    )
-    from .fock import is_harmonic
-
+    if difference.word_entries() != {(EMPTY_WORD, EMPTY_WORD): coefficient}:
+        raise InternalInconsistencyError(
+            "conjugated monomial differs from its substitution image "
+            "off the vacuum entry"
+        )
     defect = is_harmonic(lhs, weights)
     return CounterexampleReport(
-        i0, j0, coefficient, truncated_norm, difference, defect
+        i0, j0, coefficient, abs(coefficient), difference, defect
     )
 
 

@@ -794,24 +794,8 @@ class _Float(Field):
         """``_Exact.compose_sum`` in FLOAT: ``accumulate`` over the
         products, with no memo."""
         by_mid = _by_mid(right)
-        terms = {}
-        get = terms.get
-        for (row, mid), x in left.items():
-            for col, y in by_mid.get(mid, ()):
-                value = x * y
-                key = (row, col)
-                s = get(key)
-                if s is None:
-                    if abs(value) <= 1e-12:
-                        continue
-                    terms[key] = value
-                else:
-                    value = s + value
-                    if abs(value) <= 1e-12:
-                        del terms[key]
-                    else:
-                        terms[key] = value
-        return terms
+        return accumulate((((row, col), x * y) for (row, mid), x in left.items()
+                           for col, y in by_mid.get(mid, ())), self)
 
     def moved_products(self, entries):
         """Each moved value in ``entries`` times one, dropped within 1e-12

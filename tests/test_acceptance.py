@@ -9,9 +9,15 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from fockboundary import verify
+from fockboundary.algebra import CuntzElement
+from fockboundary.choi_effros import op_right_creation
 from fockboundary.classification import classify, exponent_decomposition
+from fockboundary.errors import StabilizationError
 from fockboundary.fock import WeightVector
+from fockboundary.scalars import GaussianRational
 
 
 class TestCriterion1CuntzRelations:
@@ -36,6 +42,32 @@ class TestCriterion2Multiplications:
     def test_stabilization_budget(self, multiplications_report):
         for c in multiplications_report["cases"]:
             assert c["steps_used"] <= sum(len(w) for w in c["words"]) + 1
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(3, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "ROADMAP item 2: the chain stops on a Markov step that changed "
+                "nothing on a block too shallow to see the defect"))),
+        4, 5, 6, 7, 8,
+    ])
+    def test_iterative_chain_is_refused_or_right(self, cut):
+        # a . r_1 = 1 + i r_11 at cut 3 is cut to cut 1, where it looks like
+        # the identity, so the chain returns vacuum entry 0, not i/9
+        w = WeightVector([Fraction(1, 3), Fraction(2, 3)])
+
+        def M(I, J):
+            return CuntzElement.monomial(w, I, J)
+
+        a = M((1,), ()).scale(GaussianRational(0, 1)) + M((), (1,))
+        product = a * M((1,), ()) * M((), (1, 1))
+        chain = [a.to_truncated(cut), op_right_creation((1,), cut, 2),
+                 op_right_creation((1, 1), cut, 2).adjoint()]
+        try:
+            got, _ = verify._iterative_chain(chain, w)
+        except StabilizationError:
+            return
+        want = product.to_truncated(max(got.cut, product.max_word_length()))
+        assert got.equal_on_block(want, got.cut)
 
 
 class TestCriterion3Faithfulness:

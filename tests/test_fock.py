@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -271,7 +273,6 @@ class TestMarkov:
 # the truncated and symbolic kernels of the benchmark, in both fields
 KERNELS_SCRIPT = """
 import random
-import sys
 from fractions import Fraction
 
 from fockboundary.algebra import CuntzElement, Monomial
@@ -294,8 +295,7 @@ for mode in ("exact", "float"):
     closed_form(xt, w, left=((2,), (1,)), right=((1,), (2, 2)))
     product_iterative(xt, r, w)
     x * x
-    # rotated-basis: rows that are exact in both fields, as random_float_unitary
-    # imports numpy
+    # rotated-basis: a rotation whose rows are exact in both fields
     V = UnitaryMatrix([[Fraction(3, 5), Fraction(4, 5)],
                        [Fraction(4, 5), Fraction(-3, 5)]], mode)
     g = second_quantize(V, 5)
@@ -303,16 +303,82 @@ for mode in ("exact", "float"):
 u = WeightVector.uniform(3)
 y = CuntzElement({Monomial((1, 3), (2,)): 1}, u)
 symbolic_gamma(random_exact_unitary(3, random.Random(1)), y)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
+
+
+# a finder first on sys.meta_path that refuses numpy, so that a script
+# fails wherever it would import numpy, even with numpy installed
+NO_NUMPY = """
+import sys
+
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+
+sys.meta_path.insert(0, NoNumpy())
+"""
+
+
+def run_without_numpy(script):
+    """Run ``script`` in a fresh interpreter that cannot import numpy;
+    its stdout as bytes."""
+    src = str(Path(fockboundary.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    run = subprocess.run([sys.executable, "-c", NO_NUMPY + script], env=env,
+                         capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    return run.stdout
 
 
 def test_the_kernels_import_no_numpy():
     # importing numpy adds about 12 MB to a run's peak RSS, more than the
     # benchmark's bound on peak_rss_mb allows
-    src = str(Path(fockboundary.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    run = subprocess.run([sys.executable, "-c", KERNELS_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    run_without_numpy(KERNELS_SCRIPT)
+
+
+def test_verify_all_runs_without_numpy():
+    stdout = run_without_numpy(
+        "from fockboundary.cli import main\n"
+        "sys.exit(main(['verify', 'all', '--seed', '7']))\n")
+    digest = (Path(__file__).parent / "data" / "verify_all_seed7.sha256").read_text()
+    assert hashlib.sha256(stdout).hexdigest() == digest.split()[0]
+
+
+def test_float_unitaries_and_counterexample_without_numpy():
+    stdout = run_without_numpy("""
+import random
+from fractions import Fraction
+
+from fockboundary.fock import WeightVector
+from fockboundary.quantization import counterexample_report, random_float_unitary
+
+rng = random.Random(7)
+for d in range(2, 10):
+    for _ in range(50):
+        random_float_unitary(d, rng)  # the constructor checks unitarity to 1e-12
+for mode in ("exact", "float"):
+    weights = WeightVector([Fraction(1, 3), Fraction(2, 3)], mode)
+    print(counterexample_report(weights, 1, 2).truncated_norm)
+""")
+    assert stdout.split() == [b"0.3333333333333333"] * 2
+
+
+def test_no_module_imports_numpy():
+    src = Path(fockboundary.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    found = set()
+    for p in modules:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found |= {(p.name, n) for n in names if n.partition(".")[0] == "numpy"}
+    assert not found
