@@ -158,23 +158,23 @@ class CuntzElement(Frozen):
         same_weights(self.weights, other.weights)
         terms = accumulate(
             chain(self.terms.items(), other.terms.items()), self.mode)
-        return CuntzElement(terms, self.weights, _trusted=True)
+        return type(self)(terms, self.weights, _trusted=True)
 
     def __sub__(self, other):
         same_weights(self.weights, other.weights)
         terms = subtract(self.terms, other.terms, self.mode)
-        return CuntzElement(terms, self.weights, _trusted=True)
+        return type(self)(terms, self.weights, _trusted=True)
 
     def __neg__(self):
-        return CuntzElement(
+        return type(self)(
             {m: -c for m, c in self.terms.items()}, self.weights, _trusted=True
         )
 
     def scale(self, c):
         c = self.mode.coerce(c)
         if self.mode.near_zero(c):
-            return CuntzElement.zero(self.weights)
-        return CuntzElement(
+            return type(self).zero(self.weights)
+        return type(self)(
             {m: c * v for m, v in self.terms.items()}, self.weights, _trusted=True
         )
 
@@ -187,10 +187,10 @@ class CuntzElement(Frozen):
         terms = accumulate_products(
             contractions(self.terms.items(), other.terms.items()),
             self.mode, "product")
-        return CuntzElement(terms, self.weights, _trusted=True)
+        return type(self)(terms, self.weights, _trusted=True)
 
     def adjoint(self):
-        return CuntzElement(
+        return type(self)(
             {m.flip(): c.conjugate() for m, c in self.terms.items()},
             self.weights,
             _trusted=True,
@@ -211,7 +211,7 @@ class CuntzElement(Frozen):
         pairs = expanded(chain.from_iterable(classes.values()),
                          self.weights.d, levels(self.terms))
         terms = accumulate(pairs, self.mode, "normal form")
-        return CuntzElement(terms, self.weights, _trusted=True)
+        return type(self)(terms, self.weights, _trusted=True)
 
     # -- state, inner product, zero test ----------------------------------------
 
@@ -269,9 +269,9 @@ class CuntzElement(Frozen):
 
     def __repr__(self):
         if not self.terms:
-            return "CuntzElement(0)"
+            return "%s(0)" % type(self).__name__
         bits = ["%r*%r" % (c, m) for m, c in self.sorted_terms()]
-        return "CuntzElement(%s)" % " + ".join(bits)
+        return "%s(%s)" % (type(self).__name__, " + ".join(bits))
 
     # -- concrete realization -----------------------------------------------
 

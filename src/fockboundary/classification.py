@@ -148,11 +148,8 @@ def _classify_float(weights, tolerance):
                 witness="recovered lambda fails to reproduce the weights",
                 numeric=True,
             )
-    witness = "logs commensurable; lambda = exp(common measure)"
-    if weights.minpoly:
-        residue = sum(c * lam ** k for k, c in enumerate(weights.minpoly))
-        witness += "; minimal polynomial residue %.3g" % abs(residue)
-    return TypeVerdict(KIND_LAMBDA, lam=lam, exponents=ks, witness=witness,
+    return TypeVerdict(KIND_LAMBDA, lam=lam, exponents=ks,
+                       witness="logs commensurable; lambda = exp(common measure)",
                        numeric=True)
 
 
@@ -170,9 +167,8 @@ def exponent_decomposition(lam, d, max_exp=12, tol=1e-12):
     """All nondecreasing tuples (k_1..k_d) of positive integers with
     sum lam^{k_i} = 1 and gcd 1, up to the exponent bound.  Exact for
     rational lam, toleranced for floats."""
-    exact = isinstance(lam, (Fraction, int)) and not isinstance(lam, bool)
-    if exact:
-        lam = Fraction(lam)
+    if isinstance(lam, (Fraction, int)) and not isinstance(lam, bool):
+        lam, tol = Fraction(lam), 0  # exact: every comparison is exact
     if not (0 < lam < 1):
         raise ValueError("lambda must lie in (0, 1)")
     powers = [None] + [lam ** k for k in range(1, max_exp + 1)]
@@ -180,26 +176,18 @@ def exponent_decomposition(lam, d, max_exp=12, tol=1e-12):
 
     def search(slots, start, remaining, chosen):
         if slots == 0:
-            ok = remaining == 0 if exact else abs(remaining) <= tol
-            if ok and gcd(*chosen) == 1:
+            if abs(remaining) <= tol and gcd(*chosen) == 1:
                 results.append(tuple(chosen))
             return
         for k in range(start, max_exp + 1):
             value = powers[k]
-            if exact:
-                if value * slots < remaining:
-                    break  # even all-equal choices fall short; larger k worse
-                if value > remaining:
-                    continue
-            else:
-                if value * slots < remaining - tol:
-                    break
-                if value > remaining + tol:
-                    continue
+            if value * slots < remaining - tol:
+                break  # even all-equal choices fall short; larger k worse
+            if value > remaining + tol:
+                continue
             chosen.append(k)
             search(slots - 1, k, remaining - value, chosen)
             chosen.pop()
 
-    one = Fraction(1) if exact else 1.0
-    search(d, 1, one, [])
+    search(d, 1, 1, [])
     return results

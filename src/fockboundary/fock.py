@@ -373,15 +373,12 @@ class WeightVector(Frozen):
     ``mode`` is the coefficient field, given as a field or its name.
     EXACT keeps the weights as Fractions and all downstream arithmetic
     is exact; FLOAT keeps floats and downstream comparisons are
-    toleranced.  ``minpoly``, if given in float mode,
-    records integer coefficients (c_0, c_1, .., c_n) of a polynomial
-    sum c_k x^k vanishing on a distinguished algebraic weight; it is
-    only used as a certificate check by the classifier.
+    toleranced.
     """
 
-    __slots__ = ("d", "values", "mode", "minpoly")
+    __slots__ = ("d", "values", "mode")
 
-    def __init__(self, values, mode=EXACT, minpoly=None):
+    def __init__(self, values, mode=EXACT):
         mode = field(mode)
         values = tuple(values)
         d = len(values)
@@ -395,7 +392,7 @@ class WeightVector(Frozen):
         for v in values:
             if not (0 < v < 1):
                 raise ValueError("every weight must lie strictly in (0, 1)")
-        Frozen.__init__(self, d, values, mode, tuple(minpoly) if minpoly else None)
+        Frozen.__init__(self, d, values, mode)
 
     @classmethod
     def parse(cls, text, mode=EXACT):
@@ -426,14 +423,10 @@ class WeightVector(Frozen):
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
             return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.values == other.values
-            and self.minpoly == other.minpoly
-        )
+        return self.mode == other.mode and self.values == other.values
 
     def __hash__(self):
-        return hash((self.values, self.mode, self.minpoly))
+        return hash((self.values, self.mode))
 
     def __repr__(self):
         return "WeightVector(%r, mode=%r)" % (list(self.values), self.mode)

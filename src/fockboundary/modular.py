@@ -2,29 +2,40 @@
 vectors xi(I, J).
 
 The monomial vectors are eigenvectors of the modular operator with
-eigenvalue w_I / w_J; the modular conjugation and the S operator act by
-the eigen-formulas.  The exact field carries the square roots that J
-and half powers of the modular operator introduce as quadratic surds
-(:class:`~fockboundary.scalars.Surd`, coefficient times sqrt of a
-positive rational) so that identities like S = J . Delta^{1/2} are
-verified with exact cancellation.  Imaginary
-powers are carried as symbolic phase bases: a stored base b stands for
-the modulus-one factor b^{it}.
+eigenvalue w_I / w_J (``phase_base``); the modular conjugation and the
+S operator act by the eigen-formulas.  The exact field carries the
+square roots that J and half powers of the modular operator introduce
+as quadratic surds (:class:`~fockboundary.scalars.Surd`, coefficient
+times sqrt of a positive rational) so that identities like
+S = J . Delta^{1/2} are verified with exact cancellation.  The modular
+flow multiplies M(I, J) by the imaginary power (w_I / w_J)^{it}; its
+base is a function of the words, so a flowed element keeps plain terms
+and reads each base from its monomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import sub
 
-from .algebra import CuntzElement, Monomial, contractions
+from .algebra import CuntzElement, Monomial
 from .errors import SpectrumSizeError
-from .fock import EMPTY_WORD, same_weights, words_up_to
-from .scalars import Frozen, accumulate, accumulate_products, subtract
+from .fock import same_weights, words_up_to
+from .scalars import Frozen, accumulate
 
 SPECTRUM_PAIR_CAP = 250000
+
+
+def phase_base(weights, mono):
+    """w_I / w_J for M(I, J), in ``word_weight``'s product order: the
+    eigenvalue of xi(I, J) under the modular operator and the base b of
+    the phase b^{it} that the modular flow puts on M(I, J).  Bases
+    multiply along contractions, w_{IK'} / w_L = (w_I / w_J)(w_K / w_L)
+    when K = J K', and invert under the adjoint."""
+    I, J = mono
+    return weights.word_weight(I) / weights.word_weight(J)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +76,6 @@ class GnsVector(Frozen):
             out[m] = c
         return GnsVector(out, self.weights)
 
-    def ratio(self, mono):
-        """w_I / w_J for the given monomial."""
-        return self.weights.word_weight(mono.I) / self.weights.word_weight(mono.J)
-
     def same_terms(self, other, tol=1e-12):
         same_weights(self.weights, other.weights)
         return self.weights.mode.same_entries(self.terms, other.terms, tol)
@@ -92,20 +99,22 @@ def delta_apply(v, power):
     powers exactly (half powers become surds); other denominators are
     accepted only when the exact root is rational."""
     power = Fraction(power)
-    ratio_power = v.weights.mode.ratio_power
+    weights = v.weights
+    ratio_power = weights.mode.ratio_power
 
     def scale(mono, coeff):
-        return mono, coeff * ratio_power(v.ratio(mono), power)
+        return mono, coeff * ratio_power(phase_base(weights, mono), power)
 
     return v.map_terms(scale)
 
 
 def modular_conjugation(v):
     """J: c * xi(I,J) -> conj(c) * sqrt(w_J/w_I) * xi(J,I)."""
-    sqrt = v.weights.mode.sqrt
+    weights = v.weights
+    sqrt = weights.mode.sqrt
 
     def act(mono, coeff):
-        return mono.flip(), coeff.conjugate() * sqrt(1 / v.ratio(mono))
+        return mono.flip(), coeff.conjugate() * sqrt(1 / phase_base(weights, mono))
 
     return v.map_terms(act)
 
@@ -121,136 +130,57 @@ def s_operator(v):
 
 
 # ---------------------------------------------------------------------------
-# the modular flow on elements: symbolic phases
+# the modular flow on elements: phases read from the monomials
 
 
-class PhasedElement(Frozen):
-    """A combination sum c * b^{it} * M(I,J) where each term carries a
-    positive rational phase base b; bases multiply when terms multiply,
-    so the flow at symbolic t stays exact.  The parameter t itself is
-    never evaluated in exact mode."""
+class PhasedElement(CuntzElement):
+    """The modular flow t -> sigma_t(x) of an element x at symbolic t.
 
-    __slots__ = ("terms", "weights")
+    sigma_t(c M(I, J)) = c b^{it} M(I, J) with the phase base
+    b = ``phase_base(M(I, J))`` read from the words, so a phased element
+    holds plain {Monomial: coeff} terms and no term stores a base.  The
+    bases multiply along every contraction and invert under the
+    adjoint, so the inherited sum, product and adjoint are those of the
+    flow.  The parameter t itself is never evaluated in exact mode.
+    """
 
-    def __init__(self, terms, weights, _trusted=False):
-        if _trusted:
-            self._fill(terms, weights)
-            return
-        mode = weights.mode
-        clean = {}
-        for (mono, base), coeff in terms.items():
-            base = mode.real(base)
-            coeff = mode.coerce(coeff)
-            if not mode.near_zero(coeff):
-                clean[(mono, base)] = coeff
-        self._fill(clean, weights)
-
-    @property
-    def mode(self):
-        return self.weights.mode
-
-    def __add__(self, other):
-        same_weights(self.weights, other.weights)
-        terms = accumulate(
-            chain(self.terms.items(), other.terms.items()), self.mode)
-        return PhasedElement(terms, self.weights, _trusted=True)
-
-    def __neg__(self):
-        return PhasedElement(
-            {k: -c for k, c in self.terms.items()}, self.weights, _trusted=True
-        )
-
-    def __sub__(self, other):
-        same_weights(self.weights, other.weights)
-        terms = subtract(self.terms, other.terms, self.mode)
-        return PhasedElement(terms, self.weights, _trusted=True)
-
-    def __mul__(self, other):
-        """Product: monomials contract, phase bases multiply."""
-        same_weights(self.weights, other.weights)
-        pairs = contractions(
-            ((m, (b, c)) for (m, b), c in self.terms.items()),
-            ((m, (b, c)) for (m, b), c in other.terms.items()),
-        )
-        terms = accumulate_products(
-            (((m, ba * bb), ca, cb) for m, (ba, ca), (bb, cb) in pairs),
-            self.mode, "phased product")
-        return PhasedElement(terms, self.weights, _trusted=True)
-
-    def adjoint(self):
-        """(c b^{it} M(I,J))* = conj(c) (1/b)^{it} M(J,I)."""
-        terms = {}
-        for (mono, base), coeff in self.terms.items():
-            terms[(mono.flip(), 1 / base)] = coeff.conjugate()
-        return PhasedElement(terms, self.weights, _trusted=True)
-
-    def normal_form(self):
-        """Expansion preserves the phase base (the ratio w_I/w_J of the
-        expanded monomial is unchanged), so the plain normal form is
-        applied within each base class."""
-        by_base = {}
-        for (mono, base), coeff in self.terms.items():
-            by_base.setdefault(base, {})[mono] = coeff
-        pairs = (
-            ((mono, base), coeff)
-            for base, sub in by_base.items()
-            for mono, coeff in CuntzElement(
-                sub, self.weights, _trusted=True).normal_form().terms.items()
-        )
-        return PhasedElement(accumulate(pairs, self.mode), self.weights)
+    # no __slots__: the class adds no field, and CuntzElement's
+    # __slots__ stay the fields that Frozen fills, copies and pickles
 
     def same_flow(self, other, tol=1e-12):
-        """Equality as functions of t: the functions b^{it} for distinct
-        positive bases are linearly independent, so the normal forms
-        must agree base by base."""
-        diff = (self - other).normal_form()
-        return all(self.mode.near_zero(c, tol) for c in diff.terms.values())
+        """Equality as functions of t.  The functions b^{it} for distinct
+        positive bases are linearly independent, and the expansion
+        M(I, J) = sum_K M(IK, JK) keeps the base, so two flows agree
+        exactly when the elements are equal."""
+        return self.equals(other, tol)
 
     def vacuum_state_by_base(self):
         """phi extended to phased terms, returned as {base: value}."""
-        word_weight = self.weights.word_weight
+        weights = self.weights
         return accumulate(
-            ((base, coeff * word_weight(J))
-             for ((I, J), base), coeff in self.terms.items() if I == J),
+            ((phase_base(weights, mono), coeff * weights.word_weight(mono.J))
+             for mono, coeff in self.terms.items() if mono.I == mono.J),
             self.mode)
-
-    def __repr__(self):
-        bits = ", ".join(
-            "%r@%s: %r" % (m, b, c) for (m, b), c in self.terms.items()
-        )
-        return "PhasedElement({%s})" % bits
 
 
 def sigma_t(x):
     """The modular flow on an element: each monomial picks up the
-    symbolic phase (w_I/w_J)^{it}.  The result is a
+    symbolic phase (w_I/w_J)^{it}.  The result is x's terms as a
     :class:`PhasedElement`; evaluate with ``evaluate_at`` in float mode.
     """
-    w = x.weights
-    weight = {EMPTY_WORD: w.mode.real_one}
-    for word in chain.from_iterable(x.terms):
-        # word_weight's product order, with one product per new prefix
-        n = len(word)
-        while word[:n] not in weight:
-            n -= 1
-        for k in range(n, len(word)):
-            weight[word[:k + 1]] = weight[word[:k]] * w.values[word[k] - 1]
-    # an element's coefficients and ratios of field reals: already clean
-    return PhasedElement(
-        {(m, weight[m[0]] / weight[m[1]]): c for m, c in x.terms.items()},
-        w, _trusted=True)
+    return PhasedElement(x.terms, x.weights, _trusted=True)
 
 
 def evaluate_at(phased, t):
     """Evaluate the phases at a concrete real t.  The phase b^{it} is
     complex, so only a float session can hold it: in an exact session
     the coercion raises ModeMixError."""
-    mode = phased.mode
-    terms = accumulate(
-        ((mono, coeff * mode.coerce(base ** complex(0, t)))
-         for (mono, base), coeff in phased.terms.items()),
-        mode)
-    return CuntzElement(terms, phased.weights)
+    weights = phased.weights
+    coerce = weights.mode.coerce
+    return CuntzElement(
+        {mono: coeff * coerce(phase_base(weights, mono) ** complex(0, t))
+         for mono, coeff in phased.terms.items()},
+        weights)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,7 @@ class TestCriterion5Classification:
         assert classify(
             WeightVector([Fraction(1, 3), Fraction(2, 3)])).kind == "III_one"
         lam = (math.sqrt(5) - 1) / 2
-        golden = classify(WeightVector([lam, lam * lam], mode="float",
-                                       minpoly=(-1, 1, 1)))
+        golden = classify(WeightVector([lam, lam * lam], mode="float"))
         assert golden.kind == "III_lambda"
         assert abs(golden.lam - 0.6180339887) < 1e-9
 

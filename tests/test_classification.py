@@ -74,7 +74,7 @@ class TestExact:
 class TestFloat:
     def test_golden_ratio(self):
         lam = (math.sqrt(5) - 1) / 2
-        w = WeightVector([lam, lam * lam], mode="float", minpoly=(-1, 1, 1))
+        w = WeightVector([lam, lam * lam], mode="float")
         v = classify(w)
         assert v.kind == "III_lambda"
         assert v.numeric

@@ -56,7 +56,7 @@ from fockboundary.fock import (
     word_reverse,
     words_up_to,
 )
-from fockboundary.modular import PhasedElement, sigma_t
+from fockboundary.modular import PhasedElement, phase_base, sigma_t
 from fockboundary.quantization import (
     UnitaryMatrix,
     markov_step_in_basis,
@@ -180,17 +180,6 @@ def normal_form_by_expansion(x):
         else:
             out[key] = value
     return out
-
-
-def pairwise_phased_product(x, y):
-    terms = {}
-    for (ma, ba), ca in x.terms.items():
-        for (mb, bb), cb in y.terms.items():
-            m = mono_product(ma, mb)
-            if m is not None:
-                key = (m, ba * bb)
-                terms[key] = terms.get(key, x.mode.zero) + ca * cb
-    return PhasedElement(terms, x.weights)
 
 
 def inner_through_product(x, y):
@@ -344,8 +333,17 @@ class TestProduct:
         w = session_weights(*data.draw(sessions()))
         x, y, z = (data.draw(elements(w, max_terms=4)) for _ in range(3))
         a, b = sigma_t(x) + sigma_t(z), sigma_t(y)
-        assert_terms_agree((a * b).terms, pairwise_phased_product(a, b).terms,
-                           w.mode)
+        product = a * b
+        assert type(product) is PhasedElement
+        assert_terms_agree(product.terms, pairwise_product(a, b).terms, w.mode)
+        # the phase base of each contraction is its factors' product
+        for ma in a.terms:
+            for mb in b.terms:
+                m = mono_product(ma, mb)
+                if m is not None:
+                    assert_scalars_agree(phase_base(w, m),
+                                         phase_base(w, ma) * phase_base(w, mb),
+                                         w.mode)
 
     def test_cancellation_drops_the_term(self, w13):
         x = CuntzElement.identity(w13) + CuntzElement.monomial(w13, (1,), (2,))

@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,14 @@ from fockboundary.modular import (
     gram_matrix,
     modular_conjugation,
     monomial_family,
+    phase_base,
     s_operator,
     sigma_t,
     spectrum_sample,
 )
+from fockboundary.quantization import UnitaryMatrix, conjugate
 from fockboundary.scalars import GaussianRational, Surd
+from fockboundary.verify import random_element
 
 words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
 coeffs = st.builds(
@@ -107,10 +111,7 @@ FLOW_WEIGHTS = {2: [Fraction(1, 3), Fraction(2, 3)],
 
 def checked_sigma_t(x):
     """The flow through PhasedElement's checked constructor."""
-    w = x.weights
-    return PhasedElement(
-        {(m, w.word_weight(m.I) / w.word_weight(m.J)): c
-         for m, c in x.terms.items()}, w)
+    return PhasedElement(dict(x.terms), x.weights)
 
 
 class TestSigmaT:
@@ -128,14 +129,58 @@ class TestSigmaT:
             coeff = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
         x = CuntzElement(data.draw(st.dictionaries(monos, coeff, max_size=8)), w)
         got, want = sigma_t(x), checked_sigma_t(x)
+        assert type(got) is type(want) is PhasedElement
         assert list(got.terms.items()) == list(want.terms.items())
-        for (_, b), (_, c) in zip(got.terms, want.terms):
-            assert type(b) is type(c)
         assert got.weights is want.weights
+        # each base is a real of the field and inverts under the adjoint
+        for mono in got.terms:
+            base, back = phase_base(w, mono), phase_base(w, mono.flip())
+            assert type(base) is type(w.values[0])
+            assert abs(base * back - 1) <= (0 if mode == "exact" else 1e-15)
+
+
+FLOAT_FLOW_WEIGHTS = [[0.3, 0.7], [0.2, 0.3, 0.5]]
+
+
+@pytest.mark.parametrize("values", FLOAT_FLOW_WEIGHTS)
+def test_float_flow_is_an_automorphism(values):
+    # bases read from the monomials: no float class split between
+    # sigma_t(xy) and sigma_t(x) sigma_t(y)
+    w = WeightVector(values, mode="float")
+    rng = random.Random(len(values))
+    for _ in range(200):
+        x, y = random_element(w, rng), random_element(w, rng)
+        assert sigma_t(x * y).same_flow(sigma_t(x) * sigma_t(y))
+        assert sigma_t(x.adjoint()).same_flow(sigma_t(x).adjoint())
+
+
+def float_weights(d, rng):
+    raw = [rng.uniform(0.5, 2) for _ in range(d)]
+    return WeightVector([v / sum(raw) for v in raw], mode="float")
+
+
+@pytest.mark.parametrize("d, cut", [(2, 4), (3, 3)])
+def test_float_flow_on_both_layers(d, cut):
+    # Gamma(D_t) T(a) Gamma(D_t)* = T(sigma_t(a)) at t, with
+    # D_t = diag(w_i^{it}): Gamma(D_t) scales e_I by w_I^{it}
+    rng = random.Random(d)
+    for _ in range(30):
+        w = float_weights(d, rng)
+        t = rng.uniform(-3, 3)
+        a, b = random_element(w, rng), random_element(w, rng)
+        D = UnitaryMatrix(
+            [[v ** complex(0, t) if i == j else 0 for j in range(d)]
+             for i, v in enumerate(w.values)], mode="float")
+        flowed = evaluate_at(sigma_t(a), t)
+        assert conjugate(D, a.to_truncated(cut)).max_block_diff(
+            flowed.to_truncated(cut), cut) <= 1e-13
+        # and the evaluated flow is multiplicative at t
+        product = flowed * evaluate_at(sigma_t(b), t)
+        difference = (evaluate_at(sigma_t(a * b), t) - product).normal_form()
+        assert all(abs(c) <= 1e-13 for c in difference.terms.values())
 
 
 def test_sigma_t_leaves_no_reference_cycle(w13):
-    # the memo of word weights is freed with the call, not by the GC
     x = CuntzElement.monomial(w13, (1, 2), (2,)) + CuntzElement.monomial(
         w13, (2, 2, 1), ())
     gc.collect()
