@@ -147,17 +147,34 @@ def block_bound(degree, d):
     return 1 << max(letter_bits(d) * degree + 1, 0)
 
 
+_WORD_TABLES = {}  # d -> its kept _word_table; a function of d alone
+
+
+def _word_table(d, max_len):
+    """Per length n <= max_len, a tuple of the low n*b bits of the codes of
+    the words of length n, in ``prepend_words``' order; kept if it fits the
+    term budget."""
+    table = _WORD_TABLES.get(d, ((0,),))
+    if len(table) <= max_len:
+        b = letter_bits(d)
+        while len(table) <= max_len:
+            table += (tuple([(w << b) | a for a in range(d) for w in table[-1]]),)
+        if sum(map(len, table)) <= term_cap():
+            _WORD_TABLES[d] = table
+    return table
+
+
 def prepend_words(row, col, d, max_len):
     """The code pairs (W row, W col) for the words W of length <= max_len,
-    in length-then-lex order of W."""
+    in length-then-lex order of W: (row << n*b | w, col << n*b | w) for
+    each length n and low digits w in ``_word_table``."""
     if max_len < 0:
         return []
     b = letter_bits(d)
-    level = [(row, col)]
-    out = list(level)
-    for _ in range(max_len):
-        level = [((r << b) | a, (c << b) | a) for a in range(d) for r, c in level]
-        out += level
+    out = []
+    for n, level in enumerate(_word_table(d, max_len)[:max_len + 1]):
+        R, C = row << n * b, col << n * b
+        out += [(R | w, C | w) for w in level]
     return out
 
 

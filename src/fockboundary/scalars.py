@@ -572,9 +572,13 @@ class _Exact(Field):
     def harmonic_defects(self, entries, weights, bits, bound, tol=1e-12):
         """The dict of sum_a w_a x[ar, ac] - x[r, c] at x's word-code keys
         below ``bound`` where it is not zero: d lookups an entry, summed on
-        integer triples over the weights' common denominator; ``_lacking``."""
+        integer triples over the weights' common denominator; ``_lacking``.
+        If the weights sum to one, an entry whose d lookups all return its
+        own value object is no defect, with no sum; else the sum is taken."""
         den = math.lcm(*(w.denominator for w in weights))
         letters = list(enumerate(w.numerator * den // w.denominator for w in weights))
+        unit = sum(n for _, n in letters) == den
+        digits = range(len(letters))
         mask = (1 << bits) - 1
         get = entries.get
         defects = {}
@@ -585,6 +589,13 @@ class _Exact(Field):
             if r >= bound or c >= bound:
                 continue
             R, C = r << bits, c << bits
+            if unit:
+                for digit in digits:
+                    if get((R | digit, C | digit)) is not v:
+                        break
+                else:
+                    hits += len(digits)
+                    continue
             a = b = 0
             e = 1  # the sum is (a + b i) / (den * e)
             for digit, n in letters:

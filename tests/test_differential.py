@@ -817,6 +817,63 @@ class TestWordCodes:
         assert (encode(v, d) < block_bound(cut, d)) == (len(v) <= cut)
 
 
+def level_prepend(row, col, d, max_len):
+    """``prepend_words`` as a level loop: each level is the one before
+    with each letter a prepended, a in the outer loop."""
+    if max_len < 0:
+        return []
+    b = letter_bits(d)
+    level = [(row, col)]
+    out = list(level)
+    for _ in range(max_len):
+        level = [((r << b) | a, (c << b) | a) for a in range(d) for r, c in level]
+        out += level
+    return out
+
+
+def budget_lengths(d):
+    """The word lengths n whose words of length <= n fit the term budget."""
+    n = 0
+    while True:
+        try:
+            fock.check_word_budget("words", d, (n,))
+        except TermBudgetError:
+            return range(n)
+        n += 1
+
+
+class TestWordTables:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_against_the_level_loop(self, d, monkeypatch):
+        monkeypatch.setattr(fock, "_WORD_TABLES", {})
+        rng = random.Random(d)
+
+        def code():
+            return encode([rng.randint(1, d) for _ in range(rng.randint(0, 4))], d)
+
+        lengths = budget_lengths(d)
+        # longer and longer, each call growing the table; then shorter
+        # and shorter, each read from the kept table
+        for n in [-2, -1, *lengths, *reversed(lengths)]:
+            row, col = code(), code()
+            assert prepend_words(row, col, d, n) == level_prepend(row, col, d, n)
+        table = fock._WORD_TABLES[d]
+        assert len(table) == len(lengths)
+        assert type(table) is tuple
+        assert all(type(level) is tuple for level in table)
+
+    def test_a_table_over_the_cap_is_served_not_kept(self, monkeypatch):
+        monkeypatch.setattr(fock, "_WORD_TABLES", {})
+        monkeypatch.setenv("FOCK_TERM_CAP", "40")
+        # 127 codes at d=2, length <= 6; 31 at length <= 4
+        assert prepend_words(3, 2, 2, 6) == level_prepend(3, 2, 2, 6)
+        assert fock._WORD_TABLES == {}
+        assert prepend_words(3, 2, 2, 4) == level_prepend(3, 2, 2, 4)
+        assert [len(level) for level in fock._WORD_TABLES[2]] == [1, 2, 4, 8, 16]
+        assert prepend_words(1, 5, 2, 6) == level_prepend(1, 5, 2, 6)
+        assert len(fock._WORD_TABLES[2]) == 5
+
+
 def assert_same_dict(got, want, mode):
     """Equal keys in equal order and equal values; float values bitwise,
     the sign of a zero part included."""
@@ -1180,6 +1237,143 @@ class TestOnePassHarmonicity:
         [call] = summed.call_args_list
         assert [(decode(r, 2), decode(c, 2)) for r, c in call.args[1]] == [
             ((1,), (1, 2)), ((2,), ())]
+
+
+# -- harmonicity by identity against the arithmetic -----------------------------
+
+
+def arithmetic_defects(entries, weights, bits, bound, tol=1e-12):
+    """``_Exact.harmonic_defects`` with every entry of the block summed:
+    sum_a w_a x[ar, ac] - x[r, c] in field arithmetic, one hit a lookup
+    that finds an entry, and ``_lacking`` on the hits that fall short."""
+    mask = (1 << bits) - 1
+    defects = {}
+    same = hits = 0
+    for (r, c), v in entries.items():
+        if r > mask and c > mask and not (r ^ c) & mask:
+            same += 1
+        if r >= bound or c >= bound:
+            continue
+        s = -v
+        for digit, w in enumerate(weights):
+            y = entries.get(((r << bits) | digit, (c << bits) | digit))
+            if y is not None:
+                hits += 1
+                s = s + GaussianRational(w) * y
+        if s:
+            defects[r, c] = s
+    return scalars._lacking(scalars.EXACT, entries, weights, bits, same - hits,
+                            defects, tol)
+
+
+def exact_weights(d):
+    """Random exact weights: d positive integers over their sum."""
+    return st.lists(st.integers(1, 9), min_size=d, max_size=d).map(
+        lambda ns: WeightVector([Fraction(n, sum(ns)) for n in ns]))
+
+
+def fromkeys_entries(d, cut):
+    """Code entries as ``to_truncated`` writes a term, with no vacuum
+    corrections: for each drawn (I, J, c), ``dict.fromkeys`` of the keys
+    (W I, W J) that fit the cut, all holding the one object c."""
+    words = st.lists(st.integers(1, d), max_size=cut).map(tuple)
+    terms = st.lists(st.tuples(words, words, nonzero_coefficients(scalars.EXACT)),
+                     max_size=4)
+
+    def build(terms):
+        entries = {}
+        for i, j, c in terms:
+            keys = prepend_words(encode(i, d), encode(j, d), d,
+                                 cut - max(len(i), len(j)))
+            entries.update(dict.fromkeys(keys, c))
+        return entries
+
+    return terms.map(build)
+
+
+def successors(entries, bits, bound):
+    """The keys (ar, ac) of x that are successors of a key (r, c) of x
+    below ``bound``."""
+    return [s for r, c in entries if r < bound and c < bound
+            for a in range(1 << bits)
+            if (s := ((r << bits) | a, (c << bits) | a)) in entries]
+
+
+class TestHarmonicityByIdentity:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_arithmetic(self, data):
+        d = data.draw(st.sampled_from((2, 3, 5)))
+        w = data.draw(st.one_of(exact_weights(d), st.just(WeightVector.uniform(d))))
+        cut = data.draw(st.integers(2, {2: 4, 3: 3, 5: 2}[d]))
+        if data.draw(st.booleans()):
+            entries = dict(data.draw(elements(w, max_len=2, max_terms=4))
+                           .to_truncated(cut).entries)
+        else:
+            entries = data.draw(fromkeys_entries(d, cut))
+        bits, bound = letter_bits(d), block_bound(cut - 1, d)
+        change = data.draw(st.sampled_from(
+            (None, "distinct", "deleted", "perturbed", "lacking")))
+        succ = successors(entries, bits, bound)
+        if change in ("distinct", "deleted") and succ:
+            key = data.draw(st.sampled_from(succ))
+            v = entries[key]
+            if change == "deleted":
+                del entries[key]
+            else:
+                entries[key] = GaussianRational(v.re, v.im)
+                assert entries[key] == v and entries[key] is not v
+        elif change == "perturbed" and entries:
+            key = data.draw(st.sampled_from(sorted(entries)))
+            entries[key] = entries[key] + data.draw(nonzero_coefficients(scalars.EXACT))
+        elif change == "lacking" and entries:
+            for key in data.draw(st.lists(st.sampled_from(sorted(entries)),
+                                          min_size=1, max_size=3)):
+                entries.pop(key, None)
+        # weights that do not sum to one take no identity shortcut
+        values = data.draw(st.sampled_from(
+            (w.values, w.values[:-1] + (w.values[-1] / 2,))))
+        triples = {id(v): (v, (v._a, v._b, v._den)) for v in entries.values()}
+        got = scalars.EXACT.harmonic_defects(entries, values, bits, bound)
+        want = arithmetic_defects(entries, values, bits, bound)
+        assert list(got.items()) == list(want.items())
+        assert {id(v): (v, (v._a, v._b, v._den)) for v in entries.values()} == triples
+
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
+    def test_every_entry_settled_by_identity(self, d, cut):
+        # one value object at every key of the identity: its triple is
+        # never read, and no Markov step runs
+        class Watched(GaussianRational):
+            __slots__ = ()
+            reads = 0
+
+            def __getattribute__(self, name):
+                if name in ("_a", "_b", "_den"):
+                    type(self).reads += 1
+                return object.__getattribute__(self, name)
+
+        c = object.__new__(Watched)
+        for name, value in (("_a", 2), ("_b", -1), ("_den", 3)):
+            object.__setattr__(c, name, value)
+        entries = dict.fromkeys(prepend_words(1, 1, d, cut), c)
+        w = EXACT_WEIGHTS[d].values
+        bits, bound = letter_bits(d), block_bound(cut - 1, d)
+        kernel = type(scalars.EXACT).markov_sum
+        with mock.patch.object(type(scalars.EXACT), "markov_sum", autospec=True,
+                               side_effect=kernel) as summed:
+            assert scalars.EXACT.harmonic_defects(entries, w, bits, bound) == {}
+            assert Watched.reads == 0 and not summed.called
+            # an equal copy at one successor is summed, and is no defect
+            entries[prepend_words(1, 1, d, 1)[-1]] = GaussianRational(
+                Fraction(2, 3), Fraction(-1, 3))
+            assert scalars.EXACT.harmonic_defects(entries, w, bits, bound) == {}
+            assert Watched.reads > 0 and not summed.called
+            # without the vacuum entry, the entries above it lack their key
+            del entries[1, 1]
+            got = scalars.EXACT.harmonic_defects(entries, w, bits, bound)
+            assert summed.called
+        assert list(got.items()) == list(arithmetic_defects(entries, w, bits, bound).items())
+        assert got == {(1, 1): c}
 
 
 # -- word maps built by their constructors -------------------------------------
