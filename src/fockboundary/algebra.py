@@ -35,7 +35,7 @@ from .fock import (
     word_reverse,
     words_of_length,
 )
-from .scalars import Frozen, accumulate, accumulate_products, subtract
+from .scalars import Frozen, accumulate, subtract
 
 
 class Monomial(tuple):
@@ -184,9 +184,8 @@ class CuntzElement(Frozen):
         """Fixed-point product, extended bilinearly from the monomial
         contraction rule."""
         same_weights(self.weights, other.weights)
-        terms = accumulate_products(
-            contractions(self.terms.items(), other.terms.items()),
-            self.mode, "product")
+        terms = self.mode.sum_products(
+            contractions(self.terms.items(), other.terms.items()), "product")
         return type(self)(terms, self.weights, _trusted=True)
 
     def adjoint(self):

@@ -64,28 +64,6 @@ class RowReducer:
         return basis
 
 
-def rank(matrix):
-    rows = _as_rows(matrix)
-    if not rows:
-        return 0
-    rr = RowReducer(len(rows[0]))
-    for row in rows:
-        rr.add_row(row)
-    return rr.rank
-
-
-def nullspace(matrix, ncols=None):
-    rows = _as_rows(matrix)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    rr = RowReducer(ncols)
-    for row in rows:
-        rr.add_row(row)
-    return rr.nullspace()
-
-
 def is_psd(matrix):
     """Exact PSD test for a rational symmetric matrix via recursive
     symmetric pivoting: a PSD matrix with a zero diagonal entry must

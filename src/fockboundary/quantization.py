@@ -21,7 +21,7 @@ from .algebra import CuntzElement, _monomial
 from .errors import InternalInconsistencyError, LetterRangeError, ModeMixError
 from .fock import (
     EMPTY_WORD, Power, TruncatedOperator, is_harmonic, strip_first_letters)
-from .scalars import Frozen, GaussianRational, accumulate_products
+from .scalars import Frozen, GaussianRational
 
 
 class UnitaryMatrix(Frozen):
@@ -216,7 +216,7 @@ def symbolic_gamma(U, x):
                 for L, b in right:
                     yield _monomial((K, L)), a, b
 
-    terms = accumulate_products(triples(), mode, "substitution")
+    terms = mode.sum_products(triples(), "substitution")
     return CuntzElement(terms, weights, _trusted=True)
 
 

@@ -329,6 +329,8 @@ class Surd(Frozen):
 
     def __eq__(self, other):
         if not isinstance(other, Surd):
+            if _triple(other) is None:  # a value EXACT.coerce refuses
+                return NotImplemented
             other = Surd(other)
         if not self and not other:
             return True
@@ -366,16 +368,19 @@ class Field(str):
     Members: the constants ``zero``, ``one`` and ``real_one``;
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
-    ``sum_products(triples, what)``, the loop of
-    ``accumulate_products``; ``compose_sum(left, right)``, the sparse
-    product of ``compose``; ``markov_sum`` and ``harmonic_defects``, the
-    loops of the Markov steps and of ``is_harmonic``; ``moved_products(
-    entries)``, the products of moved values with one;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
     for a real coefficient; ``to_json``/``from_json``;
     ``random_coeff(rng)``; and, for the modular data, ``sqrt(q)``,
     ``ratio_power(q, p)`` and ``gns_value(c)``.
+
+    The three kernels are arithmetic alone, on keys they do not read:
+    ``sum_products(triples, what)``, ``accumulate`` over the products
+    of ``(key, x, y)`` triples, fused; ``compose_sum(left, right)``,
+    the sparse product of ``compose``; and ``moved_products(entries)``,
+    the products of moved values with one.  The walks over word codes
+    (the Markov step, the harmonicity test) are ``fock``'s, and sum
+    through ``sum_products`` and the field's operations.
 
     Stored values may be shared: one value object can sit at many keys
     and in many dicts.  So a kernel changes no value it was given, and
@@ -456,7 +461,9 @@ class _Exact(Field):
         return c if isinstance(c, Surd) else Surd(c)
 
     def sum_products(self, triples, what):
-        """The EXACT loop of ``accumulate_products``.  Each running sum
+        """``accumulate`` over the pairs (key, x * y) of (key, x, y)
+        triples, with the products fused into the sum: the same dict, in
+        the same key order, and the same term budget.  Each running sum
         is a GaussianRational of its own that holds an unreduced triple
         and is updated in place, so a product costs one dict lookup; the
         sums are reduced, in place, before anyone else sees them."""
@@ -510,117 +517,11 @@ class _Exact(Field):
                 del sums[key]
         return _reduce_sums(sums)
 
-    def markov_sum(self, entries, table, bits):
-        """The loop of the Markov steps: each word-code entry (r, c) whose
-        words both have a first letter, of digits j and k (``bits`` bits
-        a letter), adds table[j][k] * value to the key
-        (r >> bits, c >> bits); None in the table is zero.  It sums as
-        ``sum_products`` would, with no triple built."""
-        mask = (1 << bits) - 1
-        sums = {}
-        get = sums.get
-        for (r, c), y in entries.items():
-            if r <= mask or c <= mask:
-                continue
-            x = table[r & mask][c & mask]
-            if x is None:
-                continue
-            # sum_products' step, inlined: a change to one goes to both
-            a1 = x._a
-            b1 = x._b
-            a2 = y._a
-            b2 = y._b
-            if not b1:
-                a = a1 * a2
-                b = a1 * b2
-            elif not b2:
-                a = a1 * a2
-                b = b1 * a2
-            else:
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-            den = x._den * y._den
-            key = (r >> bits, c >> bits)
-            s = get(key)
-            if s is None:
-                if not (a or b):
-                    continue
-                s = sums[key] = _new(GaussianRational)
-                s._a = a
-                s._b = b
-                s._den = den
-                continue
-            sden = s._den
-            if sden == den:
-                a += s._a
-                b += s._b
-            else:
-                g = gcd(sden, den)
-                m = den // g
-                n = sden // g
-                a = s._a * m + a * n
-                b = s._b * m + b * n
-                den = sden * m
-            if a or b:
-                s._a = a
-                s._b = b
-                s._den = den
-            else:
-                del sums[key]
-        return _reduce_sums(sums)
-
-    def harmonic_defects(self, entries, weights, bits, bound, tol=1e-12):
-        """The dict of sum_a w_a x[ar, ac] - x[r, c] at x's word-code keys
-        below ``bound`` where it is not zero: d lookups an entry, summed on
-        integer triples over the weights' common denominator; ``_lacking``.
-        If the weights sum to one, an entry whose d lookups all return its
-        own value object is no defect, with no sum; else the sum is taken."""
-        den = math.lcm(*(w.denominator for w in weights))
-        letters = list(enumerate(w.numerator * den // w.denominator for w in weights))
-        unit = sum(n for _, n in letters) == den
-        digits = range(len(letters))
-        mask = (1 << bits) - 1
-        get = entries.get
-        defects = {}
-        same = hits = 0
-        for (r, c), v in entries.items():
-            if r > mask and c > mask and not (r ^ c) & mask:
-                same += 1
-            if r >= bound or c >= bound:
-                continue
-            R, C = r << bits, c << bits
-            if unit:
-                for digit in digits:
-                    if get((R | digit, C | digit)) is not v:
-                        break
-                else:
-                    hits += len(digits)
-                    continue
-            a = b = 0
-            e = 1  # the sum is (a + b i) / (den * e)
-            for digit, n in letters:
-                y = get((R | digit, C | digit))
-                if y is not None:
-                    hits += 1
-                    if y._den == e:
-                        a += n * y._a
-                        b += n * y._b
-                    else:
-                        a = a * y._den + n * y._a * e
-                        b = b * y._den + n * y._b * e
-                        e *= y._den
-            e *= den
-            a = a * v._den - v._a * e
-            b = b * v._den - v._b * e
-            if a or b:
-                defects[r, c] = _reduced(a, b, e * v._den)
-        return _lacking(self, entries, weights, bits, same - hits, defects, tol)
-
     def compose_sum(self, left, right):
         """The sparse product of two dicts of word-code entries: each
         product x * y of entries (row, mid) of ``left`` and (mid, col) of
         ``right`` summed into the key (row, col), left's entries and then
-        right's in order, as ``accumulate_products`` sums the triples:
+        right's in order, as ``sum_products`` sums the triples:
         the same dict, in the same key order.
 
         Each product is computed once per distinct pair of value objects,
@@ -747,29 +648,20 @@ class _Float(Field):
         return complex(c)
 
     def sum_products(self, triples, what):
-        """``accumulate_products`` in FLOAT: ``accumulate`` over the
-        products."""
-        return accumulate(((key, x * y) for key, x, y in triples), self, what)
-
-    def markov_sum(self, entries, table, bits):
-        """The FLOAT loop of the Markov steps (see ``_Exact.markov_sum``),
-        each product taken as table value * entry."""
-        mask = (1 << bits) - 1
+        """``_Exact.sum_products`` in FLOAT: ``accumulate``'s loop over
+        the products, written out, with its 1e-12 drop and term budget."""
+        cap = term_cap() if what else None
         terms = {}
         get = terms.get
-        for (r, c), y in entries.items():
-            if r <= mask or c <= mask:
-                continue
-            x = table[r & mask][c & mask]
-            if x is None:
-                continue
+        for key, x, y in triples:
             value = x * y
-            key = (r >> bits, c >> bits)
             s = get(key)
             if s is None:
                 if abs(value) <= 1e-12:
                     continue
                 terms[key] = value
+                if cap and len(terms) > cap:
+                    raise _over_budget(what, cap)
             else:
                 value = s + value
                 if abs(value) <= 1e-12:
@@ -777,29 +669,6 @@ class _Float(Field):
                 else:
                     terms[key] = value
         return terms
-
-    def harmonic_defects(self, entries, weights, bits, bound, tol=1e-12):
-        """``_Exact.harmonic_defects`` in FLOAT: defects exceed ``tol``."""
-        letters = list(enumerate(weights))
-        mask = (1 << bits) - 1
-        get = entries.get
-        defects = {}
-        same = hits = 0
-        for (r, c), v in entries.items():
-            if r > mask and c > mask and not (r ^ c) & mask:
-                same += 1
-            if r >= bound or c >= bound:
-                continue
-            R, C = r << bits, c << bits
-            s = -v
-            for digit, w in letters:
-                y = get((R | digit, C | digit))
-                if y is not None:
-                    hits += 1
-                    s += w * y
-            if abs(s) > tol:
-                defects[r, c] = s
-        return _lacking(self, entries, weights, bits, same - hits, defects, tol)
 
     def compose_sum(self, left, right):
         """``_Exact.compose_sum`` in FLOAT: ``accumulate`` over the
@@ -828,21 +697,6 @@ def _by_mid(entries):
         else:
             cols.append((col, value))
     return by_mid
-
-
-def _lacking(mode, entries, weights, bits, short, defects, tol):
-    """``defects`` and the Markov step's sums beyond ``tol`` at keys x lacks:
-    an entry whose words share a first letter is one lookup's hit unless x
-    lacks its stripped key, so ``markov_sum`` runs only when hits fall short."""
-    if short:
-        table = [[mode.coerce(w) if a == b else None for b in range(len(weights))]
-                 for a, w in enumerate(weights)]
-        lacking = {k: y for k, y in entries.items()
-                   if (k[0] >> bits, k[1] >> bits) not in entries}
-        for key, s in mode.markov_sum(lacking, table, bits).items():
-            if not mode.near_zero(s, tol):
-                defects[key] = s
-    return defects
 
 
 EXACT = _Exact("exact")
@@ -927,14 +781,3 @@ def subtract(a, b, mode):
         else:
             terms[key] = s
     return terms
-
-
-def accumulate_products(triples, mode, what=None):
-    """``accumulate`` over the pairs (key, x * y) of (key, x, y) triples
-    of coefficients of ``mode``, with the products fused into the sum:
-    the same dict, in the same key order, and the same term budget.
-
-    In EXACT each running sum is an unreduced triple ``(a, b, den)``:
-    sums over one denominator add with no gcd, and each key is reduced
-    once, at the end."""
-    return mode.sum_products(triples, what)

@@ -13,6 +13,7 @@ word tuples.  Exact mode must agree term for term; float mode within
 """
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -22,7 +23,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockboundary import fock, scalars
@@ -65,7 +66,7 @@ from fockboundary.quantization import (
     second_quantize,
     symbolic_gamma,
 )
-from fockboundary.scalars import GaussianRational, accumulate, accumulate_products
+from fockboundary.scalars import GaussianRational, accumulate
 from fockboundary.structure import joint_coordinates
 
 EXACT_WEIGHTS = {
@@ -231,7 +232,7 @@ def gamma_keyed_by_monomial(U, x):
                 for L, b in right:
                     yield Monomial(K, L), a, b
 
-    return accumulate_products(triples(), mode)
+    return mode.sum_products(triples(), None)
 
 
 def form_words(kind, words):
@@ -646,22 +647,22 @@ def tuple_block(entries, degree):
 
 def tuple_markov_step(x, weights):
     w = [x.mode.coerce(v) for v in weights.values]
-    return accumulate_products(
+    return x.mode.sum_products(
         (((row[1:], col[1:]), w[row[0] - 1], val)
          for (row, col), val in x.word_entries().items()
          if row and col and row[0] == col[0]),
-        x.mode)
+        None)
 
 
 def tuple_compose(x, y):
     by_mid = {}
     for (mid, col), val in y.word_entries().items():
         by_mid.setdefault(mid, []).append((col, val))
-    return accumulate_products(
+    return x.mode.sum_products(
         (((row, col), a, b)
          for (row, mid), a in x.word_entries().items()
          for col, b in by_mid.get(mid, ())),
-        x.mode)
+        None)
 
 
 def tuple_defects(x, weights):
@@ -718,11 +719,11 @@ def tuple_markov_step_in_basis(x, weights, V):
                 s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
             if s:
                 c[(j + 1, k + 1)] = s
-    return accumulate_products(
+    return mode.sum_products(
         (((row[1:], col[1:]), c[(row[0], col[0])], val)
          for (row, col), val in x.word_entries().items()
          if row and col and (row[0], col[0]) in c),
-        mode)
+        None)
 
 
 def assert_entries_match(got, want, mode):
@@ -1221,13 +1222,12 @@ class TestOnePassHarmonicity:
         # entries with an empty row and with an empty column
         x = CuntzElement({Monomial((1,), (2, 1)): mode.one,
                           Monomial((2, 1), (1,)): mode.one}, w).to_truncated(4)
-        kernel = type(mode).markov_sum
         # without its entry at ((), (2,)), x lacks the key that the step
         # sums ((1,), (1, 2)) into
         lacking = with_entry(x, ((), (2,)), 0)
         with mock.patch.object(fock, "markov_step", wraps=markov_step) as step, \
-                mock.patch.object(type(mode), "markov_sum", autospec=True,
-                                  side_effect=kernel) as summed:
+                mock.patch.object(fock, "first_letter_sums",
+                                  wraps=fock.first_letter_sums) as summed:
             assert is_harmonic(x, w).ok
             assert not summed.called
             assert not is_harmonic(lacking, w).ok
@@ -1243,7 +1243,7 @@ class TestOnePassHarmonicity:
 
 
 def arithmetic_defects(entries, weights, bits, bound, tol=1e-12):
-    """``_Exact.harmonic_defects`` with every entry of the block summed:
+    """Exact ``harmonic_defects`` with every entry of the block summed:
     sum_a w_a x[ar, ac] - x[r, c] in field arithmetic, one hit a lookup
     that finds an entry, and ``_lacking`` on the hits that fall short."""
     mask = (1 << bits) - 1
@@ -1262,8 +1262,8 @@ def arithmetic_defects(entries, weights, bits, bound, tol=1e-12):
                 s = s + GaussianRational(w) * y
         if s:
             defects[r, c] = s
-    return scalars._lacking(scalars.EXACT, entries, weights, bits, same - hits,
-                            defects, tol)
+    return fock._lacking(scalars.EXACT, entries, list(map(GaussianRational, weights)),
+                         bits, same - hits, defects, tol)
 
 
 def exact_weights(d):
@@ -1334,7 +1334,7 @@ class TestHarmonicityByIdentity:
         values = data.draw(st.sampled_from(
             (w.values, w.values[:-1] + (w.values[-1] / 2,))))
         triples = {id(v): (v, (v._a, v._b, v._den)) for v in entries.values()}
-        got = scalars.EXACT.harmonic_defects(entries, values, bits, bound)
+        got = fock.harmonic_defects(scalars.EXACT, entries, values, bits, bound)
         want = arithmetic_defects(entries, values, bits, bound)
         assert list(got.items()) == list(want.items())
         assert {id(v): (v, (v._a, v._b, v._den)) for v in entries.values()} == triples
@@ -1358,22 +1358,250 @@ class TestHarmonicityByIdentity:
         entries = dict.fromkeys(prepend_words(1, 1, d, cut), c)
         w = EXACT_WEIGHTS[d].values
         bits, bound = letter_bits(d), block_bound(cut - 1, d)
-        kernel = type(scalars.EXACT).markov_sum
-        with mock.patch.object(type(scalars.EXACT), "markov_sum", autospec=True,
-                               side_effect=kernel) as summed:
-            assert scalars.EXACT.harmonic_defects(entries, w, bits, bound) == {}
+        defects = functools.partial(fock.harmonic_defects, scalars.EXACT)
+        with mock.patch.object(fock, "first_letter_sums",
+                               wraps=fock.first_letter_sums) as summed:
+            assert defects(entries, w, bits, bound) == {}
             assert Watched.reads == 0 and not summed.called
             # an equal copy at one successor is summed, and is no defect
             entries[prepend_words(1, 1, d, 1)[-1]] = GaussianRational(
                 Fraction(2, 3), Fraction(-1, 3))
-            assert scalars.EXACT.harmonic_defects(entries, w, bits, bound) == {}
+            assert defects(entries, w, bits, bound) == {}
             assert Watched.reads > 0 and not summed.called
             # without the vacuum entry, the entries above it lack their key
             del entries[1, 1]
-            got = scalars.EXACT.harmonic_defects(entries, w, bits, bound)
+            got = defects(entries, w, bits, bound)
             assert summed.called
         assert list(got.items()) == list(arithmetic_defects(entries, w, bits, bound).items())
         assert got == {(1, 1): c}
+
+
+# -- the walks in fock against the per-field loops they replaced ----------------
+
+
+def reference_markov_sum(mode, entries, table, bits):
+    """The per-field loops of the Markov steps as each field once wrote
+    its own: exact on unreduced integer triples, float over table value
+    * entry.  ``fock.first_letter_sums`` must give the same dict."""
+    mask = (1 << bits) - 1
+    sums = {}
+    get = sums.get
+    for (r, c), y in entries.items():
+        if r <= mask or c <= mask:
+            continue
+        x = table[r & mask][c & mask]
+        if x is None:
+            continue
+        key = (r >> bits, c >> bits)
+        s = get(key)
+        if mode == scalars.FLOAT:
+            value = x * y
+            if s is None:
+                if abs(value) <= 1e-12:
+                    continue
+                sums[key] = value
+            else:
+                value = s + value
+                if abs(value) <= 1e-12:
+                    del sums[key]
+                else:
+                    sums[key] = value
+            continue
+        a1, b1, a2, b2 = x._a, x._b, y._a, y._b
+        if not b1:
+            a, b = a1 * a2, a1 * b2
+        elif not b2:
+            a, b = a1 * a2, b1 * a2
+        else:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        den = x._den * y._den
+        if s is None:
+            if not (a or b):
+                continue
+            s = sums[key] = object.__new__(GaussianRational)
+            s._a, s._b, s._den = a, b, den
+            continue
+        sden = s._den
+        if sden == den:
+            a += s._a
+            b += s._b
+        else:
+            g = gcd(sden, den)
+            m, n = den // g, sden // g
+            a, b, den = s._a * m + a * n, s._b * m + b * n, sden * m
+        if a or b:
+            s._a, s._b, s._den = a, b, den
+        else:
+            del sums[key]
+    return sums if mode == scalars.FLOAT else scalars._reduce_sums(sums)
+
+
+def reference_float_defects(entries, weights, bits, bound, tol=1e-12):
+    """The float harmonicity loop as the float field once wrote it: float
+    weights times entries, no identity shortcut, then the Markov loop at
+    the keys x lacks when the hits fall short."""
+    letters = list(enumerate(weights))
+    mask = (1 << bits) - 1
+    get = entries.get
+    defects = {}
+    same = hits = 0
+    for (r, c), v in entries.items():
+        if r > mask and c > mask and not (r ^ c) & mask:
+            same += 1
+        if r >= bound or c >= bound:
+            continue
+        R, C = r << bits, c << bits
+        s = -v
+        for digit, w in letters:
+            y = get((R | digit, C | digit))
+            if y is not None:
+                hits += 1
+                s += w * y
+        if abs(s) > tol:
+            defects[r, c] = s
+    if same - hits:
+        table = [[complex(w) if a == b else None for b in range(len(weights))]
+                 for a, w in enumerate(weights)]
+        lacking = {k: y for k, y in entries.items()
+                   if (k[0] >> bits, k[1] >> bits) not in entries}
+        for key, s in reference_markov_sum(scalars.FLOAT, lacking, table, bits).items():
+            if abs(s) > tol:
+                defects[key] = s
+    return defects
+
+
+def bit_items(entries):
+    """A dict's items in order, each value as the exact bits it holds:
+    the hex of both float parts (so -0.0 differs from 0.0), or the
+    reduced integer triple."""
+    return [(k, (v.real.hex(), v.imag.hex()) if isinstance(v, complex)
+             else (v._a, v._b, v._den)) for k, v in entries.items()]
+
+
+def draw_code_entries(data, d, cut, mode, weights):
+    """Word-code entries of a random operator with keys that cancel under
+    the Markov step and entries with an empty word: random keys and
+    values, then pairs (1 I, 1 J) and (2 I, 2 J) whose values are c w_2
+    and -(c w_1), with c * w_a summing to zero, all in a drawn order."""
+    words = st.lists(st.integers(1, d), max_size=cut).map(tuple)
+    short = st.lists(st.integers(1, d), max_size=cut - 1).map(tuple)
+    if mode == scalars.EXACT:
+        values = nonzero_coefficients(mode)
+    else:
+        values = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                    allow_nan=False, allow_infinity=False)
+    w1, w2 = (mode.coerce(v) for v in weights[:2])
+    entries = {}
+    for I, J, c in data.draw(st.lists(st.tuples(words, words, values), max_size=12)):
+        entries[encode(I, d), encode(J, d)] = c
+    for I, J, c in data.draw(st.lists(st.tuples(short, short, values), max_size=3)):
+        entries[encode((1,) + I, d), encode((1,) + J, d)] = c * w2
+        entries[encode((2,) + I, d), encode((2,) + J, d)] = -(c * w1)
+    return {k: entries[k] for k in data.draw(st.permutations(list(entries)))}
+
+
+def dense_table(mode, weights, V, holes):
+    """V* diag(w) V, as ``markov_step_in_basis`` builds it, with the cells
+    in ``holes`` set to None."""
+    d = len(weights)
+    w = [mode.coerce(v) for v in weights]
+    table = [[None] * d for _ in range(d)]
+    for j in range(d):
+        for k in range(d):
+            s = mode.zero
+            for i in range(d):
+                s = s + w[i] * V.rows[i][j].conjugate() * V.rows[i][k]
+            if s and (j, k) not in holes:
+                table[j][k] = s
+    return table
+
+
+class TestOneWalkPerStep:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_strip_first_letters_against_the_field_loops(self, data):
+        d, mode = data.draw(sessions())
+        cut = data.draw(st.integers(1, 4 if d == 2 else 3))
+        if mode == scalars.EXACT:
+            weights = data.draw(exact_weights(d)).values
+        else:
+            raw = data.draw(st.lists(st.integers(1, 99), min_size=d, max_size=d))
+            weights = tuple(n / sum(raw) for n in raw)
+        entries = draw_code_entries(data, d, cut, mode, weights)
+        x = TruncatedOperator(entries, cut, d, mode, _trusted=True)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        V = (random_exact_unitary if mode == scalars.EXACT else random_float_unitary)(d, rng)
+        cells = [(j, k) for j in range(d) for k in range(d)]
+        holes = set(data.draw(st.lists(st.sampled_from(cells), max_size=d)))
+        diagonal = [[mode.coerce(v) if j == k else None for k in range(d)]
+                    for j, v in enumerate(weights)]
+        dense = dense_table(mode, weights, V, holes)
+        for table, got in ((diagonal, markov_step(x, WeightVector(weights, mode))),
+                           (dense, fock.strip_first_letters(x, dense))):
+            want = reference_markov_sum(mode, entries, table, letter_bits(d))
+            assert bit_items(got.entries) == bit_items(want)
+
+    def test_cancelling_keys_and_empty_words(self):
+        d, mode = 2, scalars.EXACT
+        w = EXACT_WEIGHTS[2]
+        c = GaussianRational(2, -1)
+        entries = {(encode((1, 2), d), encode((1,), d)): c * w.values[1],
+                   (1, encode((2,), d)): c,
+                   (encode((2, 2), d), encode((2,), d)): -(c * w.values[0]),
+                   (encode((1, 1), d), encode((1, 2), d)): c}
+        x = TruncatedOperator(entries, 2, d, mode, _trusted=True)
+        got = markov_step(x, w).word_entries()
+        # (2,), () cancels; the empty row is not stripped
+        assert got == {((1,), (2,)): c * w.values[0]}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_defects_bit_for_bit(self, data):
+        d = data.draw(st.sampled_from((2, 3)))
+        raw = data.draw(st.lists(st.integers(1, 99), min_size=d, max_size=d))
+        values = tuple(n / sum(raw) for n in raw)
+        assume(sum(map(Fraction, values)) != 1)
+        w = WeightVector(values, scalars.FLOAT)
+        cut = data.draw(st.integers(2, 4 if d == 2 else 3))
+        entries = dict(data.draw(elements(w, max_len=2, max_terms=4))
+                       .to_truncated(cut).entries)
+        change = data.draw(st.sampled_from((None, "perturbed", "lacking")))
+        if change == "perturbed" and entries:
+            key = data.draw(st.sampled_from(sorted(entries)))
+            entries[key] = entries[key] + data.draw(st.complex_numbers(
+                max_magnitude=1e-3, allow_nan=False, allow_infinity=False))
+        elif change == "lacking" and entries:
+            for key in data.draw(st.lists(st.sampled_from(sorted(entries)),
+                                          min_size=1, max_size=3)):
+                entries.pop(key, None)
+        bits, bound = letter_bits(d), block_bound(cut - 1, d)
+        want = reference_float_defects(entries, values, bits, bound)
+        got = fock.harmonic_defects(scalars.FLOAT, entries, values, bits, bound)
+        assert bit_items(got) == bit_items(want)
+        report = is_harmonic(TruncatedOperator(entries, cut, d, scalars.FLOAT,
+                                               _trusted=True), w)
+        assert bit_items(report.defects) == bit_items(
+            {(decode(r, d), decode(c, d)): v for (r, c), v in want.items()})
+
+    def test_float_shortcut_needs_weights_summing_to_one(self):
+        # 0.1 + 0.3 + 0.6 is not one in binary, so every entry is summed,
+        # and at tol 0 the rounding of each sum is a defect
+        values = (0.1, 0.3, 0.6)
+        assert sum(map(Fraction, values)) != 1
+        w = WeightVector(values, scalars.FLOAT)
+        x = CuntzElement.identity(w).to_truncated(3)
+        bound = block_bound(2, 3)
+        want = reference_float_defects(x.entries, values, 2, bound, tol=0)
+        got = fock.harmonic_defects(scalars.FLOAT, x.entries, values, 2, bound, tol=0)
+        assert want and bit_items(got) == bit_items(want)
+        # 0.2 + 0.2 + 0.6 is one in binary: each entry is settled by
+        # identity, and its true defect is zero, though the summed one
+        # rounds to -1.1e-16
+        values = (0.2, 0.2, 0.6)
+        assert sum(map(Fraction, values)) == 1
+        assert reference_float_defects(x.entries, values, 2, bound, tol=0)
+        assert fock.harmonic_defects(scalars.FLOAT, x.entries, values, 2, bound,
+                                     tol=0) == {}
 
 
 # -- word maps built by their constructors -------------------------------------

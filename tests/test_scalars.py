@@ -32,7 +32,6 @@ from fockboundary.scalars import (
     GaussianRational,
     Surd,
     accumulate,
-    accumulate_products,
     field,
     subtract,
 )
@@ -193,6 +192,16 @@ class TestSurdHash:
     ])
     def test_rational_surd_hashes_as_its_value(self, s, r):
         assert s == r and hash(s) == hash(r)
+
+    @pytest.mark.parametrize("other", [None, "1", 1.0, 1j, object()])
+    def test_unlike_operands_are_unequal(self, other):
+        # EXACT.coerce refuses these, so == is False and != is True, as
+        # for a GaussianRational, and nothing is raised
+        for s in (Surd(1), Surd(0), Surd(2, 3)):
+            assert not s == other and s != other
+            assert not other == s and other != s
+        assert Surd(1) in {Surd(1, 4) * Fraction(1, 2): 0}
+        assert Surd(1) not in [None, "1", 1j]
 
 
 class TestParts:
@@ -370,8 +379,8 @@ def budgeted(sum_of, stream):
 
 
 class TestAccumulateProducts:
-    """accumulate_products against accumulate over the reduced products
-    x * y: the same keys in the same order, and equal values."""
+    """Each field's sum_products against accumulate over the reduced
+    products x * y: the same keys in the same order, and equal values."""
 
     @given(triples, st.integers(0, 4), nonzero_factors, factors, factors)
     @settings(max_examples=150, deadline=None)
@@ -386,7 +395,7 @@ class TestAccumulateProducts:
                          (key, again, g)]
         exact = [(k, make(x), make(y)) for k, x, y in items]
         ref = accumulate(((k, x * y) for k, x, y in exact), EXACT)
-        got = accumulate_products(exact, EXACT)
+        got = EXACT.sum_products(exact, None)
         assert list(got.items()) == list(ref.items())
         for value in got.values():
             assert_is(value, (value.re, value.im))
@@ -402,7 +411,7 @@ class TestAccumulateProducts:
         items = items + [(4, tiny, 1j), (5, c, 1), (5, tiny - c, 1),
                          (5, 2e-12, 1)]
         ref = accumulate(((k, x * y) for k, x, y in items), FLOAT)
-        got = accumulate_products(items, FLOAT)
+        got = FLOAT.sum_products(items, None)
         assert list(got.items()) == list(ref.items())
         assert 4 not in got and got[5] == 2e-12
 
@@ -415,16 +424,16 @@ class TestAccumulateProducts:
                 ref = budgeted(lambda s: accumulate(
                     ((k, x * y) for k, x, y in s), mode, "sum"), stream)
                 got = budgeted(
-                    lambda s: accumulate_products(s, mode, "sum"), stream)
+                    lambda s: mode.sum_products(s, "sum"), stream)
                 assert got == ref
 
     def test_budget_only_on_labelled_sums(self, monkeypatch):
         monkeypatch.setenv("FOCK_TERM_CAP", "3")
         one = GaussianRational(1)
         items = [(k, one, one) for k in range(4)]
-        assert len(accumulate_products(items, EXACT)) == 4
+        assert len(EXACT.sum_products(items, None)) == 4
         with pytest.raises(TermBudgetError, match="sum exceeded the term budget"):
-            accumulate_products(items, EXACT, "sum")
+            EXACT.sum_products(items, "sum")
 
 
 class TestFields:

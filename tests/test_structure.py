@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fockboundary.algebra import CuntzElement, Monomial
-from fockboundary.exact_linalg import is_psd, nullspace, rank, span_equal
+from fockboundary.exact_linalg import RowReducer, is_psd, span_equal
 from fockboundary.structure import (
     alpha_endo,
     canonical_basis,
@@ -19,8 +19,11 @@ from fockboundary.structure import (
 class TestExactLinalg:
     def test_rank_and_nullspace(self):
         m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert rank(m) == 2
-        ns = nullspace(m)
+        reducer = RowReducer(3)
+        for row in m:
+            reducer.add_row(row)
+        assert reducer.rank == 2
+        ns = reducer.nullspace()
         assert len(ns) == 1
         v = ns[0]
         for row in m:
