@@ -758,28 +758,14 @@ class TruncatedOperator(Frozen):
 # the Markov operator
 
 
-def first_letter_sums(mode, entries, table, bits):
-    """The walk of the Markov steps: each word-code entry (r, c) whose
-    words both have a first letter, of digits j and k (``bits`` bits a
-    letter), gives the field's ``sum_products`` the triple
-    ((r >> bits, c >> bits), table[j][k], value), in entry order; a None
-    cell of the table is zero, and gives none.  The triples are a list:
-    a generator's resumes made the step 10-20% slower."""
-    mask = (1 << bits) - 1
-    return mode.sum_products(
-        [((r >> bits, c >> bits), t, y) for (r, c), y in entries.items()
-         if r > mask and c > mask and (t := table[r & mask][c & mask]) is not None],
-        None)
-
-
 def strip_first_letters(x, table):
     """sum_{j,k} table[j][k] <x e_{kJ}, e_{jI}> on the degree <= cut - 1
     block: strip the first letter of row and column and weight by a
-    d x d table of the field's values, None standing for zero.  One walk
-    over x's entries, ``first_letter_sums``, serves both fields."""
+    d x d table of the field's values, None standing for zero, in one
+    walk over x's entries: the field's ``step_sums``."""
     if x.cut < 1:
         raise CutExhaustedError("cannot apply a Markov step at cut 0")
-    entries = first_letter_sums(x.mode, x.entries, table, letter_bits(x.d))
+    entries = x.mode.step_sums(x.entries, table, letter_bits(x.d))
     return TruncatedOperator(entries, x.cut - 1, x.d, x.mode, _trusted=True)
 
 
@@ -863,12 +849,12 @@ def harmonic_defects(mode, entries, weights, bits, bound, tol=1e-12):
 def _lacking(mode, entries, weights, bits, short, defects, tol):
     """``defects`` and the Markov step's sums beyond ``tol`` at keys x lacks:
     an entry whose words share a first letter is one lookup's hit unless x
-    lacks its stripped key, so ``first_letter_sums`` runs only when hits
+    lacks its stripped key, so the field's ``step_sums`` runs only when hits
     fall short.  ``weights`` are in the field."""
     if short:
         lacking = {k: y for k, y in entries.items()
                    if (k[0] >> bits, k[1] >> bits) not in entries}
-        for key, s in first_letter_sums(mode, lacking, _diagonal(weights), bits).items():
+        for key, s in mode.step_sums(lacking, _diagonal(weights), bits).items():
             if not mode.near_zero(s, tol):
                 defects[key] = s
     return defects

@@ -288,7 +288,11 @@ def markov_step_in_basis(x, weights, V):
 
     Since l_{f_i} = sum_j v_{ij} l_j, this is the direct sum
     P_V(x)_{I,J} = sum_{j,k} C_{jk} x_{jI,kJ}: ``strip_first_letters``
-    with the table C = V* diag(w) V, zero entries left out."""
+    with the table C = V* diag(w) V, zero entries left out.  The exact
+    step scales C by its cells' lcm denominator, so a key's sums, all
+    from one degree block of Gamma(V) x Gamma(V)*, mostly take no gcd:
+    a block's entries mostly share a denominator (at d = 2, q^(|I|+|J|)
+    over V's common q)."""
     if x.d != weights.d or x.mode != weights.mode or V.d != x.d or V.mode != x.mode:
         raise ModeMixError("operator, weights and unitary are incompatible")
     d, mode = x.d, x.mode

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 from operator import not_
 
@@ -374,13 +374,14 @@ class Field(str):
     ``random_coeff(rng)``; and, for the modular data, ``sqrt(q)``,
     ``ratio_power(q, p)`` and ``gns_value(c)``.
 
-    The three kernels are arithmetic alone, on keys they do not read:
-    ``sum_products(triples, what)``, ``accumulate`` over the products
-    of ``(key, x, y)`` triples, fused; ``compose_sum(left, right)``,
-    the sparse product of ``compose``; and ``moved_products(entries)``,
-    the products of moved values with one.  The walks over word codes
-    (the Markov step, the harmonicity test) are ``fock``'s, and sum
-    through ``sum_products`` and the field's operations.
+    The four kernels: ``sum_products(triples, what)``, ``accumulate``
+    over the products of ``(key, x, y)`` triples, fused;
+    ``compose_sum(left, right)``, the sparse product of ``compose``;
+    ``moved_products(entries)``, the products of moved values with one,
+    all three arithmetic alone, on keys they do not read; and
+    ``step_sums(entries, table, bits)``, the Markov step's sums, which
+    reads each word code's first letter: ``Field``'s walk over
+    ``sum_products``, fused into one loop by the exact field.
 
     Stored values may be shared: one value object can sit at many keys
     and in many dicts.  So a kernel changes no value it was given, and
@@ -396,6 +397,19 @@ class Field(str):
 
     def eq(self, a, b, tol=1e-12):
         return self.near_zero(a - b, tol)
+
+    def step_sums(self, entries, table, bits):
+        """The sums of the Markov steps: each word-code entry (r, c)
+        whose words both have a first letter, of digits j and k (``bits``
+        bits a letter), gives ``sum_products`` the triple
+        ((r >> bits, c >> bits), table[j][k], value), in entry order; a
+        None cell of the table is zero, and gives none.  The triples are
+        a list: a generator's resumes made the step 10-20% slower."""
+        mask = (1 << bits) - 1
+        return self.sum_products(
+            [((r >> bits, c >> bits), t, y) for (r, c), y in entries.items()
+             if r > mask and c > mask and (t := table[r & mask][c & mask]) is not None],
+            None)
 
 
 class _Exact(Field):
@@ -515,6 +529,62 @@ class _Exact(Field):
                 s._den = den
             else:
                 del sums[key]
+        return _reduce_sums(sums)
+
+    def step_sums(self, entries, table, bits):
+        """``Field.step_sums`` in one loop over the table times D, the
+        lcm of its cells' denominators: a product keeps its entry's
+        denominator, so the entries that share one sum with no gcd, and D
+        multiplies each sum's denominator once, before the one reduction.
+        Each running sum is D times the walk's: the same keys cancel."""
+        D = lcm(*(t._den for row in table for t in row if t is not None))
+        scaled = [[None if t is None else (t._a * (D // t._den), t._b * (D // t._den))
+                   for t in row] for row in table]
+        mask = (1 << bits) - 1
+        sums = {}
+        get = sums.get
+        for (r, c), y in entries.items():
+            if r <= mask or c <= mask:
+                continue
+            t = scaled[r & mask][c & mask]
+            if t is None:
+                continue
+            a1, b1 = t
+            a2, b2, den = y._a, y._b, y._den
+            if b1:
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+            else:
+                a = a1 * a2
+                b = a1 * b2
+            key = (r >> bits, c >> bits)
+            s = get(key)
+            if s is None:
+                if a or b:
+                    s = sums[key] = _new(GaussianRational)
+                    s._a = a
+                    s._b = b
+                    s._den = den
+                continue
+            sden = s._den
+            if sden == den:
+                a += s._a
+                b += s._b
+            else:
+                g = gcd(sden, den)
+                m, n = den // g, sden // g
+                a = s._a * m + a * n
+                b = s._b * m + b * n
+                den = sden * m
+            if a or b:
+                s._a = a
+                s._b = b
+                s._den = den
+            else:
+                del sums[key]
+        if D != 1:
+            for s in sums.values():
+                s._den *= D
         return _reduce_sums(sums)
 
     def compose_sum(self, left, right):

@@ -1139,6 +1139,14 @@ def with_entry(x, key, value):
     return TruncatedOperator(entries, x.cut, x.d, x.mode)
 
 
+def spy_step_sums(mode):
+    """A spy on the field's ``step_sums`` that still runs it; each call's
+    args are (mode, entries, table, bits)."""
+    kind = type(mode)
+    return mock.patch.object(kind, "step_sums", autospec=True,
+                             side_effect=kind.step_sums)
+
+
 class TestOnePassHarmonicity:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -1226,8 +1234,7 @@ class TestOnePassHarmonicity:
         # sums ((1,), (1, 2)) into
         lacking = with_entry(x, ((), (2,)), 0)
         with mock.patch.object(fock, "markov_step", wraps=markov_step) as step, \
-                mock.patch.object(fock, "first_letter_sums",
-                                  wraps=fock.first_letter_sums) as summed:
+                spy_step_sums(mode) as summed:
             assert is_harmonic(x, w).ok
             assert not summed.called
             assert not is_harmonic(lacking, w).ok
@@ -1359,8 +1366,7 @@ class TestHarmonicityByIdentity:
         w = EXACT_WEIGHTS[d].values
         bits, bound = letter_bits(d), block_bound(cut - 1, d)
         defects = functools.partial(fock.harmonic_defects, scalars.EXACT)
-        with mock.patch.object(fock, "first_letter_sums",
-                               wraps=fock.first_letter_sums) as summed:
+        with spy_step_sums(scalars.EXACT) as summed:
             assert defects(entries, w, bits, bound) == {}
             assert Watched.reads == 0 and not summed.called
             # an equal copy at one successor is summed, and is no defect
@@ -1382,7 +1388,7 @@ class TestHarmonicityByIdentity:
 def reference_markov_sum(mode, entries, table, bits):
     """The per-field loops of the Markov steps as each field once wrote
     its own: exact on unreduced integer triples, float over table value
-    * entry.  ``fock.first_letter_sums`` must give the same dict."""
+    * entry.  Each field's ``step_sums`` must give the same dict."""
     mask = (1 << bits) - 1
     sums = {}
     get = sums.get
@@ -1602,6 +1608,133 @@ class TestOneWalkPerStep:
         assert reference_float_defects(x.entries, values, 2, bound, tol=0)
         assert fock.harmonic_defects(scalars.FLOAT, x.entries, values, 2, bound,
                                      tol=0) == {}
+
+
+# -- the exact Markov step over its table's common denominator ------------------
+
+# pairwise coprime denominators, so that no cell's denominator is the lcm
+COPRIME = (1, 2, 3, 5, 7, 11, 13)
+
+
+def rationals(dens):
+    """Nonzero Gaussian rationals, real or not, whose parts are over
+    denominators drawn from ``dens``."""
+    part = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(dens))
+    return st.one_of(st.builds(GaussianRational, part),
+                     st.builds(GaussianRational, part, part)).filter(bool)
+
+
+def step_tables(data, d):
+    """A d x d table of exact cells, None a hole: diag(w) with weights
+    over distinct coprime denominators, a dense V* diag(w) V with holes,
+    Gaussian integers (D = 1), or cells over mixed coprime denominators."""
+    kind = data.draw(st.sampled_from(("diagonal", "dense", "gaussian", "mixed")))
+    cells = [(j, k) for j in range(d) for k in range(d)]
+    if kind == "diagonal":
+        if d == 3 and data.draw(st.booleans()):
+            weights = [Fraction(1, 3), Fraction(2, 5), Fraction(4, 15)]
+        else:
+            dens = data.draw(st.permutations(COPRIME[2:]))[:d]
+            weights = [Fraction(data.draw(st.integers(1, q - 1)), q) for q in dens]
+        return [[GaussianRational(w) if j == k else None for k in range(d)]
+                for j, w in enumerate(weights)]
+    holes = set(data.draw(st.lists(st.sampled_from(cells), max_size=d)))
+    if kind == "dense":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        weights = data.draw(exact_weights(d)).values
+        return dense_table(scalars.EXACT, weights, random_exact_unitary(d, rng), holes)
+    values = rationals((1,) if kind == "gaussian" else COPRIME)
+    return [[None if (j, k) in holes else data.draw(values) for k in range(d)]
+            for j in range(d)]
+
+
+def step_entries(data, d, cut, table):
+    """Word-code entries over mixed denominators, with empty words, and
+    pairs (j1 I, k1 J), (j2 I, k2 J) at two cells t1, t2 holding c t2 and
+    -(c t1), whose products cancel at (I, J), all in a drawn order."""
+    words = st.lists(st.integers(1, d), max_size=cut).map(tuple)
+    short = st.lists(st.integers(1, d), max_size=cut - 1).map(tuple)
+    values = rationals(COPRIME + (4, 9, 15))
+    entries = {}
+    for I, J, c in data.draw(st.lists(st.tuples(words, words, values), max_size=12)):
+        entries[encode(I, d), encode(J, d)] = c
+    cells = [(j, k) for j in range(d) for k in range(d) if table[j][k] is not None]
+    if cells:
+        pairs = st.tuples(st.sampled_from(cells), st.sampled_from(cells), short, short, values)
+        for (j1, k1), (j2, k2), I, J, c in data.draw(st.lists(pairs, max_size=3)):
+            if (j1, k1) != (j2, k2):
+                entries[encode((j1 + 1,) + I, d), encode((k1 + 1,) + J, d)] = c * table[j2][k2]
+                entries[encode((j2 + 1,) + I, d), encode((k2 + 1,) + J, d)] = -(c * table[j1][k1])
+    return {k: entries[k] for k in data.draw(st.permutations(list(entries)))}
+
+
+def value_triples(entries, table):
+    return [(v._a, v._b, v._den) for v in itertools.chain(
+        entries.values(), (t for row in table for t in row if t is not None))]
+
+
+def arithmetic_only(mode):
+    """A field with ``mode``'s name, coercion and three arithmetic
+    kernels, and no walk of its own: ``mode``'s weight vectors match it."""
+    kind = type(mode)
+    members = {name: vars(kind)[name] for name in
+               ("coerce", "sum_products", "compose_sum", "moved_products")}
+    return type("ArithmeticOnly", (scalars.Field,), {"__slots__": (), **members})(mode)
+
+
+class TestExactStepSums:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_walk_and_the_reference(self, data):
+        d = data.draw(st.sampled_from((2, 3, 4)))
+        cut = data.draw(st.integers(1, 4 if d == 2 else 3))
+        table = step_tables(data, d)
+        entries = step_entries(data, d, cut, table)
+        bits = letter_bits(d)
+        before = value_triples(entries, table)
+        want = bit_items(reference_markov_sum(scalars.EXACT, entries, table, bits))
+        assert bit_items(scalars.EXACT.step_sums(entries, table, bits)) == want
+        assert bit_items(scalars.Field.step_sums(scalars.EXACT, entries, table, bits)) == want
+        assert value_triples(entries, table) == before
+
+    def test_a_cancelled_key_comes_back_last(self):
+        # (2, 1) cancels, then a third product puts it back after (1, 2)
+        d = 2
+        third, seventh = GaussianRational(Fraction(1, 3)), GaussianRational(Fraction(3, 7))
+        fifth = GaussianRational(0, Fraction(2, 5))
+        table = [[third, seventh], [None, fifth]]
+        c = GaussianRational(Fraction(1, 9), 1)
+        code = functools.partial(encode, d=d)
+        entries = {(code((1, 2)), code((1, 1))): c * fifth,
+                   (code((2, 2)), code((2, 1))): -(c * third),
+                   (code((1, 1)), code((1, 2))): c,
+                   (code((1, 2)), code((2, 1))): c}
+        bits = letter_bits(d)
+        got = scalars.EXACT.step_sums(entries, table, bits)
+        assert list(got) == [(code((1,)), code((2,))), (code((2,)), code((1,)))]
+        assert bit_items(got) == bit_items(
+            reference_markov_sum(scalars.EXACT, entries, table, bits))
+
+    def test_float_has_no_walk_of_its_own(self):
+        assert "step_sums" in vars(scalars._Exact)
+        assert "step_sums" not in vars(scalars._Float)
+        assert scalars.FLOAT.step_sums.__func__ is scalars.Field.step_sums
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_a_field_with_three_kernels_takes_markov_steps(self, d, mode):
+        stub = arithmetic_only(mode)
+        assert stub == mode and "step_sums" not in vars(type(stub))
+        w = session_weights(d, mode)
+        x = CuntzElement({Monomial((1, 2), (2,)): mode.coerce(GaussianRational(2, -1)),
+                          Monomial((2,), (1, 1)): mode.one}, w).to_truncated(4)
+        want = markov_step(x, w)
+        kind = type(stub)
+        with mock.patch.object(kind, "sum_products", autospec=True,
+                               side_effect=kind.sum_products) as summed:
+            got = markov_step(TruncatedOperator(x.entries, x.cut, d, stub, _trusted=True), w)
+        assert summed.call_count == 1 and got.mode is stub
+        assert bit_items(got.entries) == bit_items(want.entries) and want.entries
 
 
 # -- word maps built by their constructors -------------------------------------
