@@ -91,7 +91,8 @@ def _emit(report, args):
 def cmd_classify(args):
     weights = _weights_from_args(args)
     verdict = classify(weights, tolerance=args.tol)
-    report = {"schema": SCHEMA, "command": "classify", **verdict.to_json()}
+    report = {"schema": SCHEMA, "command": "classify",
+              "weights": [str(v) for v in weights.values], **verdict.to_json()}
     _emit(report, args)
     return 0
 
@@ -102,6 +103,7 @@ def cmd_spectrum(args):
     report = {
         "schema": SCHEMA,
         "command": "spectrum",
+        "weights": [str(v) for v in weights.values],
         "max_len": args.max_len,
         "values": [str(v) for v in values],
     }
@@ -230,7 +232,8 @@ def cmd_probe(args):
             raise UsageError(str(exc))
         ok = True
     report = {"schema": SCHEMA, "command": "probe", "kind": args.kind,
-              "report": rep.to_json(), "ok": ok}
+              "weights": [str(v) for v in weights.values], "report": rep.to_json(),
+              "ok": ok}
     _emit(report, args)
     return 0 if ok else 1
 

@@ -1,16 +1,15 @@
-"""Modular data of the vacuum state on the GNS span of monomial
-vectors xi(I, J).
+"""Modular data of the vacuum state phi.
 
-The monomial vectors are eigenvectors of the modular operator with
-eigenvalue w_I / w_J (``phase_base``); the modular conjugation and the
-S operator act by the eigen-formulas.  The exact field carries the
-square roots that J and half powers of the modular operator introduce
-as quadratic surds (:class:`~fockboundary.scalars.Surd`, coefficient
-times sqrt of a positive rational) so that identities like
-S = J . Delta^{1/2} are verified with exact cancellation.  The modular
-flow multiplies M(I, J) by the imaginary power (w_I / w_J)^{it}; its
-base is a function of the words, so a flowed element keeps plain terms
-and reads each base from its monomial.
+The modular flow multiplies M(I, J) by the imaginary power
+(w_I / w_J)^{it}; its base is a function of the words
+(``phase_base``), so a flowed element keeps plain terms and reads each
+base from its monomial.  By Takesaki's theorem the flow is phi's
+modular group exactly when phi satisfies the KMS condition, which on
+monomials is rational in the weights, phi(x y) (w_K / w_L) = phi(y x)
+for x = M(I, J) and y = M(K, L), and is checked with the product and
+phi themselves (``kms_failures``).  The module also samples the modular
+spectrum {w_I / w_J} and builds Gram matrices of the monomial GNS
+vectors xi(I, J).
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import sub
 
-from .algebra import CuntzElement, Monomial
+from .algebra import CuntzElement, Monomial, contractions
 from .errors import SpectrumSizeError
-from .fock import same_weights, words_up_to
-from .scalars import Frozen, accumulate
+from .fock import words_up_to
+from .scalars import accumulate
 
 SPECTRUM_PAIR_CAP = 250000
 
@@ -36,97 +35,6 @@ def phase_base(weights, mono):
     when K = J K', and invert under the adjoint."""
     I, J = mono
     return weights.word_weight(I) / weights.word_weight(J)
-
-
-# ---------------------------------------------------------------------------
-# GNS vectors
-
-
-class GnsVector(Frozen):
-    """A combination sum c * xi(I, J) of monomial GNS vectors.
-
-    Exact-mode coefficients are :class:`~fockboundary.scalars.Surd`
-    values, float-mode ones complex.  Equality is
-    tested coefficientwise on combined like terms; this is the form in
-    which the modular eigen-identities hold (each monomial vector is
-    treated as a separate eigenvector)."""
-
-    __slots__ = ("terms", "weights")
-
-    def __init__(self, terms, weights):
-        mode = weights.mode
-        clean = {}
-        for mono, coeff in terms.items():
-            coeff = mode.gns_value(coeff)
-            if not mode.near_zero(coeff):
-                clean[mono] = coeff
-        Frozen.__init__(self, clean, weights)
-
-    @classmethod
-    def monomial(cls, weights, I, J, coeff=1):
-        return cls({Monomial(I, J): coeff}, weights)
-
-    def map_terms(self, f):
-        """New vector with (mono, coeff) -> (new mono, new coeff)."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            m, c = f(mono, coeff)
-            if m in out:
-                raise ValueError("term collision in map_terms")
-            out[m] = c
-        return GnsVector(out, self.weights)
-
-    def same_terms(self, other, tol=1e-12):
-        same_weights(self.weights, other.weights)
-        return self.weights.mode.same_entries(self.terms, other.terms, tol)
-
-    def __eq__(self, other):
-        if not isinstance(other, GnsVector):
-            return NotImplemented
-        return self.same_terms(other)
-
-    def __repr__(self):
-        bits = ", ".join("%r: %r" % (m, c) for m, c in sorted(
-            self.terms.items(), key=lambda mc: mc[0].sort_key()))
-        return "GnsVector({%s})" % bits
-
-
-def delta_apply(v, power):
-    """Apply the modular operator to the given rational power.
-
-    Monomial vectors are eigenvectors: xi(I,J) scales by
-    (w_I/w_J)^power.  Exact mode handles integer and half-integer
-    powers exactly (half powers become surds); other denominators are
-    accepted only when the exact root is rational."""
-    power = Fraction(power)
-    weights = v.weights
-    ratio_power = weights.mode.ratio_power
-
-    def scale(mono, coeff):
-        return mono, coeff * ratio_power(phase_base(weights, mono), power)
-
-    return v.map_terms(scale)
-
-
-def modular_conjugation(v):
-    """J: c * xi(I,J) -> conj(c) * sqrt(w_J/w_I) * xi(J,I)."""
-    weights = v.weights
-    sqrt = weights.mode.sqrt
-
-    def act(mono, coeff):
-        return mono.flip(), coeff.conjugate() * sqrt(1 / phase_base(weights, mono))
-
-    return v.map_terms(act)
-
-
-def s_operator(v):
-    """S: c * xi(I,J) -> conj(c) * xi(J,I) (the closure of x Omega ->
-    x* Omega restricted to the monomial span)."""
-
-    def act(mono, coeff):
-        return mono.flip(), coeff.conjugate()
-
-    return v.map_terms(act)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +89,30 @@ def evaluate_at(phased, t):
         {mono: coeff * coerce(phase_base(weights, mono) ** complex(0, t))
          for mono, coeff in phased.terms.items()},
         weights)
+
+
+def kms_failures(weights, max_len, base):
+    """The KMS condition at beta = 1 for the flow whose phase bases are
+    ``base(monomial)``, over the monomials x, y with |I|, |J| <=
+    max_len: phi(x y) base(y) = phi(y x), that is phi(x sigma_{-i}(y)) =
+    phi(y x).  phi(x y) is read from the products that ``contractions``
+    gives; only a diagonal product has a nonzero phi, and it pairs the
+    degrees |I| - |J| = k and -k, so each degree class is walked against
+    its opposite.  Compared with the field's ``eq``.  Returns (the pairs
+    with a nonzero side, the pairs that fail)."""
+    by_degree = {}
+    for m in monomial_family(weights.d, max_len):
+        by_degree.setdefault(len(m.I) - len(m.J), []).append((m, m))
+    word_weight = weights.word_weight
+    phi = {(x, y): word_weight(I)
+           for k, left in by_degree.items()
+           for (I, J), x, y in contractions(left, by_degree.get(-k, ()))
+           if I == J}
+    eq = weights.mode.eq
+    pairs = phi.keys() | {(y, x) for x, y in phi}
+    return len(pairs), sum(
+        not eq(phi.get((x, y), 0) * base(y), phi.get((y, x), 0))
+        for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------

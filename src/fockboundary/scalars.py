@@ -2,8 +2,7 @@
 
 ``EXACT`` works over the Gaussian rationals Q(i): coefficients are
 :class:`GaussianRational` instances, reduced integer triples, and every
-comparison is exact.  The square roots that the modular data brings in
-are :class:`Surd` values.
+comparison is exact.
 ``FLOAT`` uses the builtin ``complex`` type and toleranced comparisons.
 
 An object's ``mode`` is one of these two :class:`Field` objects, and
@@ -15,7 +14,6 @@ changes field after construction; mixing fields raises
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 from math import gcd, lcm
@@ -276,88 +274,6 @@ def _reduce_sums(sums):
 
 
 # ---------------------------------------------------------------------------
-# quadratic surds: value = coeff * sqrt(radicand), radicand > 0 rational
-
-
-def _rational_sqrt(q):
-    """Exact square root of a positive Fraction, or None."""
-    if q <= 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-class Surd(Frozen):
-    """An exact value coeff * sqrt(radicand) with Gaussian-rational
-    coeff and positive rational radicand: the exact field's square
-    roots.  Perfect-square radicands are folded into the coefficient
-    on construction."""
-
-    __slots__ = ("coeff", "radicand")
-
-    def __init__(self, coeff, radicand=1):
-        coeff = EXACT.coerce(coeff)
-        radicand = Fraction(radicand)
-        if radicand <= 0:
-            raise ValueError("radicand must be positive")
-        root = _rational_sqrt(radicand)
-        if root is not None:
-            coeff = coeff * root
-            radicand = Fraction(1)
-        if not coeff:
-            radicand = Fraction(1)
-        Frozen.__init__(self, coeff, radicand)
-
-    def __bool__(self):
-        return bool(self.coeff)
-
-    def conjugate(self):
-        return Surd(self.coeff.conjugate(), self.radicand)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
-        return Surd(self.coeff * EXACT.coerce(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Surd(-self.coeff, self.radicand)
-
-    def __eq__(self, other):
-        if not isinstance(other, Surd):
-            if _triple(other) is None:  # a value EXACT.coerce refuses
-                return NotImplemented
-            other = Surd(other)
-        if not self and not other:
-            return True
-        if not self or not other:
-            return False
-        ratio = _rational_sqrt(other.radicand / self.radicand)
-        if ratio is None:
-            return False
-        return self.coeff == other.coeff * ratio
-
-    def __hash__(self):
-        # equal surds have equal coeff**2 * radicand, and a surd over a
-        # non-square radicand equals no rational
-        if self.radicand == 1:
-            return hash(self.coeff)
-        return hash(self.coeff * self.coeff * self.radicand)
-
-    def __complex__(self):
-        return complex(self.coeff) * math.sqrt(self.radicand)
-
-    def __repr__(self):
-        if self.radicand == 1:
-            return "Surd(%r)" % (self.coeff,)
-        return "Surd(%r, sqrt %s)" % (self.coeff, self.radicand)
-
-
-# ---------------------------------------------------------------------------
 # the coefficient fields
 
 
@@ -370,9 +286,8 @@ class Field(str):
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
     tol)`` on dicts whose stored values are never zero; ``rational(v)``
-    for a real coefficient; ``to_json``/``from_json``;
-    ``random_coeff(rng)``; and, for the modular data, ``sqrt(q)``,
-    ``ratio_power(q, p)`` and ``gns_value(c)``.
+    for a real coefficient; ``to_json``/``from_json``; and
+    ``random_coeff(rng)``.
 
     The four kernels: ``sum_products(triples, what)``, ``accumulate``
     over the products of ``(key, x, y)`` triples, fused;
@@ -413,7 +328,7 @@ class Field(str):
 
 
 class _Exact(Field):
-    """Q(i), with :class:`Surd` square roots; every test is exact."""
+    """Q(i); every test is exact."""
 
     __slots__ = ()
     zero = _ZERO
@@ -457,22 +372,6 @@ class _Exact(Field):
         """A Gaussian integer with parts in -3..3."""
         return GaussianRational(
             Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-
-    def sqrt(self, q):
-        return Surd(1, q)
-
-    def ratio_power(self, q, p):
-        """q ** p for a positive rational q and an integer or
-        half-integer power p."""
-        if p.denominator == 1:
-            return Surd(q ** p)
-        if p.denominator == 2:
-            return Surd(q ** (p.numerator // 2), q)
-        raise ValueError(
-            "exact mode supports integer and half-integer powers; got %s" % p)
-
-    def gns_value(self, c):
-        return c if isinstance(c, Surd) else Surd(c)
 
     def sum_products(self, triples, what):
         """``accumulate`` over the pairs (key, x * y) of (key, x, y)
@@ -707,15 +606,6 @@ class _Float(Field):
 
     def random_coeff(self, rng):
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    def sqrt(self, q):
-        return math.sqrt(q)
-
-    def ratio_power(self, q, p):
-        return float(q) ** float(p)
-
-    def gns_value(self, c):
-        return complex(c)
 
     def sum_products(self, triples, what):
         """``_Exact.sum_products`` in FLOAT: ``accumulate``'s loop over

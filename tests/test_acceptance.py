@@ -79,9 +79,11 @@ class TestCriterion3Faithfulness:
 
 
 class TestCriterion4Modular:
-    def test_polar_sigma_state_eigenvalue(self):
+    def test_kms_sigma_state_eigenvalue(self):
         rep = verify.verify_delta(trials=100, seed=7, max_len=3)
-        assert rep["polar_decomposition_ok"]
+        assert rep["kms_pairs"] > 0 and rep["kms_failures"] == 0
+        assert rep["kms_trivial_flow_failures"] > 0
+        assert rep["kms_inverted_flow_failures"] > 0
         assert rep["automorphism_failures"] == 0
         assert rep["state_invariance_failures"] == 0
         assert rep["eigenvalue_ok"]

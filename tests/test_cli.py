@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import fockboundary
 from fockboundary.cli import main
 
 
@@ -160,12 +164,42 @@ class TestVerifyAndDeterminism:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_delta_at_nine_letters_ends_within_5_s(self):
+        # the span is computed from d: words of up to 2 letters at d = 9
+        src = str(Path(fockboundary.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        run = subprocess.run(
+            [sys.executable, "-m", "fockboundary.cli", "verify", "delta",
+             "--weights", ",".join(["1/9"] * 9)],
+            env=env, capture_output=True, text=True, timeout=5)
+        assert run.returncode == 0, run.stderr
+        rep = json.loads(run.stdout)
+        assert rep["ok"] and rep["max_len"] == 2 and rep["kms_pairs"] > 0
+
     def test_seed_changes_instances(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         code = main(["probe", "center", "--weights", "1/3,2/3",
                      "--seed", "3", "--json", str(a)])
         capsys.readouterr()
         assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["classify", "--mode", "float"],
+    ["spectrum"],
+    ["probe", "masa"],
+    ["probe", "center"],
+    ["probe", "dr"],
+    ["probe", "diffuse"],
+])
+def test_report_names_its_weights(capsys, argv):
+    code, out = run(capsys, *argv, "--weights", "0.25,0.75")
+    assert code == 0
+    assert json.loads(out)["weights"] == (
+        ["0.25", "0.75"] if "float" in argv else ["1/4", "3/4"])
 
 
 class TestQuantizeAndProbe:

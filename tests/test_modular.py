@@ -1,29 +1,28 @@
 import gc
+import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockboundary import verify
 from fockboundary.algebra import CuntzElement, Monomial
 from fockboundary.errors import ModeMixError
 from fockboundary.fock import WeightVector, words_up_to
 from fockboundary.modular import (
-    GnsVector,
     PhasedElement,
-    delta_apply,
     evaluate_at,
     gram_matrix,
-    modular_conjugation,
-    monomial_family,
+    kms_failures,
     phase_base,
-    s_operator,
     sigma_t,
     spectrum_sample,
 )
 from fockboundary.quantization import UnitaryMatrix, conjugate
-from fockboundary.scalars import GaussianRational, Surd
+from fockboundary.scalars import GaussianRational
 from fockboundary.verify import random_element
 
 words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
@@ -38,38 +37,6 @@ def elements(weights):
     return st.dictionaries(
         st.builds(Monomial, words, words), coeffs, max_size=3
     ).map(lambda t: CuntzElement(t, weights))
-
-
-class TestSurd:
-    def test_perfect_squares_fold(self):
-        assert Surd(1, Fraction(9, 4)) == Surd(Fraction(3, 2))
-        assert Surd(2, 2) * Surd(3, 2) == Surd(12)
-
-    def test_equality_across_radicands(self):
-        assert Surd(2, 2) == Surd(1, 8)
-        assert Surd(1, 2) != Surd(1, 3)
-
-    def test_conjugate(self):
-        s = Surd(GaussianRational(1, 1), 2)
-        assert s.conjugate() == Surd(GaussianRational(1, -1), 2)
-
-
-class TestModularOperators:
-    def test_polar_decomposition(self, w13):
-        for mono in monomial_family(2, 3):
-            v = GnsVector.monomial(w13, mono.I, mono.J)
-            assert s_operator(v).same_terms(
-                modular_conjugation(delta_apply(v, Fraction(1, 2))))
-
-    def test_eigenvalue(self, w13):
-        v = GnsVector.monomial(w13, (1,), (2,))
-        assert delta_apply(v, 1).same_terms(
-            GnsVector.monomial(w13, (1,), (2,), coeff=Fraction(1, 2)))
-
-    def test_j_involutive(self, w13):
-        v = GnsVector.monomial(w13, (1, 2), (2,),
-                               coeff=GaussianRational(1, 2))
-        assert modular_conjugation(modular_conjugation(v)).same_terms(v)
 
 
 class TestModularFlow:
@@ -103,6 +70,59 @@ class TestModularFlow:
         x = CuntzElement.monomial(w13, (1, 1), (2,))
         with pytest.raises(ModeMixError):
             evaluate_at(sigma_t(x), 0.7)
+
+
+def mutated_flows(weights):
+    """The trivial flow and the inverted flow."""
+    base = partial(phase_base, weights)
+    return [lambda m: 1, lambda m: 1 / base(m)]
+
+
+class TestKMS:
+    """phi satisfies the KMS condition for the modular flow, and fails it
+    for a flow with another base."""
+
+    @given(st.sampled_from((2, 3)).flatmap(
+        lambda d: st.lists(st.integers(1, 9), min_size=d, max_size=d)),
+        st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_exact_weights(self, raw, data):
+        w = WeightVector([Fraction(a, sum(raw)) for a in raw])
+        base = partial(phase_base, w)
+        pairs, failures = kms_failures(w, 2, base)
+        assert pairs > 0 and failures == 0
+        # one letter's base w_i becomes w_i * factor: still a flow
+        letter = data.draw(st.integers(1, w.d))
+        factor = data.draw(st.sampled_from(
+            (Fraction(1, 2), Fraction(3, 5), Fraction(4, 3), Fraction(2))))
+
+        def perturbed(m):
+            return base(m) * factor ** (m.I.count(letter) - m.J.count(letter))
+
+        for flow in [perturbed, *mutated_flows(w)]:
+            assert kms_failures(w, 2, flow)[1] > 0
+
+    def test_float_golden_ratio_weights(self):
+        lam = (math.sqrt(5) - 1) / 2
+        w = WeightVector([lam, lam * lam], mode="float")
+        pairs, failures = kms_failures(w, 2, partial(phase_base, w))
+        assert pairs > 0 and failures == 0
+        for flow in mutated_flows(w):
+            assert kms_failures(w, 2, flow)[1] > 0
+
+    @pytest.mark.parametrize("flow", [0, 1], ids=["trivial", "inverted"])
+    def test_a_mutated_flow_that_passes_fails_the_suite(self, w13, monkeypatch,
+                                                        flow):
+        probe = Monomial((1,), ())
+        passing = mutated_flows(w13)[flow](probe)
+
+        def check(weights, max_len, base):
+            pairs, failures = kms_failures(weights, max_len, base)
+            return pairs, 0 if base(probe) == passing else failures
+
+        monkeypatch.setattr(verify, "kms_failures", check)
+        rep = verify.verify_delta(trials=4, max_len=1, weights=w13)
+        assert rep["kms_failures"] == 0 and not rep["ok"]
 
 
 FLOW_WEIGHTS = {2: [Fraction(1, 3), Fraction(2, 3)],

@@ -30,7 +30,6 @@ from fockboundary.scalars import (
     FLOAT,
     Frozen,
     GaussianRational,
-    Surd,
     accumulate,
     field,
     subtract,
@@ -172,36 +171,6 @@ class TestEqualityAndHash:
     def test_non_real_differs_from_its_real_part(self, x):
         if x[1] != 0:
             assert make(x) != x[0] and x[0] != make(x)
-
-
-class TestSurdHash:
-    @pytest.mark.parametrize("a, b", [
-        (Surd(2, 2), Surd(1, 8)),
-        (Surd(GaussianRational(1, 1), 2),
-         Surd(GaussianRational(2, 2), Fraction(1, 2))),
-        (Surd(3, Fraction(4, 9)), Surd(2)),
-    ])
-    def test_equal_surds_hash_alike(self, a, b):
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    @pytest.mark.parametrize("s, r", [
-        (Surd(3), 3),
-        (Surd(1, Fraction(9, 4)), Fraction(3, 2)),
-        (Surd(GaussianRational(0, 1)), GaussianRational(0, 1)),
-    ])
-    def test_rational_surd_hashes_as_its_value(self, s, r):
-        assert s == r and hash(s) == hash(r)
-
-    @pytest.mark.parametrize("other", [None, "1", 1.0, 1j, object()])
-    def test_unlike_operands_are_unequal(self, other):
-        # EXACT.coerce refuses these, so == is False and != is True, as
-        # for a GaussianRational, and nothing is raised
-        for s in (Surd(1), Surd(0), Surd(2, 3)):
-            assert not s == other and s != other
-            assert not other == s and other != s
-        assert Surd(1) in {Surd(1, 4) * Fraction(1, 2): 0}
-        assert Surd(1) not in [None, "1", 1j]
 
 
 class TestParts:
@@ -495,13 +464,10 @@ X = CuntzElement.monomial(W, (1,), (2,), GaussianRational(1, 2))
 OP = op_right_creation((1,), 3, 2)
 
 FROZEN = {
-    "Surd": lambda: Surd(GaussianRational(1, 1), 2),
     "WeightVector": lambda: W,
     "TruncatedOperator": lambda: OP,
     "HarmonicityReport": lambda: is_harmonic(OP, W),
     "CuntzElement": lambda: X,
-    "GnsVector": lambda: modular.delta_apply(
-        modular.GnsVector.monomial(W, (1,), (2,)), Fraction(1, 2)),
     "PhasedElement": lambda: modular.sigma_t(X),
     "UnitaryMatrix": lambda: quantization.UnitaryMatrix.swap(2, 1, 2),
     "CounterexampleReport": lambda: quantization.counterexample_report(W, 1, 2, cut=3),
