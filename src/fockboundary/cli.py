@@ -3,7 +3,9 @@
 Subcommands: classify, spectrum, product, verify, quantize, probe.
 All reports are JSON with a ``schema`` version field; identical flags
 and seed produce byte-identical output.  Exit codes: 0 all checks
-passed, 1 at least one identity failed, 2 usage or input error.
+passed, 1 at least one identity failed, 2 usage or input error, 141
+(128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when stdout was closed before the report was written.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from .modular import spectrum_sample
 from .scalars import term_cap
 
 SCHEMA = 1
+CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -181,9 +185,10 @@ def cmd_quantize(args):
         try:
             with open(args.unitary) as fh:
                 rows = json.load(fh)
-            rows = [[Fraction(str(v)) for v in row] for row in rows]
+            rows = [[weights.mode.from_json(v) if isinstance(v, dict)
+                     else Fraction(str(v)) for v in row] for row in rows]
             u = UnitaryMatrix(rows, weights.mode)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise UsageError("bad --unitary %s: %s" % (args.unitary, exc))
     x = _load_element(args.element, weights)
     try:
@@ -348,10 +353,17 @@ def main(argv=None):
         args.max_len = 2
     try:
         _check_term_cap()
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, errors.FockError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

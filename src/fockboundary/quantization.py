@@ -193,30 +193,7 @@ def symbolic_gamma(U, x):
         )
     if U.d != weights.d or U.mode != weights.mode:
         raise ModeMixError("unitary does not match the weight session")
-    mode = U.mode
-    rows = _nonzero_rows(U)
-    images = {EMPTY_WORD: {EMPTY_WORD: mode.one}}
-
-    def image(word):
-        """{K: prod_s u_{word_s K_s}} over the words K with |K| = |word|,
-        filling the prefixes of word that ``images`` lacks, shortest first."""
-        n = len(word)
-        while word[:n] not in images:
-            n -= 1
-        for k in range(n, len(word)):
-            images[word[:k + 1]] = {K + (j,): c * u for K, c in images[word[:k]].items()
-                                    for j, u in rows[word[k] - 1]}
-        return images[word]
-
-    def triples():
-        for (I, J), coeff in x.terms.items():
-            left = [(K, coeff * c) for K, c in image(I).items()]
-            right = [(L, c.conjugate()) for L, c in image(J).items()]
-            for K, a in left:
-                for L, b in right:
-                    yield _monomial((K, L)), a, b
-
-    terms = mode.sum_products(triples(), "substitution")
+    terms = U.mode.substitution_sums(x.terms, _nonzero_rows(U), _monomial)
     return CuntzElement(terms, weights, _trusted=True)
 
 

@@ -289,14 +289,16 @@ class Field(str):
     for a real coefficient; ``to_json``/``from_json``; and
     ``random_coeff(rng)``.
 
-    The four kernels: ``sum_products(triples, what)``, ``accumulate``
+    The five kernels: ``sum_products(triples, what)``, ``accumulate``
     over the products of ``(key, x, y)`` triples, fused;
     ``compose_sum(left, right)``, the sparse product of ``compose``;
     ``moved_products(entries)``, the products of moved values with one,
-    all three arithmetic alone, on keys they do not read; and
-    ``step_sums(entries, table, bits)``, the Markov step's sums, which
-    reads each word code's first letter: ``Field``'s walk over
-    ``sum_products``, fused into one loop by the exact field.
+    all three arithmetic alone, on keys they do not read; and two walks
+    over ``sum_products`` in ``Field``, each fused into one loop by the
+    exact field: ``step_sums(entries, table, bits)``, the Markov step's
+    sums, which reads each word code's first letter, and
+    ``substitution_sums(terms, rows, key)``, the generator
+    substitution's sums, which reads the terms' words.
 
     Stored values may be shared: one value object can sit at many keys
     and in many dicts.  So a kernel changes no value it was given, and
@@ -325,6 +327,36 @@ class Field(str):
             [((r >> bits, c >> bits), t, y) for (r, c), y in entries.items()
              if r > mask and c > mask and (t := table[r & mask][c & mask]) is not None],
             None)
+
+    def substitution_sums(self, terms, rows, key):
+        """The sums of the generator substitution r_i -> r_{U e_i}: each
+        term (I, J) -> coeff gives ``sum_products`` the triples
+        (key((K, L)), coeff * u_I,K, conj(u_J,L)) over the words K and L
+        of the lengths of I and J, K before L, in term order, under the
+        "substitution" term budget.  Row i of ``rows`` holds the pairs
+        (j, u_ij) of U's nonzero entries, and u_I,K is the product of
+        u_{I_s K_s}; a word's image {K: u_I,K} is built from the image
+        of its longest prefix already built in this call."""
+        images = {(): {(): self.one}}
+
+        def image(word):
+            n = len(word)
+            while word[:n] not in images:
+                n -= 1
+            for k in range(n, len(word)):
+                images[word[:k + 1]] = {K + (j,): c * u for K, c in images[word[:k]].items()
+                                        for j, u in rows[word[k] - 1]}
+            return images[word]
+
+        def triples():
+            for (I, J), coeff in terms.items():
+                left = [(K, coeff * c) for K, c in image(I).items()]
+                right = [(L, c.conjugate()) for L, c in image(J).items()]
+                for K, a in left:
+                    for L, b in right:
+                        yield key((K, L)), a, b
+
+        return self.sum_products(triples(), "substitution")
 
 
 class _Exact(Field):
@@ -484,6 +516,87 @@ class _Exact(Field):
         if D != 1:
             for s in sums.values():
                 s._den *= D
+        return _reduce_sums(sums)
+
+    def substitution_sums(self, terms, rows, key):
+        """``Field.substitution_sums`` in one loop over U times Q, the lcm
+        of its entries' denominators.  The image of a word I is a list of
+        (K, a, b), where a + b i is the Gaussian integer Q^|I| u_I,K,
+        built from the longest built prefix with no gcd.  A term (I, J)
+        -> c adds c (a_K + b_K i) conj(a_L + b_L i) to the running sum at
+        key((K, L)) over den(c) Q^(|I| + |J|), updated in place, and the
+        sums are reduced once.  Each product is the walk's times a
+        positive integer, so the same keys cancel."""
+        Q = lcm(*(u._den for row in rows for _, u in row))
+        scaled = [[(j, u._a * (Q // u._den), u._b * (Q // u._den)) for j, u in row]
+                  for row in rows]
+        images = {(): [((), 1, 0)]}
+
+        def image(word):
+            n = len(word)
+            while word[:n] not in images:
+                n -= 1
+            got = images[word[:n]]
+            for k in range(n, len(word)):
+                got = images[word[:k + 1]] = [
+                    (K + (j,), a * ua - b * ub, a * ub + b * ua)
+                    for K, a, b in got for j, ua, ub in scaled[word[k] - 1]]
+            return got
+
+        cap = term_cap()
+        sums = {}
+        setdefault = sums.setdefault
+        fresh = _new(GaussianRational)
+        for (I, J), c in terms.items():
+            left = image(I)
+            right = image(J)
+            ca = c._a
+            cb = c._b
+            if cb:
+                left = [(K, ca * a - cb * b, ca * b + cb * a) for K, a, b in left]
+            elif ca != 1:
+                left = [(K, ca * a, ca * b) for K, a, b in left]
+            den = c._den * Q ** (len(I) + len(J))
+            for K, a1, b1 in left:
+                for L, a2, b2 in right:
+                    # (a1 + b1 i)(a2 - b2 i)
+                    if b2:
+                        a = a1 * a2 + b1 * b2
+                        b = b1 * a2 - a1 * b2
+                    else:
+                        a = a1 * a2
+                        b = b1 * a2
+                    # one lookup: a new key takes the spare sum ``fresh``
+                    k = key((K, L))
+                    s = setdefault(k, fresh)
+                    if s is fresh:
+                        if a or b:
+                            s._a = a
+                            s._b = b
+                            s._den = den
+                            fresh = _new(GaussianRational)
+                            if len(sums) > cap:
+                                raise _over_budget("substitution", cap)
+                        else:
+                            del sums[k]
+                        continue
+                    sden = s._den
+                    if sden == den:
+                        a += s._a
+                        b += s._b
+                        d = den
+                    else:
+                        g = gcd(sden, den)
+                        m, n = den // g, sden // g
+                        a = s._a * m + a * n
+                        b = s._b * m + b * n
+                        d = sden * m
+                    if a or b:
+                        s._a = a
+                        s._b = b
+                        s._den = d
+                    else:
+                        del sums[k]
         return _reduce_sums(sums)
 
     def compose_sum(self, left, right):

@@ -178,6 +178,26 @@ class TestVerifyAndDeterminism:
         rep = json.loads(run.stdout)
         assert rep["ok"] and rep["max_len"] == 2 and rep["kms_pairs"] > 0
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # the reader is gone before the report is written; unbuffered, the
+        # write fails in print, buffered, at the flush
+        src = str(Path(fockboundary.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "fockboundary.cli", "verify", "relations",
+                 "--seed", "7"],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert run.returncode == 141
+        assert run.stderr == ""
+
     def test_seed_changes_instances(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         code = main(["probe", "center", "--weights", "1/3,2/3",
@@ -226,6 +246,40 @@ class TestQuantizeAndProbe:
             CuntzElement.identity(w).to_json()))
         assert main(["quantize", "--weights", "1/3,2/3",
                      "--element", str(xp), "--swap", "1", "2"]) == 2
+
+    def test_quantize_unitary_with_gaussian_entries(self, capsys, tmp_path):
+        # diag(i, 1) maps M(1, 2) to i M(1, 2)
+        from fockboundary.algebra import CuntzElement
+        from fockboundary.fock import WeightVector
+
+        w = WeightVector.uniform(2)
+        xp = tmp_path / "x.json"
+        xp.write_text(json.dumps(CuntzElement.monomial(w, (1,), (2,)).to_json()))
+        up = tmp_path / "u.json"
+        up.write_text('[[{"re": "0", "im": "1"}, 0], [0, "1"]]')
+        code, out = run(capsys, "quantize", "--weights", "1/2,1/2",
+                        "--element", str(xp), "--unitary", str(up))
+        assert code == 0
+        assert json.loads(out)["result"]["terms"] == [
+            {"I": "1", "J": "2", "re": "0", "im": "1"}]
+
+    @pytest.mark.parametrize("rows", [
+        '[[{"re": "0"}, 0], [0, 1]]',
+        '[[{"re": "1/2", "im": "1/2"}, 0], [0, 1]]',
+        '[["i", 0], [0, 1]]',
+    ])
+    def test_quantize_bad_unitary_exit_2(self, capsys, tmp_path, rows):
+        from fockboundary.algebra import CuntzElement
+        from fockboundary.fock import WeightVector
+
+        xp = tmp_path / "x.json"
+        xp.write_text(json.dumps(CuntzElement.identity(WeightVector.uniform(2)).to_json()))
+        up = tmp_path / "u.json"
+        up.write_text(rows)
+        assert main(["quantize", "--weights", "1/2,1/2", "--element", str(xp),
+                     "--unitary", str(up)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad --unitary" in captured.err
 
     def test_probe_masa(self, capsys):
         code, out = run(capsys, "probe", "masa", "--weights", "1/3,2/3")

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockboundary import fock, scalars
-from fockboundary.algebra import CuntzElement, Monomial
+from fockboundary.algebra import CuntzElement, Monomial, _monomial
 from fockboundary.choi_effros import (
     FORM_KINDS,
     FORMS,
@@ -478,6 +478,22 @@ class TestSubstitution:
         monkeypatch.setenv("FOCK_TERM_CAP", "5")
         with pytest.raises(TermBudgetError):
             symbolic_gamma(U, x)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_term_budget_counts_the_peak(self, monkeypatch, mode):
+        # M(1, 1) gives 4 keys, and M(2, 2) cancels the 2 off-diagonal
+        # ones: the budget holds the peak of 4, not the 2 that remain
+        w = WeightVector.uniform(2, mode)
+        U = UnitaryMatrix([[Fraction(3, 5), Fraction(4, 5)],
+                           [Fraction(-4, 5), Fraction(3, 5)]], mode)
+        x = CuntzElement({Monomial((1,), (1,)): 1, Monomial((2,), (2,)): 1}, w)
+        monkeypatch.setenv("FOCK_TERM_CAP", "4")
+        assert list(symbolic_gamma(U, x).terms) == [((1,), (1,)), ((2,), (2,))]
+        for cap in (1, 3):
+            monkeypatch.setenv("FOCK_TERM_CAP", str(cap))
+            with pytest.raises(TermBudgetError) as err:
+                symbolic_gamma(U, x)
+            assert str(err.value) == "substitution exceeded the term budget (%d)" % cap
 
 
 def operators(weights, cut, max_entries=12):
@@ -1735,6 +1751,90 @@ class TestExactStepSums:
             got = markov_step(TruncatedOperator(x.entries, x.cut, d, stub, _trusted=True), w)
         assert summed.call_count == 1 and got.mode is stub
         assert bit_items(got.entries) == bit_items(want.entries) and want.entries
+
+
+# -- the exact substitution over U's common denominator ------------------------
+
+
+def nonzero_rows(U):
+    return [[(j, u) for j, u in enumerate(row, 1) if u] for row in U.rows]
+
+
+def exact_unitaries(data, d):
+    """A ``random_exact_unitary`` draw at d, sparse (at most d * d // 2 + 1
+    of its entries nonzero: a permutation with phases at d = 2) or dense,
+    found by a search over seeds from a drawn start."""
+    dense = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 10 ** 6))
+    while True:
+        U = random_exact_unitary(d, random.Random(seed))
+        if (sum(map(bool, itertools.chain(*U.rows))) > d * d // 2 + 1) == dense:
+            return U
+        seed += 1
+
+
+def substitution_terms(data, d):
+    """The terms of an element on uniform or non-uniform weights, with
+    words of 0-3 letters and coefficients with parts over denominators
+    from 1 to 15: a term dict, possibly empty."""
+    words = st.lists(st.integers(1, d), max_size=3).map(tuple)
+    w = data.draw(st.sampled_from((WeightVector.uniform(d), EXACT_WEIGHTS[d])))
+    terms = data.draw(st.dictionaries(st.builds(Monomial, words, words),
+                                      rationals(COPRIME + (4, 9, 15)), max_size=6))
+    return CuntzElement(terms, w).terms
+
+
+def substitution_walk(terms, U):
+    return scalars.Field.substitution_sums(scalars.EXACT, terms, nonzero_rows(U), _monomial)
+
+
+class TestExactSubstitutionSums:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_walk(self, data):
+        d = data.draw(st.sampled_from((2, 3)))
+        U = exact_unitaries(data, d)
+        terms = substitution_terms(data, d)
+        before = [(v._a, v._b, v._den) for v in terms.values()]
+        got = scalars.EXACT.substitution_sums(terms, nonzero_rows(U), _monomial)
+        want = substitution_walk(terms, U)
+        assert bit_items(got) == bit_items(want)
+        assert all(type(m) is Monomial for m in got)
+        assert [(v._a, v._b, v._den) for v in terms.values()] == before
+
+    def test_a_cancelled_key_comes_back_last(self):
+        # U is a rotation times a phase, with entries over 5 and 65.  By
+        # unitarity the off-diagonal keys of M(1, 1) + M(2, 2) cancel, and
+        # M(1, 2) brings them back after the diagonal ones
+        z = GaussianRational(Fraction(5, 13), Fraction(12, 13))
+        U = UnitaryMatrix([[Fraction(3, 5), Fraction(4, 5)],
+                           [Fraction(-4, 5), Fraction(3, 5)]]).compose(
+            UnitaryMatrix([[z, 0], [0, 1]]))
+        assert len({u._den for u in itertools.chain(*U.rows)}) == 2
+        c = GaussianRational(Fraction(1, 7), 2)
+        terms = {Monomial((1,), (1,)): c, Monomial((2,), (2,)): c,
+                 Monomial((1,), (2,)): GaussianRational(Fraction(2, 9))}
+        got = scalars.EXACT.substitution_sums(terms, nonzero_rows(U), _monomial)
+        assert list(got) == [((1,), (1,)), ((2,), (2,)), ((1,), (2,)), ((2,), (1,))]
+        assert bit_items(got) == bit_items(substitution_walk(terms, U))
+
+    def test_float_has_no_walk_of_its_own(self):
+        assert "substitution_sums" in vars(scalars._Exact)
+        assert "substitution_sums" not in vars(scalars._Float)
+        assert scalars.FLOAT.substitution_sums.__func__ is scalars.Field.substitution_sums
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_symbolic_gamma_sums_through_the_kernel(self, mode):
+        w = WeightVector.uniform(3, mode)
+        U = UnitaryMatrix([[0, 1, 0], [Fraction(3, 5), 0, Fraction(4, 5)],
+                           [Fraction(-4, 5), 0, Fraction(3, 5)]], mode)
+        x = CuntzElement({Monomial((1, 2), (3,)): 2, Monomial((), (2,)): 1}, w)
+        kind = type(mode)
+        with mock.patch.object(kind, "substitution_sums", autospec=True,
+                               side_effect=kind.substitution_sums) as summed:
+            got = symbolic_gamma(U, x)
+        assert summed.call_count == 1
+        assert_terms_agree(got.terms, substitution_by_generators(U, x).terms, mode)
 
 
 # -- word maps built by their constructors -------------------------------------
