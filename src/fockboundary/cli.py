@@ -68,7 +68,9 @@ def _load_element(path, weights):
                          % (path, exc.lineno, exc.colno))
     try:
         return CuntzElement.from_json(obj, weights)
-    except (KeyError, TypeError, ValueError, LetterRangeError) as exc:
+    except KeyError as exc:
+        raise UsageError("malformed element in %s: missing key %r" % (path, exc.args[0]))
+    except (TypeError, ValueError, LetterRangeError) as exc:
         raise UsageError("malformed element in %s: %s" % (path, exc))
 
 
@@ -188,7 +190,9 @@ def cmd_quantize(args):
             rows = [[weights.mode.from_json(v) if isinstance(v, dict)
                      else Fraction(str(v)) for v in row] for row in rows]
             u = UnitaryMatrix(rows, weights.mode)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
+            raise UsageError("bad --unitary %s: missing key %r" % (args.unitary, exc.args[0]))
+        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             raise UsageError("bad --unitary %s: %s" % (args.unitary, exc))
     x = _load_element(args.element, weights)
     try:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from math import fsum, gcd, inf, lcm
 from numbers import Rational
 from operator import not_
+from sys import float_info
 
 from .errors import ModeMixError, TermBudgetError
 
@@ -285,9 +286,10 @@ class Field(str):
     ``real(v)`` for weights and their ratios; ``coerce(v)`` into the
     coefficients; ``is_zero(v)``, the zero test of ``accumulate``;
     ``near_zero(v, tol)``, ``eq(a, b, tol)`` and ``same_entries(a, b,
-    tol)`` on dicts whose stored values are never zero; ``rational(v)``
-    for a real coefficient; ``to_json``/``from_json``; and
-    ``random_coeff(rng)``.
+    tol)`` on dicts whose stored values are never zero;
+    ``identity_limit(weights, tol)``, up to which the harmonicity test
+    settles an entry by identity; ``rational(v)`` for a real coefficient;
+    ``to_json``/``from_json``; and ``random_coeff(rng)``.
 
     The five kernels: ``sum_products(triples, what)``, ``accumulate``
     over the products of ``(key, x, y)`` triples, fused;
@@ -314,6 +316,13 @@ class Field(str):
 
     def eq(self, a, b, tol=1e-12):
         return self.near_zero(a - b, tol)
+
+    def identity_limit(self, weights, tol=1e-12):
+        """The largest |v| at which the harmonicity defect sum_a w_a v - v
+        of an entry v held at all d successors is known to be within
+        ``tol`` with no sum, or None for none: inf when the weights sum to
+        exactly one, as the defect is then zero."""
+        return inf if sum(map(Fraction, weights)) == 1 else None
 
     def step_sums(self, entries, table, bits):
         """The sums of the Markov steps: each word-code entry (r, c)
@@ -699,6 +708,34 @@ class _Float(Field):
 
     def near_zero(self, value, tol=1e-12):
         return abs(value) <= tol
+
+    def identity_limit(self, weights, tol=1e-12):
+        """``Field.identity_limit``, and where the weights do not sum to
+        exactly one, a bound from the rounding of the sum that it skips.
+
+        The walk sums -v + w_1 v + .. + w_d v left to right; each part of
+        each product is rounded once, and each addition once.  With
+        u = 2**-53, gamma_n = n u / (1 - n u) and S = w_1 + .. + w_d,
+        each part of the rounded sum lies within |S - 1| |p| + gamma_{d+1}
+        (1 + |w_1| + .. + |w_d|) |p| of zero, p being v's part (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+        sections 3.1 and 4.2).  So |sum| <= K |v|, with gamma_{d+2} in K:
+        the one more unit covers the rounding of ``abs``.  An entry with
+        |v| <= tol / (2 K) sums to within ``tol``; the 2 covers the
+        rounding of K, of S - 1 (``fsum`` rounds it once, and gives zero
+        only when S is exactly one) and of |v|.  A ``tol`` below the least
+        normal float, or weights with no finite K, settle nothing, as a
+        subnormal product rounds by an absolute step; the limit is
+        finite, so neither inf nor nan is settled."""
+        weights = [float(w) for w in weights]
+        excess = fsum(weights + [-1.0])
+        if not excess:
+            return inf
+        n = len(weights) + 2
+        k = abs(excess) + n / (2 ** 53 - n) * (1 + fsum(map(abs, weights)))
+        if tol >= float_info.min and k < inf:
+            return min(tol / (2 * k), float_info.max)
+        return None
 
     def same_entries(self, a, b, tol=1e-12):
         z = self.zero

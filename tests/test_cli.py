@@ -360,6 +360,33 @@ class TestLibraryErrors:
         self.assert_one_line_exit_2(
             capsys, argv + ["--weights", "1/3,2/3"], "malformed word string")
 
+    @pytest.mark.parametrize("obj,key", [
+        ({"terms": [{"I": "1", "J": "2", "re": "1/3", "im": "0"}]}, "d"),
+        ({"d": 2, "terms": []}, "mode"),
+        ({"d": 2, "mode": "exact"}, "terms"),
+        ({"d": 2, "mode": "exact", "terms": [{"I": "1", "re": "1", "im": "0"}]}, "J"),
+        ({"d": 2, "mode": "exact", "terms": [{"I": "1", "J": "2", "re": "1"}]}, "im"),
+    ])
+    def test_element_file_missing_key(self, capsys, tmp_path, obj, key):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(obj))
+        self.assert_one_line_exit_2(
+            capsys, ["product", "--weights", "1/2,1/2", str(path), str(path)],
+            "malformed element in %s: missing key '%s'" % (path, key))
+
+    def test_unitary_entry_missing_key(self, capsys, tmp_path):
+        from fockboundary.algebra import CuntzElement
+        from fockboundary.fock import WeightVector
+
+        xp = tmp_path / "x.json"
+        xp.write_text(json.dumps(CuntzElement.identity(WeightVector.uniform(2)).to_json()))
+        up = tmp_path / "u.json"
+        up.write_text('[[{"re": "0"}, 0], [0, 1]]')
+        self.assert_one_line_exit_2(
+            capsys, ["quantize", "--weights", "1/2,1/2", "--element", str(xp),
+                     "--unitary", str(up)],
+            "bad --unitary %s: missing key 'im'" % up)
+
     def test_verify_all_refuses_weights_some_suites_ignore(self, capsys):
         self.assert_one_line_exit_2(
             capsys, ["verify", "all", "--weights", "1/4,3/4"],

@@ -12,6 +12,7 @@ word tuples.  Exact mode must agree term for term; float mode within
 1e-9 (1e-12 for the closed forms and the truncated layer).
 """
 
+import cmath
 import copy
 import functools
 import itertools
@@ -1500,6 +1501,17 @@ def bit_items(entries):
              else (v._a, v._b, v._den)) for k, v in entries.items()]
 
 
+def distinct_copy(v):
+    """An equal value in a new object, with the same bits."""
+    if isinstance(v, complex):
+        return complex(v.real, v.imag)
+    return GaussianRational(v.re, v.im)
+
+
+# float weights whose sum is exactly one in binary
+BINARY_ONE = {2: (0.25, 0.75), 3: (0.2, 0.2, 0.6)}
+
+
 def draw_code_entries(data, d, cut, mode, weights):
     """Word-code entries of a random operator with keys that cancel under
     the Markov step and entries with an empty word: random keys and
@@ -1624,6 +1636,124 @@ class TestOneWalkPerStep:
         assert reference_float_defects(x.entries, values, 2, bound, tol=0)
         assert fock.harmonic_defects(scalars.FLOAT, x.entries, values, 2, bound,
                                      tol=0) == {}
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_child_pass_against_the_walk(self, data):
+        # harmonic_defects (the child-side pass, or the walk it falls back
+        # to), the walk alone, and the float field's old loop where the
+        # weights do not sum to one give one dict, bit for bit
+        mode = data.draw(st.sampled_from(MODES))
+        d = data.draw(st.sampled_from((2, 3)))
+        cut = data.draw(st.integers(2, 4 if d == 2 else 3))
+        if mode == scalars.EXACT:
+            w = data.draw(st.one_of(exact_weights(d), st.just(WeightVector.uniform(d))))
+            values = data.draw(st.sampled_from(
+                (w.values, w.values[:-1] + (w.values[-1] / 2,))))
+            tol = 1e-12
+        else:
+            raw = data.draw(st.lists(st.integers(1, 99), min_size=d, max_size=d))
+            values = data.draw(st.sampled_from((tuple(n / sum(raw) for n in raw),
+                                                BINARY_ONE[d])))
+            tol = data.draw(st.sampled_from((1e-12, 0.0)))
+        entries = data.draw(fromkeys_entries(d, cut))
+        if mode == scalars.FLOAT:
+            # one complex object for each shared exact one
+            floats = {}
+            entries = {k: floats.setdefault(id(v), complex(v)) for k, v in entries.items()}
+        bits, bound = letter_bits(d), block_bound(cut - 1, d)
+        changes = ["distinct", "all distinct", "lacking", "orphans"]
+        if mode == scalars.FLOAT:
+            changes += ["large", "nan", "inf"]
+        for change in data.draw(st.lists(st.sampled_from(changes), max_size=3)):
+            succ = successors(entries, bits, bound)
+            if change == "all distinct":
+                entries = {k: distinct_copy(v) for k, v in entries.items()}
+            elif change == "lacking" and succ:
+                del entries[data.draw(st.sampled_from(succ))]
+            elif change == "orphans" and succ:
+                r, c = data.draw(st.sampled_from(succ))
+                entries.pop((r >> bits, c >> bits), None)
+            elif change == "large" and entries:
+                # every key of one shared object, scaled up to 1e6
+                old = entries[data.draw(st.sampled_from(sorted(entries)))]
+                new = old * data.draw(st.sampled_from((10.0, 1e3, 1e6)))
+                entries = {k: new if v is old else v for k, v in entries.items()}
+            elif entries:
+                key = data.draw(st.sampled_from(sorted(entries)))
+                entries[key] = {"distinct": distinct_copy(entries[key]),
+                                "nan": complex(math.nan, 1.0),
+                                "inf": complex(math.inf, -1.0)}.get(change, entries[key])
+        limit = mode.identity_limit(values, tol)
+        got = fock.harmonic_defects(mode, entries, values, bits, bound, tol)
+        walk = fock._parent_walk(mode, entries, [mode.coerce(v) for v in values],
+                                 bits, bound, tol, limit == math.inf)
+        assert bit_items(got) == bit_items(walk)
+        # the old loop's test abs(s) > tol reads a nan sum as no defect,
+        # where near_zero reads it as one
+        if mode == scalars.FLOAT and limit != math.inf and not any(
+                map(cmath.isnan, entries.values())):
+            assert bit_items(got) == bit_items(
+                reference_float_defects(entries, values, bits, bound, tol))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
+    def test_which_path_decides(self, d, cut, mode):
+        w = session_weights(d, mode)
+        bits, bound = letter_bits(d), block_bound(cut - 1, d)
+        x = CuntzElement({Monomial((1, 2), (2,)): mode.coerce(GaussianRational(2, -1)),
+                          Monomial((2,), (1,)): mode.one}, w).to_truncated(cut)
+
+        def decide(entries, values=w.values):
+            with mock.patch.object(fock, "_parent_walk", wraps=fock._parent_walk) as walk:
+                got = fock.harmonic_defects(mode, entries, values, bits, bound)
+            return got, walk.called
+
+        # shared values: the pass alone, and no defect
+        assert decide(dict(x.entries)) == ({}, False)
+        # values all distinct objects: the suspects outnumber the matched
+        # children, and the walk decides
+        assert decide({k: distinct_copy(v) for k, v in x.entries.items()}) == ({}, True)
+        # a parent lacking a child is found by the pass's lookups and summed
+        key = sorted(successors(x.entries, bits, bound))[-1]
+        parent = (key[0] >> bits, key[1] >> bits)
+        lacking = {k: v for k, v in x.entries.items() if k != key}
+        got, walked = decide(lacking)
+        assert parent in got and not walked
+        # exact weights that do not sum to one have no identity limit
+        if mode == scalars.EXACT:
+            values = w.values[:-1] + (w.values[-1] / 2,)
+            assert decide(dict(x.entries), values)[1]
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_float_bound_settles_small_values_only(self, d):
+        # weights that are not one in binary: |v| = 1 is settled with no
+        # product taken, |v| = 1e6 is summed; both as the old loop gives
+        class Counted(complex):
+            products = 0
+
+            def __rmul__(self, other):
+                type(self).products += 1
+                return complex.__rmul__(self, other)
+
+        values = (0.1, 0.9) if d == 2 else (0.1, 0.3, 0.6)
+        assert sum(map(Fraction, values)) != 1
+        limit = scalars.FLOAT.identity_limit(values)
+        assert 1 < limit < 1e6
+        bits, bound = letter_bits(d), block_bound(2, d)
+        for v, summed in ((Counted(0.6, -0.8), False), (Counted(6e5, -8e5), True)):
+            entries = dict.fromkeys(prepend_words(1, 1, d, 3), v)
+            Counted.products = 0
+            got = fock.harmonic_defects(scalars.FLOAT, entries, values, bits, bound)
+            assert bool(Counted.products) == summed
+            want = reference_float_defects(entries, values, bits, bound)
+            assert bit_items(got) == bit_items(want)
+        # a tol below the least normal float, or weights with no finite
+        # bound, settle nothing
+        assert scalars.FLOAT.identity_limit(values, 1e-320) is None
+        assert scalars.FLOAT.identity_limit((math.inf, 0.5)) is None
+        assert scalars.FLOAT.identity_limit((0.25, 0.75), 0.0) == math.inf
 
 
 # -- the exact Markov step over its table's common denominator ------------------
