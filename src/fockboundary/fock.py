@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from math import inf
-from operator import itemgetter
 
 from .errors import (
     CutExhaustedError,
@@ -809,121 +808,21 @@ class HarmonicityReport(Frozen):
 
 def harmonic_defects(mode, entries, weights, bits, bound, tol=1e-12):
     """The dict of sum_a w_a x[ar, ac] - x[r, c] beyond ``tol`` at x's
-    word-code keys below ``bound`` (a power of two, as ``block_bound``
-    gives), summed in the field's arithmetic with the weights coerced
-    once, then ``_lacking``'s sums at the keys x lacks.
+    word-code keys below ``bound``: d lookups an entry, summed in the
+    field's arithmetic with the weights coerced once, then ``_lacking``.
 
-    An entry v whose d successors x[ar, ac] all hold v itself, the same
-    object, sums to v (w_1 + .. + w_d - 1).  It is settled with no sum
-    when |v| is at most the field's ``identity_limit``: at any |v| when
-    the weights sum to exactly one, as its defect is then zero, and in
-    float otherwise when a rounding bound puts the sum within ``tol``.
-    So the dict is the one that summing every entry gives: the same keys
-    in the same order, the same values bit for bit.
-
-    ``_child_pass`` decides it in one pass over x, from the child side.
-    The walk, ``_parent_walk``, d lookups an entry, decides it when the
-    field gives no identity limit, and when the pass's suspects outnumber
-    its matched children by two: x's values are then mostly distinct
-    objects, and the pass would settle few entries."""
+    An entry v whose d lookups all return v itself, the same object, has
+    the defect v (w_1 + .. + w_d - 1).  It is settled with no sum when
+    |v| is at most the field's ``identity_limit``: at any |v| when the
+    weights sum to exactly one, as the defect is then zero, and in float
+    otherwise where a rounding bound puts the skipped sum within ``tol``.
+    So the dict is the one that summing every entry gives, the same keys
+    in the same order and the same values bit for bit, but that with
+    weights summing to exactly one such an entry is never a defect, even
+    where its rounded float sum would exceed ``tol``."""
     limit = mode.identity_limit(weights, tol)
+    unbounded = limit == inf
     weights = [mode.coerce(w) for w in weights]
-    if limit is not None:
-        found = _child_pass(mode, entries, weights, bits, bound, tol, limit)
-        if found is not None:
-            return found
-    return _parent_walk(mode, entries, weights, bits, bound, tol, limit == inf)
-
-
-def _child_pass(mode, entries, weights, bits, bound, tol, limit):
-    """``harmonic_defects`` from the child side, or None for the walk.
-
-    Each entry (ar, ac) whose words share a first letter looks up its
-    parent (r, c) once, and tests by identity that the parent holds the
-    same object: a matched child.  A parent below ``bound`` with a child
-    of another object is a suspect; as soon as the suspects outnumber the
-    matched children by two, the pass gives way to the walk.  (By one
-    would send a fifth of ``to_truncated``'s operators to the walk: an
-    entry near the vacuum, where two terms meet, holds their sum, and
-    its children often come first.)  A parent whose value is above
-    ``limit`` is a suspect too.  The suspects are summed as the walk
-    sums them.  Every other parent below ``bound`` is settled
-    if it has all d children, which the counts show: the children that
-    find a parent, less the summed parents' children, are d for each
-    parent not summed.  If they fall short, the parents not summed are
-    looked up d times each, as the walk would, and those lacking a child
-    are summed.  The defects are put in entry order.  A child whose
-    parent x lacks, or lies above ``bound``, is an orphan, and the
-    orphans gate ``_lacking``, as the walk's missing hits do."""
-    d = len(weights)
-    mask = (1 << bits) - 1
-    top = bound << bits  # the codes whose parents lie below bound
-    get = entries.get
-    parents = orphans = matched = other = 0
-    suspects = set()
-    for (r, c), v in entries.items():
-        # bound and top are powers of two
-        if (rc := r | c) < bound:
-            parents += 1
-        elif rc >= top:
-            if not (r ^ c) & mask and r > mask and c > mask:
-                orphans += 1
-            continue
-        if (r ^ c) & mask:
-            continue
-        # a parent found means both words have a first letter
-        if (u := get((r >> bits, c >> bits))) is v:
-            matched += 1
-        elif u is not None:
-            other += 1
-            suspects.add((r >> bits, c >> bits))
-            if len(suspects) > matched + 1:
-                return None
-        elif r > mask and c > mask:
-            orphans += 1
-    # equal values run in groups, and only each group's modulus is read
-    if limit != inf and not all(map(limit.__ge__, map(abs, map(
-            itemgetter(0), groupby(entries.values()))))):
-        suspects.update(k for k, v in entries.items()
-                        if (k[0] | k[1]) < bound and not abs(v) <= limit)
-    letters = list(enumerate(weights))
-    near_zero = mode.near_zero
-    defects = {}
-    hits = matched + other  # less the summed parents' children, below
-
-    def add(key, v):
-        nonlocal hits
-        R, C = key[0] << bits, key[1] << bits
-        s = -v
-        for digit, w in letters:
-            y = get((R | digit, C | digit))
-            if y is not None:
-                hits -= 1
-                s += w * y
-        if not near_zero(s, tol):
-            defects[key] = s
-
-    for key in suspects:
-        add(key, entries[key])
-    if hits != (parents - len(suspects)) * d:
-        digits = range(d)
-        for key, v in entries.items():
-            if (key[0] | key[1]) < bound and key not in suspects:
-                R, C = key[0] << bits, key[1] << bits
-                for digit in digits:
-                    if get((R | digit, C | digit)) is None:
-                        add(key, v)
-                        break
-    if len(defects) > 1:
-        defects = {k: defects[k] for k in filter(defects.__contains__, entries)}
-    return _lacking(mode, entries, weights, bits, orphans, defects, tol)
-
-
-def _parent_walk(mode, entries, weights, bits, bound, tol, unit):
-    """``harmonic_defects`` by d lookups for each entry below ``bound``,
-    the hits counted to gate ``_lacking``.  If ``unit``, the weights sum
-    to exactly one, and an entry whose d lookups all return its own value
-    object is no defect, with no sum."""
     letters = list(enumerate(weights))
     d = len(weights)
     digits = range(d)
@@ -938,13 +837,14 @@ def _parent_walk(mode, entries, weights, bits, bound, tol, unit):
         if r >= bound or c >= bound:
             continue
         R, C = r << bits, c << bits
-        if unit:
+        if limit is not None:
             for digit in digits:
                 if get((R | digit, C | digit)) is not v:
                     break
             else:
-                hits += d
-                continue
+                if unbounded or abs(v) <= limit:
+                    hits += d
+                    continue
         s = -v
         for digit, w in letters:
             y = get((R | digit, C | digit))
@@ -973,16 +873,13 @@ def _lacking(mode, entries, weights, bits, short, defects, tol):
 def is_harmonic(x, weights, tol=1e-12):
     """Check <x e_J, e_I> = sum_i w_i <x e_{iJ}, e_{iI}> on all (I, J)
     with |I|, |J| <= cut - 1.  ``defects`` maps failing word pairs
-    (I, J) to P(x) - x entry values.  ``harmonic_defects`` decides it
-    with no Markov step built, for both fields, which give only the
-    arithmetic and the identity limit: one pass over x's entries from the
-    child side, each entry looking up its parent once, with the
-    parent-side walk as the fallback when x's values are mostly distinct
-    objects.  An entry held by all its successors is settled with no sum
-    where its defect is zero (weights summing to exactly one) or, in
-    float, where the rounding bound of ``_Float.identity_limit`` puts the
-    sum within ``tol``; the report is the one that summing every entry
-    gives, bit for bit."""
+    (I, J) to P(x) - x entry values.  ``harmonic_defects`` decides it in
+    one walk over x, with no Markov step built, for both fields, which
+    give only the arithmetic and the identity limit.  An entry held by
+    all its successors is settled with no sum where its defect is zero
+    (weights summing to exactly one) or, in float, where the rounding
+    bound of ``_Float.identity_limit`` puts the sum within ``tol``; the
+    report is the one that summing every entry gives, bit for bit."""
     if x.cut < 1:
         raise CutExhaustedError("need cut >= 1 to test harmonicity")
     if x.d != weights.d or x.mode != weights.mode:

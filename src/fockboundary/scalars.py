@@ -722,18 +722,17 @@ class _Float(Field):
         sections 3.1 and 4.2).  So |sum| <= K |v|, with gamma_{d+2} in K:
         the one more unit covers the rounding of ``abs``.  An entry with
         |v| <= tol / (2 K) sums to within ``tol``; the 2 covers the
-        rounding of K, of S - 1 (``fsum`` rounds it once, and gives zero
-        only when S is exactly one) and of |v|.  A ``tol`` below the least
-        normal float, or weights with no finite K, settle nothing, as a
+        rounding of K, of S - 1 (``fsum`` rounds it once) and of |v|.  A
+        ``tol`` below the least normal float settles nothing, as a
         subnormal product rounds by an absolute step; the limit is
         finite, so neither inf nor nan is settled."""
+        limit = super().identity_limit(weights, tol)
+        if limit is not None:
+            return limit
         weights = [float(w) for w in weights]
-        excess = fsum(weights + [-1.0])
-        if not excess:
-            return inf
         n = len(weights) + 2
-        k = abs(excess) + n / (2 ** 53 - n) * (1 + fsum(map(abs, weights)))
-        if tol >= float_info.min and k < inf:
+        k = abs(fsum(weights + [-1.0])) + n / (2 ** 53 - n) * (1 + fsum(map(abs, weights)))
+        if tol >= float_info.min:
             return min(tol / (2 * k), float_info.max)
         return None
 

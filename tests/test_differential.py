@@ -1493,6 +1493,36 @@ def reference_float_defects(entries, weights, bits, bound, tol=1e-12):
     return defects
 
 
+def summed_defects(mode, entries, weights, bits, bound, tol=1e-12):
+    """``harmonic_defects`` with no identity limit: every entry below
+    ``bound`` summed in the field's arithmetic, but for an entry held at
+    all d successors by its own object where the weights sum to exactly
+    one, whose defect is zero; then ``_lacking`` on the hits that fall
+    short."""
+    unit = sum(map(Fraction, weights)) == 1
+    weights = [mode.coerce(w) for w in weights]
+    mask = (1 << bits) - 1
+    defects = {}
+    same = hits = 0
+    for (r, c), v in entries.items():
+        if r > mask and c > mask and not (r ^ c) & mask:
+            same += 1
+        if r >= bound or c >= bound:
+            continue
+        found = [entries.get(((r << bits) | a, (c << bits) | a))
+                 for a in range(len(weights))]
+        hits += sum(y is not None for y in found)
+        if unit and all(y is v for y in found):
+            continue
+        s = -v
+        for w, y in zip(weights, found):
+            if y is not None:
+                s += w * y
+        if not mode.near_zero(s, tol):
+            defects[r, c] = s
+    return fock._lacking(mode, entries, weights, bits, same - hits, defects, tol)
+
+
 def bit_items(entries):
     """A dict's items in order, each value as the exact bits it holds:
     the hex of both float parts (so -0.0 differs from 0.0), or the
@@ -1640,10 +1670,10 @@ class TestOneWalkPerStep:
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_child_pass_against_the_walk(self, data):
-        # harmonic_defects (the child-side pass, or the walk it falls back
-        # to), the walk alone, and the float field's old loop where the
-        # weights do not sum to one give one dict, bit for bit
+    def test_identity_limit_against_every_sum(self, data):
+        # harmonic_defects, every entry summed, and the float field's old
+        # loop where the weights do not sum to one give one dict, bit for
+        # bit: the identity limit settles no entry whose sum is a defect
         mode = data.draw(st.sampled_from(MODES))
         d = data.draw(st.sampled_from((2, 3)))
         cut = data.draw(st.integers(2, 4 if d == 2 else 3))
@@ -1685,46 +1715,15 @@ class TestOneWalkPerStep:
                 entries[key] = {"distinct": distinct_copy(entries[key]),
                                 "nan": complex(math.nan, 1.0),
                                 "inf": complex(math.inf, -1.0)}.get(change, entries[key])
-        limit = mode.identity_limit(values, tol)
         got = fock.harmonic_defects(mode, entries, values, bits, bound, tol)
-        walk = fock._parent_walk(mode, entries, [mode.coerce(v) for v in values],
-                                 bits, bound, tol, limit == math.inf)
-        assert bit_items(got) == bit_items(walk)
+        assert bit_items(got) == bit_items(
+            summed_defects(mode, entries, values, bits, bound, tol))
         # the old loop's test abs(s) > tol reads a nan sum as no defect,
         # where near_zero reads it as one
-        if mode == scalars.FLOAT and limit != math.inf and not any(
+        if mode == scalars.FLOAT and sum(map(Fraction, values)) != 1 and not any(
                 map(cmath.isnan, entries.values())):
             assert bit_items(got) == bit_items(
                 reference_float_defects(entries, values, bits, bound, tol))
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("d,cut", [(2, 4), (3, 3)])
-    def test_which_path_decides(self, d, cut, mode):
-        w = session_weights(d, mode)
-        bits, bound = letter_bits(d), block_bound(cut - 1, d)
-        x = CuntzElement({Monomial((1, 2), (2,)): mode.coerce(GaussianRational(2, -1)),
-                          Monomial((2,), (1,)): mode.one}, w).to_truncated(cut)
-
-        def decide(entries, values=w.values):
-            with mock.patch.object(fock, "_parent_walk", wraps=fock._parent_walk) as walk:
-                got = fock.harmonic_defects(mode, entries, values, bits, bound)
-            return got, walk.called
-
-        # shared values: the pass alone, and no defect
-        assert decide(dict(x.entries)) == ({}, False)
-        # values all distinct objects: the suspects outnumber the matched
-        # children, and the walk decides
-        assert decide({k: distinct_copy(v) for k, v in x.entries.items()}) == ({}, True)
-        # a parent lacking a child is found by the pass's lookups and summed
-        key = sorted(successors(x.entries, bits, bound))[-1]
-        parent = (key[0] >> bits, key[1] >> bits)
-        lacking = {k: v for k, v in x.entries.items() if k != key}
-        got, walked = decide(lacking)
-        assert parent in got and not walked
-        # exact weights that do not sum to one have no identity limit
-        if mode == scalars.EXACT:
-            values = w.values[:-1] + (w.values[-1] / 2,)
-            assert decide(dict(x.entries), values)[1]
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_float_bound_settles_small_values_only(self, d):
@@ -1749,10 +1748,8 @@ class TestOneWalkPerStep:
             assert bool(Counted.products) == summed
             want = reference_float_defects(entries, values, bits, bound)
             assert bit_items(got) == bit_items(want)
-        # a tol below the least normal float, or weights with no finite
-        # bound, settle nothing
+        # a tol below the least normal float settles nothing
         assert scalars.FLOAT.identity_limit(values, 1e-320) is None
-        assert scalars.FLOAT.identity_limit((math.inf, 0.5)) is None
         assert scalars.FLOAT.identity_limit((0.25, 0.75), 0.0) == math.inf
 
 
