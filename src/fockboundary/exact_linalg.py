@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are lists of lists of Fractions (or ints).  Sizes here are
-tiny (tens of columns), so plain fraction-free-enough Gaussian
-elimination is adequate and keeps every verdict exact.
+small (hundreds of columns, with few nonzero entries a row), so plain
+Gaussian elimination on sparse rows is adequate and keeps every
+verdict exact.
 """
 
 from __future__ import annotations
@@ -14,53 +15,70 @@ def _as_rows(matrix):
     return [[Fraction(v) for v in row] for row in matrix]
 
 
+def _sparse(row):
+    """A row, a sequence or a dict of entries by column, as a dict of its
+    nonzero entries by column."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(v) for c, v in items if v}
+
+
+def _subtract(row, f, other):
+    """row -= f * other, in place, on sparse rows, keeping no zero."""
+    for c, v in other.items():
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
 class RowReducer:
     """Incremental reduced row echelon accumulator.  Feed rows one at a
-    time; maintains pivot columns and fully reduced pivot rows."""
+    time, each a sequence or a dict of entries by column; maintains the
+    fully reduced pivot rows, each sparse, a dict of its nonzero entries
+    by column, so a row costs its nonzero entries.  ``ncols`` is read by
+    ``nullspace`` only."""
 
-    def __init__(self, ncols):
+    def __init__(self, ncols=None):
         self.ncols = ncols
-        self.rows = []  # list of (pivot_col, row)
+        self.pivots = {}  # pivot column -> row, 1 at the pivot column
 
     def reduce_row(self, row):
-        row = [Fraction(v) for v in row]
-        for pivot_col, prow in self.rows:
-            if row[pivot_col] != 0:
-                factor = row[pivot_col]
-                row = [a - factor * b for a, b in zip(row, prow)]
+        """The row less the pivot rows: a dict of its nonzero entries."""
+        row = _sparse(row)
+        # a pivot row is 0 at every other pivot column, so one pass does
+        for col in [c for c in row if c in self.pivots]:
+            _subtract(row, row[col], self.pivots[col])
         return row
 
     def add_row(self, row):
         """Returns True if the row enlarged the span."""
         row = self.reduce_row(row)
-        for col, v in enumerate(row):
-            if v != 0:
-                inv = 1 / v
-                row = [a * inv for a in row]
-                for k, (pc, prow) in enumerate(self.rows):
-                    if prow[col] != 0:
-                        f = prow[col]
-                        self.rows[k] = (pc, [a - f * b for a, b in zip(prow, row)])
-                self.rows.append((col, row))
-                self.rows.sort(key=lambda pr: pr[0])
-                return True
-        return False
+        if not row:
+            return False
+        col = min(row)
+        inv = 1 / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for prow in self.pivots.values():
+            if col in prow:
+                _subtract(prow, prow[col], row)
+        self.pivots[col] = row
+        return True
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def nullspace(self):
         """Basis of the right nullspace, one vector per free column."""
-        pivots = dict((pc, row) for pc, row in self.rows)
-        free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
-        for fc in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
-            for pc, row in self.rows:
-                vec[pc] = -row[fc]
-            basis.append(vec)
+        for fc in range(self.ncols):
+            if fc not in self.pivots:
+                vec = [Fraction(0)] * self.ncols
+                vec[fc] = Fraction(1)
+                for pc, row in self.pivots.items():
+                    vec[pc] = -row.get(fc, Fraction(0))
+                basis.append(vec)
         return basis
 
 
@@ -107,19 +125,11 @@ def is_psd(matrix):
 
 
 def span_equal(basis_a, basis_b):
-    """Do two families of rational vectors span the same subspace?"""
-    if not basis_a and not basis_b:
-        return True
-    ncols = len(basis_a[0]) if basis_a else len(basis_b[0])
-    ra = RowReducer(ncols)
+    """Do two families of rational vectors, each a sequence or a dict of
+    entries by column, span the same subspace?"""
+    ra, rb = RowReducer(), RowReducer()
     for v in basis_a:
         ra.add_row(v)
-    rb = RowReducer(ncols)
     for v in basis_b:
         rb.add_row(v)
-    if ra.rank != rb.rank:
-        return False
-    for v in basis_b:
-        if any(x != 0 for x in ra.reduce_row(v)):
-            return False
-    return True
+    return ra.rank == rb.rank and not any(ra.reduce_row(v) for v in basis_b)

@@ -1,12 +1,13 @@
 """Desk-scale structural probes of the fixed-point algebra.
 
 The probes examine finite spans of monomials only; they report what
-holds on the tested span and never claim more.  Covered: the diagonal
-subalgebra and its within-span commutant, central-element conditions
-with an infinite-factor witness, the shift endomorphism alpha with its
-flip unitaries, norm convergence of the conjugation approximation to
-alpha on diagonal monomials, and the diffuseness obstruction to
-minimal diagonal projections.
+holds on the tested span and never claim more.  Covered: one exact
+commutant solver on a span, and through it the diagonal subalgebra's
+within-span commutant and a center probe with an infinite-factor
+witness; the shift endomorphism alpha with its flip unitaries, norm
+convergence of the conjugation approximation to alpha on diagonal
+monomials, and the diffuseness obstruction to minimal diagonal
+projections.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from .errors import TermBudgetError
 from .exact_linalg import RowReducer, span_equal
 from .fock import EMPTY_WORD, format_word, words_of_length, words_up_to
 
-DIMENSION_CAP = 20000
+# the largest span that ``commutant`` solves: measured on a 2 vCPU
+# x86_64 VM, Python 3.11, the masa probe takes 5.7 s at d = 7, L = 2
+# (3185 coordinates) and 11 s at d = 8, L = 2 (5248)
+DIMENSION_CAP = 5000
 
 
 # -- diagonal subalgebra -------------------------------------------------------
@@ -63,7 +67,8 @@ def canonical_basis(d, L):
 def joint_coordinates(elements, weights):
     """Express several elements in one common coordinate system: per
     degree class, everything is expanded to the largest |J| occurring
-    in any of the elements.  Returns (keys, rows) with rational rows
+    in any of the elements.  Returns (keys, rows), each row a dict of
+    its element's nonzero coordinates by column, as rationals
     (``rational`` of the field); coefficients must be real (the
     structure constants here are)."""
     level = levels(mono for el in elements for mono in el.terms)
@@ -75,15 +80,47 @@ def joint_coordinates(elements, weights):
             weights.mode)
         for el in elements
     ]
-    keys = list(index)
-    ncols = len(keys)
-    out = []
-    for row in rows:
-        vec = [Fraction(0)] * ncols
-        for j, c in row.items():
-            vec[j] = weights.mode.rational(c)
-        out.append(vec)
-    return keys, out
+    rational = weights.mode.rational
+    return list(index), [{j: rational(c) for j, c in row.items()} for row in rows]
+
+
+# -- commutants ------------------------------------------------------------------
+
+
+def span_dimension(d, L):
+    """The number of canonical coordinates of the word-length <= L span,
+    len(canonical_basis(d, L)), with no basis built."""
+    return d ** (2 * L) + 2 * sum(d ** (2 * L - j) for j in range(1, L + 1))
+
+
+def commutant(weights, L, generators):
+    """The elements of the word-length <= L span that commute with every
+    generator: ``(basis, vectors)``, the canonical basis and a basis of
+    the nullspace of the constraints sum_b c_b [b, g] = 0, in its
+    coordinates.  A span of more than ``DIMENSION_CAP`` coordinates is
+    refused before any product is formed."""
+    size = span_dimension(weights.d, L)
+    if size > DIMENSION_CAP:
+        raise TermBudgetError("commutant span of word length %d has %d "
+                              "coordinates (cap %d)" % (L, size, DIMENSION_CAP))
+    basis = canonical_basis(weights.d, L)
+    elements = [CuntzElement.monomial(weights, mono.I, mono.J) for mono in basis]
+    reducer = RowReducer(size)
+    for g in generators:
+        _, rows = joint_coordinates([b * g - g * b for b in elements], weights)
+        # one constraint per coordinate of the commutators
+        constraints = {}
+        for b, row in enumerate(rows):
+            for key, c in row.items():
+                constraints.setdefault(key, {})[b] = c
+        for constraint in constraints.values():
+            reducer.add_row(constraint)
+    return basis, reducer.nullspace()
+
+
+def _by_field(report):
+    """The JSON of a report whose fields are JSON values: its fields by name."""
+    return {name: getattr(report, name) for name in report.__slots__}
 
 
 # -- masa probe ------------------------------------------------------------------
@@ -91,69 +128,38 @@ def joint_coordinates(elements, weights):
 
 class MasaProbeReport(scalars.Frozen):
     __slots__ = (
-        "L", "span_dimension", "commutant_dimension", "diagonal_dimension",
-        "matches_diagonal", "generator_count",
+        "max_len", "span_dimension", "commutant_dimension",
+        "diagonal_dimension", "matches_diagonal", "generator_count",
     )
+
+    to_json = _by_field
 
     def __bool__(self):
         return self.matches_diagonal
 
-    def to_json(self):
-        return {
-            "max_len": self.L,
-            "span_dimension": self.span_dimension,
-            "commutant_dimension": self.commutant_dimension,
-            "diagonal_dimension": self.diagonal_dimension,
-            "matches_diagonal": self.matches_diagonal,
-            "generator_count": self.generator_count,
-        }
 
-
-def masa_commutant_probe(weights, L):
+def masa_commutant_probe(weights, L=None):
     """Solve x . g = g . x within the word-length <= L span, for all
     diagonal generators g = M(I, I) with |I| <= L, and compare the
-    solution space with the diagonal span."""
+    solution space with the diagonal span.  By default L is the longest,
+    at most 2, whose span fits ``DIMENSION_CAP``."""
     d = weights.d
-    basis = canonical_basis(d, L)
-    if len(basis) > DIMENSION_CAP:
-        raise TermBudgetError(
-            "masa probe span has %d coordinates (cap %d)"
-            % (len(basis), DIMENSION_CAP)
-        )
-    generators = [
-        CuntzElement.monomial(weights, I, I)
-        for m in range(L + 1)
-        for I in words_of_length(d, m)
-    ]
-    basis_elements = [
-        CuntzElement.monomial(weights, mono.I, mono.J) for mono in basis
-    ]
-    reducer = RowReducer(len(basis))
-    for g in generators:
-        commutators = [b * g - g * b for b in basis_elements]
-        _, rows = joint_coordinates(commutators, weights)
-        # rows[b][key]: constraint per key is sum_b c_b rows[b][key] = 0
-        nkeys = len(rows[0]) if rows else 0
-        for key in range(nkeys):
-            reducer.add_row([rows[b][key] for b in range(len(basis))])
-    commutant = reducer.nullspace()
-
+    if L is None:
+        L = max(n for n in (1, 2) if span_dimension(d, n) <= DIMENSION_CAP)
+    diagonal_words = words_up_to(d, L)
+    generators = [CuntzElement.monomial(weights, I, I) for I in diagonal_words]
+    basis, solution = commutant(weights, L, generators)
     index = {mono: i for i, mono in enumerate(basis)}
-    diagonal = []
-    for m in range(L + 1):
-        for I in words_of_length(d, m):
-            vec = [Fraction(0)] * len(basis)
-            for piece, one in expanded([(Monomial(I, I), Fraction(1))], d, {0: L}):
-                vec[index[piece]] = one
-            diagonal.append(vec)
-    diag_reducer = RowReducer(len(basis))
-    diag_dim = sum(diag_reducer.add_row(v) for v in diagonal)
+    diagonal = [{index[piece]: one for piece, one in
+                 expanded([(Monomial(I, I), Fraction(1))], d, {0: L})}
+                for I in diagonal_words]
+    diag_reducer = RowReducer()
     return MasaProbeReport(
-        L=L,
+        max_len=L,
         span_dimension=len(basis),
-        commutant_dimension=len(commutant),
-        diagonal_dimension=diag_dim,
-        matches_diagonal=span_equal(commutant, diagonal),
+        commutant_dimension=len(solution),
+        diagonal_dimension=sum(map(diag_reducer.add_row, diagonal)),
+        matches_diagonal=span_equal(solution, diagonal),
         generator_count=len(generators),
     )
 
@@ -163,91 +169,39 @@ def masa_commutant_probe(weights, L):
 
 class CenterProbeReport(scalars.Frozen):
     __slots__ = (
-        "vacuum_failures", "delta_failures", "phi_commutation_failures",
+        "max_len", "span_dimension", "commutant_dimension", "is_central",
         "isometry_witness", "range_projection_witness",
     )
 
-    @property
-    def is_central_on_span(self):
-        return not (self.vacuum_failures or self.delta_failures
-                    or self.phi_commutation_failures)
+    to_json = _by_field
 
     def __bool__(self):
-        return self.is_central_on_span
-
-    def to_json(self):
-        return {
-            "vacuum_failures": [format_word(w) for w in self.vacuum_failures],
-            "delta_failures": [
-                [format_word(i), format_word(j)] for i, j in self.delta_failures
-            ],
-            "phi_commutation_failures": list(self.phi_commutation_failures),
-            "isometry_witness": self.isometry_witness,
-            "range_projection_witness": self.range_projection_witness,
-            "is_central_on_span": self.is_central_on_span,
-        }
+        return self.is_central
 
 
-def _random_element(weights, rng, max_len=2, nterms=3):
-    words = words_up_to(weights.d, max_len)
+def center_probe(x, tol=1e-12):
+    """Is x central, and what is central in its span?
 
-    def draws():
-        for _ in range(nterms):
-            I = rng.choice(words)
-            J = rng.choice(words)
-            yield Monomial(I, J), weights.mode.random_coeff(rng)
-
-    return CuntzElement(scalars.accumulate(draws(), weights.mode), weights)
-
-
-def center_probe(x, trials=20, rng=None, tol=1e-12):
-    """Necessary central conditions on the tested span.
-
-    Checks phi(x . r_J) = 0 for nonempty words J, the contraction
-    identity r_I* . x . r_J = delta_{IJ} x for words up to the
-    element's length bound, phi-commutation against random elements,
-    and reports the infinite-factor witness pair r_1* . r_1 = 1 versus
-    r_1 . r_1* != 1."""
-    import random
-
-    rng = rng or random.Random(0)
+    With the generators r_i and r_i*, reports the commutant of the
+    word-length <= L span, L being x's word-length bound (at least 1),
+    solved exactly; whether x commutes with each generator; and the
+    infinite-factor witness pair r_1* . r_1 = 1 versus r_1 . r_1* != 1."""
     weights = x.weights
-    bound = max(1, x.normal_form().max_word_length())
-
-    vacuum_failures = []
-    for m in range(1, bound + 1):
-        for J in words_of_length(weights.d, m):
-            val = (x * CuntzElement.monomial(weights, J, EMPTY_WORD)
-                   ).vacuum_state()
-            if not weights.mode.near_zero(val, tol):
-                vacuum_failures.append(J)
-
-    # the contraction identity is only asserted for equal-length words
-    delta_failures = []
-    for m in range(bound + 1):
-        for I in words_of_length(weights.d, m):
-            left = CuntzElement.monomial(weights, EMPTY_WORD, I) * x
-            for J in words_of_length(weights.d, m):
-                got = left * CuntzElement.monomial(weights, J, EMPTY_WORD)
-                want = x if I == J else CuntzElement.zero(weights)
-                if not got.equals(want, tol):
-                    delta_failures.append((I, J))
-
-    phi_failures = []
-    for t in range(trials):
-        y = _random_element(weights, rng)
-        lhs = (x * y).vacuum_state()
-        rhs = (y * x).vacuum_state()
-        if not weights.mode.eq(lhs, rhs, tol):
-            phi_failures.append(t)
-
-    r1 = CuntzElement.right_creation(weights, 1)
+    L = max(1, x.normal_form().max_word_length())
+    creations = [CuntzElement.right_creation(weights, i)
+                 for i in range(1, weights.d + 1)]
+    generators = [g for r in creations for g in (r, r.adjoint())]
+    basis, solution = commutant(weights, L, generators)
+    r1 = creations[0]
     one = CuntzElement.identity(weights)
-    isometry = (r1.adjoint() * r1 - one).is_zero(tol)
-    range_proj = (r1 * r1.adjoint() - one).is_zero(tol)
     return CenterProbeReport(
-        tuple(vacuum_failures), tuple(delta_failures), tuple(phi_failures),
-        isometry, range_proj)
+        max_len=L,
+        span_dimension=len(basis),
+        commutant_dimension=len(solution),
+        is_central=all((x * g - g * x).is_zero(tol) for g in generators),
+        isometry_witness=(r1.adjoint() * r1 - one).is_zero(tol),
+        range_projection_witness=(r1 * r1.adjoint() - one).is_zero(tol),
+    )
 
 
 # -- shift endomorphism and flip unitaries ----------------------------------------
@@ -337,9 +291,12 @@ def dr_convergence(R, weights, n_max=6):
 
 
 class MinimalProjectionReport(scalars.Frozen):
+    """The values are coefficients of ``mode``, which writes them: exact
+    in the exact field."""
+
     __slots__ = (
         "is_projection", "split_length", "positive_branches",
-        "branch_growth", "phi_value",
+        "branch_growth", "phi_value", "mode",
     )
 
     def to_json(self):
@@ -349,8 +306,8 @@ class MinimalProjectionReport(scalars.Frozen):
             "positive_branches": [
                 format_word(w) for w in (self.positive_branches or [])
             ],
-            "branch_growth": [float(v) for v in self.branch_growth],
-            "phi_value": float(self.phi_value),
+            "branch_growth": [self.mode.to_json(v) for v in self.branch_growth],
+            "phi_value": self.mode.to_json(self.phi_value),
         }
 
 
@@ -360,13 +317,14 @@ def minimal_projection_probe(q, L, tol=1e-12):
     For a diagonal projection q, either two distinct words of some
     length m <= L give phi(r_I* . q . r_I) > 0 (q splits, so it was not
     minimal), or the single surviving branch forces geometric growth
-    phi(q)/w_I of the compressions, which is unbounded."""
+    phi(q)/w_I of the compressions, which is unbounded.  A compression
+    of a projection is >= 0, so it is positive when it is not zero."""
     weights = q.weights
+    mode = weights.mode
     if not is_diagonal(q, tol):
         raise ValueError("q must be diagonal")
     if not (q * q - q).is_zero(tol) or not (q.adjoint() - q).is_zero(tol):
         raise ValueError("q must be a self-adjoint idempotent")
-    phi_q = q.vacuum_state()
 
     def compression(I):
         return (
@@ -376,19 +334,15 @@ def minimal_projection_probe(q, L, tol=1e-12):
         ).vacuum_state()
 
     growth = []
-    branch = EMPTY_WORD
+    split_length = positives = None
     for m in range(1, L + 1):
-        positives = []
-        for I in words_of_length(weights.d, m):
-            val = complex(compression(I)).real
-            if val > tol:
-                positives.append(I)
-        if len(positives) >= 2:
-            return MinimalProjectionReport(
-                True, m, positives, tuple(growth), complex(phi_q).real)
-        if not positives:
+        values = {I: compression(I) for I in words_of_length(weights.d, m)}
+        branches = [I for I, v in values.items() if not mode.near_zero(v, tol)]
+        if len(branches) >= 2:
+            split_length, positives = m, branches
             break
-        branch = positives[0]
-        growth.append(complex(compression(branch)).real)
+        if not branches:
+            break
+        growth.append(values[branches[0]])
     return MinimalProjectionReport(
-        True, None, None, tuple(growth), complex(phi_q).real)
+        True, split_length, positives, tuple(growth), q.vacuum_state(), mode)

@@ -320,7 +320,9 @@ def verify_delta(trials=100, seed=7, max_len=None, weights=None):
 # -- masa / DR probes -------------------------------------------------------------------
 
 
-def verify_masa(max_len=2, weights=None):
+def verify_masa(max_len=None, weights=None):
+    """The masa probe; by default on the longest span, at most 2, that
+    ``structure.DIMENSION_CAP`` admits."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
     report = masa_commutant_probe(weights, max_len)
     return {

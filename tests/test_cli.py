@@ -198,12 +198,33 @@ class TestVerifyAndDeterminism:
         assert run.returncode == 141
         assert run.stderr == ""
 
-    def test_seed_changes_instances(self, capsys, tmp_path):
-        a = tmp_path / "a.json"
-        code = main(["probe", "center", "--weights", "1/3,2/3",
-                     "--seed", "3", "--json", str(a)])
-        capsys.readouterr()
-        assert code == 0
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_probe_center_draws_nothing(self, capsys, flag):
+        # the center probe solves its span exactly: no draws to seed or count
+        code = main(["probe", "center", "--weights", "1/3,2/3", flag, "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: probe center does not read %s\n" % flag
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "masa"],
+        ["probe", "masa"],
+        ["probe", "center"],
+    ])
+    def test_commutant_probes_at_nine_letters_end_within_10_s(self, argv):
+        # the default span is computed from d: words of up to 1 letter at d = 9
+        src = str(Path(fockboundary.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        run = subprocess.run(
+            [sys.executable, "-m", "fockboundary.cli", *argv,
+             "--weights", ",".join(["1/9"] * 9)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert run.returncode == 0, run.stderr
+        rep = json.loads(run.stdout)
+        probe = rep["probe"] if argv[0] == "verify" else rep["report"]
+        assert probe["max_len"] == 1 and probe["span_dimension"] == 99
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,6 +445,12 @@ class TestLibraryErrors:
         code, out = run(capsys, *argv, "--max-len", "0")
         assert code != 2
         assert json.loads(out)["report"] != json.loads(default)["report"]
+
+    def test_span_over_the_cap_is_refused(self, capsys):
+        # d = 9, L = 3: 664119 coordinates, refused before any product
+        self.assert_one_line_exit_2(
+            capsys, ["probe", "masa", "--weights", ",".join(["1/9"] * 9),
+                     "--max-len", "3"], "coordinates (cap 5000)")
 
     def test_verify_all_reads_flags_some_suite_reads(self, capsys):
         code, out = run(capsys, "verify", "all", "--trials", "2", "--seed", "3")

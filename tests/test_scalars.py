@@ -475,7 +475,7 @@ FROZEN = {
         W, quantization.UnitaryMatrix.swap(2, 1, 2), 3, trials=2),
     "TypeVerdict": lambda: classification.classify(W),
     "MasaProbeReport": lambda: structure.masa_commutant_probe(W, 1),
-    "CenterProbeReport": lambda: structure.center_probe(X, trials=2),
+    "CenterProbeReport": lambda: structure.center_probe(X),
     "DRReport": lambda: structure.dr_convergence(Monomial((1,), (1,)), W, n_max=2),
     "MinimalProjectionReport": lambda: structure.minimal_projection_probe(
         CuntzElement.identity(W), 2),
