@@ -240,6 +240,20 @@ def relabel(entries, side, d, top, strip=NO_AFFIX, add=NO_AFFIX):
     return {((r << k) | low, c): val for (r, c), val in items if r < bound}
 
 
+def _by_row(entries):
+    """Word-code entries (row, col) grouped by row: row -> [(col, value), ..]
+    in entry order."""
+    rows = {}
+    get = rows.get
+    for (row, col), value in entries.items():
+        cols = get(row)
+        if cols is None:
+            rows[row] = [(col, value)]
+        else:
+            cols.append((col, value))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # lazy values
 #
@@ -298,7 +312,10 @@ class Power(tuple):
     u_ji e_i, j outer and i inner, with steps 1, B, B^2, .. for a base
     B > top.  A degree-n entry is the product of n letters' u_ji, so its
     value depends only on how many times each letter occurs: its
-    exponent vector, carried as one int, the sum of their steps."""
+    exponent vector, carried as one int, the sum of their steps.  A
+    product with a factor that is not a power reads a power on the
+    left through ``build``, restricted to the entries it reaches, and
+    one on the right through ``rows``, with no entries built."""
 
     __slots__ = ()
 
@@ -315,24 +332,22 @@ class Power(tuple):
         return cls((tuple((j, i, (cut + 1) ** n, u) for n, (j, i, u) in enumerate(pairs)),
                     cut, False))
 
-    def build(self, d, one, side=None, words=()):
+    def build(self, d, one, words=None):
         """The entries.  Level n + 1 prepends the letter pair (i, j) of
         each letter, one letter at a time, to every entry of level n.
-        With ``side`` ("row" or "col"), a level keeps only the entries
-        whose word on that side is a tail of a code in ``words`` (the
-        word with none or more first letters stripped), so the result is
-        the full entries less those whose word is no such tail, in the
-        same order.
+        With ``words``, a level keeps only the entries whose column word
+        is a tail of a code in ``words`` (the word with none or more
+        first letters stripped), so the result is the full entries less
+        those whose column word is no such tail, in the same order:
+        what a product with this power on the left reads.
 
         Each exponent vector's product is computed once, and its entries
-        share that value object: ``one`` times the letters' u_ji in
-        letter order, as the vector less its last letter times that
-        letter's u_ji.  The adjoint conjugates each value it uses once."""
+        share that value object (see ``_values``)."""
         letters, top, star = self
         b = letter_bits(d)
         keep = None
-        if side is not None:
-            k = (side == "col") != star  # the side in Gamma's own entries
+        if words is not None:
+            k = not star  # the column side in Gamma's own entries
             keep = set()
             for w in words:
                 while w and w not in keep:
@@ -350,10 +365,54 @@ class Power(tuple):
                      if (key := ((row << b) | (i - 1), (col << b) | (j - 1)))
                      and (keep is None or key[k] in keep)}
             codes.update(level)
+        values = self._values(set(codes.values()), one)
+        if star:
+            return {(col, row): values[code] for (row, col), code in codes.items()}
+        return {key: values[code] for key, code in codes.items()}
+
+    def rows(self, words, d, one):
+        """Row w of the entries for each code w in ``words``: the list of
+        (col, value) of the entries (w, col), in ``build``'s order, empty
+        for a word longer than ``top``; what a product with this power
+        on the right reads, with no entries built.
+
+        In ``build``'s order, the row of a word a . t lists, for each
+        letter whose row letter is a (its column letter for the
+        adjoint), in letter order, the row of t with that letter's
+        other letter prepended to each column.  So each word's row is
+        built once per call, from its tail's, and its values come from
+        ``_values``, as ``build``'s do."""
+        letters, top, star = self
+        b = letter_bits(d)
+        mask = (1 << b) - 1
+        bound = block_bound(top, d)
+        after = [[] for _ in range(d)]  # a row's first digit -> [(column digit, step)]
+        for j, i, step, _u in letters:
+            row, col = (j, i) if star else (i, j)
+            after[row - 1].append((col - 1, step))
+        images = {1: [(1, 0)]}  # word -> [(col, exponent code), ..]
+        for w in words:
+            path = []
+            while w not in images:
+                path.append(w)
+                w >>= b
+            for u in reversed(path):
+                tail = images[u >> b]
+                images[u] = [] if u >= bound else [
+                    ((col << b) | a, code + step)
+                    for a, step in after[u & mask] for col, code in tail]
+        values = self._values({code for w in words for _, code in images[w]}, one)
+        return {w: [(col, values[code]) for col, code in images[w]] for w in words}
+
+    def _values(self, codes, one):
+        """The value of each exponent code in ``codes``: ``one`` times the
+        letters' u_ji in letter order, as the vector less its last
+        letter times that letter's u_ji, one object per code.  The
+        adjoint conjugates each value once."""
+        letters, _top, star = self
         steps = [step for _j, _i, step, _u in letters]
         values = {0: one}
-        used = set(codes.values())
-        for code in used:
+        for code in codes:
             path = []
             while code not in values:
                 last = bisect_right(steps, code) - 1
@@ -362,9 +421,8 @@ class Power(tuple):
             for code, last in reversed(path):
                 values[code] = values[code - steps[last]] * letters[last][3]
         if star:
-            values = {code: values[code].conjugate() for code in used}
-            return {(col, row): values[code] for (row, col), code in codes.items()}
-        return {key: values[code] for key, code in codes.items()}
+            return {code: values[code].conjugate() for code in codes}
+        return values
 
     def adjoint(self):
         """Gamma(U)* of Gamma(U), and back."""
@@ -585,12 +643,18 @@ class TruncatedOperator(Frozen):
         left factor's columns in the order of its entries, and builds no
         entries of its own.  A word map on the left sets the key order
         by its entries, so they are built.  Otherwise ``compose_sum``
-        reads what ``_reached`` gives of each factor.
+        joins what ``_reached`` gives of the left factor with the right
+        factor's rows: those of a ``Power`` with no entries built,
+        facing a factor that is not a power, are read through
+        ``Power.rows`` at the left factor's column words, with no
+        entries built; any other factor's are its entries grouped by
+        row.
         """
         self._check_compatible(other)
         mode = self.mode
-        if isinstance(other._lazy, WordMap):
-            rows, cols, top = other._lazy
+        lazy = other._lazy
+        if isinstance(lazy, WordMap):
+            rows, cols, top = lazy
             entries = mode.moved_products(
                 relabel(self.entries, "col", self.d, top, rows, cols))
         elif isinstance(self._lazy, WordMap):
@@ -605,23 +669,25 @@ class TruncatedOperator(Frozen):
                  for row, mid in self.entries
                  for col, val in by_mid.get(mid, ())})
         else:
-            entries = mode.compose_sum(self._reached("col", other),
-                                       other._reached("row", self))
+            if (other._entries is None and isinstance(lazy, Power)
+                    and not isinstance(self._lazy, Power)):
+                rows = lazy.rows({mid for _, mid in self.entries}, self.d, mode.one)
+            else:
+                rows = _by_row(other.entries)
+            entries = mode.compose_sum(self._reached(other), rows)
         return TruncatedOperator(entries, self.cut, self.d, mode, _trusted=True)
 
-    def _reached(self, side, other):
-        """The entries ``compose`` reads of this factor: of a ``Power``
-        with no entries built, facing a factor that is not a power, only
-        those whose word on ``side`` is a tail of one of the other
-        factor's words on the far side (see ``Power.build``), in the
-        same order, so the product is the same dict."""
+    def _reached(self, other):
+        """The entries ``compose`` reads of this factor on the left: of a
+        ``Power`` with no entries built, facing a factor that is not a
+        power, only those whose column word is a tail of one of the
+        other factor's row words (see ``Power.build``), in the same
+        order, so the product is the same dict."""
         power = self._lazy
         if (self._entries is not None or not isinstance(power, Power)
                 or isinstance(other._lazy, Power)):
             return self.entries
-        far = side == "row"  # other's columns meet this factor's rows
-        return power.build(self.d, self.mode.one, side,
-                           {key[far] for key in other.entries})
+        return power.build(self.d, self.mode.one, {row for row, _ in other.entries})
 
     def adjoint(self):
         """The conjugate transpose.  Entries may share value objects (the

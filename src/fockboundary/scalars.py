@@ -608,26 +608,26 @@ class _Exact(Field):
                         del sums[k]
         return _reduce_sums(sums)
 
-    def compose_sum(self, left, right):
-        """The sparse product of two dicts of word-code entries: each
-        product x * y of entries (row, mid) of ``left`` and (mid, col) of
-        ``right`` summed into the key (row, col), left's entries and then
-        right's in order, as ``sum_products`` sums the triples:
-        the same dict, in the same key order.
+    def compose_sum(self, left, rows):
+        """The sparse product of a dict of word-code entries and a
+        matrix given by rows: each product x * y of an entry (row, mid)
+        of ``left`` and a pair (col, y) of ``rows[mid]`` summed into the
+        key (row, col), left's entries and then each row in order, as
+        ``sum_products`` sums the triples: the same dict, in the same
+        key order.
 
         Each product is computed once per distinct pair of value objects,
         reduced, and shared: a key that gets one product stores that
         object.  A key that gets a second product gets a running sum of
         its own, an unreduced ``[a, b, den]`` list, reduced at the end.
         No value object is changed."""
-        by_mid = _by_mid(right)
         memo = {}  # id(x) -> {id(y): x * y}
         held = []  # each x and y in the memo, so that no id is reused
         sums = {}
         get = sums.get
         for (row, mid), x in left.items():
-            cols = by_mid.get(mid)
-            if cols is None:
+            cols = rows.get(mid)
+            if not cols:
                 continue
             products = memo.get(id(x))
             if products is None:
@@ -636,7 +636,13 @@ class _Exact(Field):
             for col, y in cols:
                 p = products.get(id(y))
                 if p is None:
-                    p = products[id(y)] = x * y
+                    # x * y, as GaussianRational.__mul__ gives it
+                    xa = x._a
+                    xb = x._b
+                    ya = y._a
+                    yb = y._b
+                    p = products[id(y)] = _reduced(xa * ya - xb * yb, xa * yb + xb * ya,
+                                                   x._den * y._den)
                     held.append(y)
                 key = (row, col)
                 s = get(key)
@@ -779,12 +785,11 @@ class _Float(Field):
                     terms[key] = value
         return terms
 
-    def compose_sum(self, left, right):
+    def compose_sum(self, left, rows):
         """``_Exact.compose_sum`` in FLOAT: ``accumulate`` over the
         products, with no memo."""
-        by_mid = _by_mid(right)
         return accumulate((((row, col), x * y) for (row, mid), x in left.items()
-                           for col, y in by_mid.get(mid, ())), self)
+                           for col, y in rows.get(mid, ())), self)
 
     def moved_products(self, entries):
         """Each moved value in ``entries`` times one, dropped within 1e-12
@@ -792,20 +797,6 @@ class _Float(Field):
         the sign of a zero part (one * v and v * one agree bit for bit)."""
         one = self.one
         return {key: p for key, v in entries.items() if not abs(p := v * one) <= 1e-12}
-
-
-def _by_mid(entries):
-    """Word-code entries (mid, col) grouped by their row word: mid ->
-    [(col, value), ..] in entry order."""
-    by_mid = {}
-    get = by_mid.get
-    for (mid, col), value in entries.items():
-        cols = get(mid)
-        if cols is None:
-            by_mid[mid] = [(col, value)]
-        else:
-            cols.append((col, value))
-    return by_mid
 
 
 EXACT = _Exact("exact")

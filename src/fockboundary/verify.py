@@ -227,10 +227,15 @@ def truncated_family_rank(weights, max_len, cut):
     return reducer.rank
 
 
-def verify_phi(max_len=2, weights=None):
+def verify_phi(max_len=None, weights=None):
     """Gram matrix of the monomial GNS vectors: PSD, and rank equal to
-    the rank of the truncated compression family."""
+    the rank of the truncated compression family.  By default the span
+    is the longest, at most 2, whose family has at most 100 monomials:
+    2 at d = 2, then 1 (d = 9 gives exactly 100)."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
+    if max_len is None:
+        max_len = max(n for n in (1, 2)
+                      if len(words_up_to(weights.d, n)) ** 2 <= 100)
     fam, rows = gram_matrix(weights, max_len)
     rational = [[weights.mode.rational(v) for v in row] for row in rows]
     psd = is_psd(rational)
@@ -332,8 +337,14 @@ def verify_masa(max_len=None, weights=None):
     }
 
 
-def verify_dr(n_max=6, weights=None):
+def verify_dr(n_max=None, weights=None):
+    """The DR probe on each diagonal word of length <= 2.  By default it
+    runs the most steps, at most 6, whose flip unitary u_n (d^(n+1)
+    terms) has at most 3^7 terms: 6 up to d = 3, 4 at d = 4, 3 at
+    d = 5 and 6, then 2."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
+    if n_max is None:
+        n_max = max(n for n in range(2, 7) if weights.d ** (n + 1) <= 3 ** 7)
     reports = []
     ok = True
     for m in range(0, 3):

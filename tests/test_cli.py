@@ -226,6 +226,24 @@ class TestVerifyAndDeterminism:
         probe = rep["probe"] if argv[0] == "verify" else rep["report"]
         assert probe["max_len"] == 1 and probe["span_dimension"] == 99
 
+    @pytest.mark.parametrize("suite, span", [
+        ("phi", ("family_size", 100)),  # words of up to 1 letter
+        ("dr", ("n_max", 2)),  # u_2 has 9^3 terms
+    ])
+    def test_phi_and_dr_at_nine_letters_end_within_10_s(self, suite, span):
+        # the span is computed from d, as delta's and masa's are
+        src = str(Path(fockboundary.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        run = subprocess.run(
+            [sys.executable, "-m", "fockboundary.cli", "verify", suite,
+             "--weights", ",".join(["1/9"] * 9)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert run.returncode == 0, run.stderr
+        rep = json.loads(run.stdout)
+        assert rep["ok"] and rep[span[0]] == span[1]
+
 
 @pytest.mark.parametrize("argv", [
     ["classify"],

@@ -2395,6 +2395,59 @@ class TestLazyPower:
         assert_same_dict(up.word_entries(), g.word_entries(), mode)
 
 
+# -- a power on the right is read by rows ----------------------------------------
+
+
+def row_pairs(rows):
+    """The (row, col) -> value dict of rows, row by row in their order."""
+    return {(w, col): v for w, row in rows.items() for col, v in row}
+
+
+class TestPowerRows:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_the_built_rows(self, data):
+        # key order, float bits and shared value objects, for Gamma and
+        # Gamma*, at the empty word and at words longer than top
+        d, mode = data.draw(sessions())
+        top = data.draw(st.integers(0, 4 if d == 2 else 3))
+        V = power_unitary(d, mode, random.Random(data.draw(st.integers(0, 99))))
+        word = st.lists(st.integers(1, d), max_size=top + 2)
+        words = {encode(w, d) for w in data.draw(st.lists(word, max_size=8))}
+        words.add(encode(EMPTY_WORD, d))
+        for value in (second_quantize(V, top)._lazy, second_quantize(V, top).adjoint()._lazy):
+            got = value.rows(words, d, mode.one)
+            built = value.build(d, mode.one)
+            assert got.keys() == words
+            want = {w: [(col, v) for (row, col), v in built.items() if row == w]
+                    for w in got}
+            assert all(not got[w] for w in words if w >= block_bound(top, d))
+            assert_same_dict(row_pairs(got), row_pairs(want), mode)
+            assert (sharing(TruncatedOperator(row_pairs(got), top + 2, d, mode, _trusted=True))
+                    == sharing(TruncatedOperator(row_pairs(want), top + 2, d, mode,
+                                                 _trusted=True)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_a_left_power_is_built(self, mode):
+        # x . Gamma and x . Gamma* read rows and build nothing; Gamma . x
+        # and Gamma* . x build only the entries that meet x's row words
+        d, cut = 2, 4
+        g = second_quantize(power_unitary(d, mode, random.Random(5)), cut)
+        x = TruncatedOperator({((1,), (2, 1)): 1, ((2, 1, 1), ()): 2,
+                               ((), ()): 3}, cut, d, mode)
+        rows_of_x = {r for r, _ in x.entries}
+        for power in (g, g.adjoint()):
+            with mock.patch.object(Power, "build", autospec=True,
+                                   side_effect=Power.build) as build:
+                x.compose(power)
+                assert build.call_count == 0
+                power.compose(x)
+                assert build.call_count == 1
+                (_, _, _, words), _ = build.call_args
+                assert words == rows_of_x
+            assert power._entries is None
+
+
 # -- the lazy values, and the operator methods called unbound -------------------
 #
 # The benchmark calls TruncatedOperator.adjoint, .recut and .compose unbound,
