@@ -225,9 +225,7 @@ def cmd_probe(args):
         ok = True  # reporting, not asserting
     elif args.kind == "dr":
         word = parse_word(args.word or "1")
-        rep = structure.dr_convergence(
-            Monomial(word, word), weights,
-            n_max=6 if args.max_len is None else args.max_len)
+        rep = structure.dr_convergence(Monomial(word, word), weights, args.max_len)
         ok = rep.first_zero is not None
     else:  # diffuse
         try:

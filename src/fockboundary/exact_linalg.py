@@ -82,6 +82,13 @@ class RowReducer:
         return basis
 
 
+def rank(rows):
+    """The rank of a family of rows, each a sequence or a dict of
+    entries by column."""
+    reducer = RowReducer()
+    return sum(map(reducer.add_row, rows))
+
+
 def is_psd(matrix):
     """Exact PSD test for a rational symmetric matrix via recursive
     symmetric pivoting: a PSD matrix with a zero diagonal entry must
@@ -127,9 +134,4 @@ def is_psd(matrix):
 def span_equal(basis_a, basis_b):
     """Do two families of rational vectors, each a sequence or a dict of
     entries by column, span the same subspace?"""
-    ra, rb = RowReducer(), RowReducer()
-    for v in basis_a:
-        ra.add_row(v)
-    for v in basis_b:
-        rb.add_row(v)
-    return ra.rank == rb.rank and not any(ra.reduce_row(v) for v in basis_b)
+    return rank(basis_a) == rank(basis_b) == rank([*basis_a, *basis_b])

@@ -8,8 +8,7 @@ modular group exactly when phi satisfies the KMS condition, which on
 monomials is rational in the weights, phi(x y) (w_K / w_L) = phi(y x)
 for x = M(I, J) and y = M(K, L), and is checked with the product and
 phi themselves (``kms_failures``).  The module also samples the modular
-spectrum {w_I / w_J} and builds Gram matrices of the monomial GNS
-vectors xi(I, J).
+spectrum {w_I / w_J} and lists the monomial family of a span.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def kms_failures(weights, max_len, base):
 
 
 # ---------------------------------------------------------------------------
-# spectrum and Gram data
+# spectrum and monomial family
 
 
 def spectrum_sample(weights, max_len):
@@ -151,14 +150,3 @@ def monomial_family(d, max_len):
     """All monomials with |I|, |J| <= max_len, in deterministic order."""
     ws = words_up_to(d, max_len)
     return [Monomial(I, J) for I in ws for J in ws]
-
-
-def gram_matrix(weights, max_len):
-    """Gram matrix of the monomial GNS vectors xi(I,J), |I|,|J| <=
-    max_len: G[a][b] = <xi_b, xi_a>... ordered so that
-    G[a][b] = phi(M_a* . M_b), which is PSD and conjugate-symmetric."""
-    fam = monomial_family(weights.d, max_len)
-    elems = [CuntzElement({m: weights.mode.one}, weights, _trusted=True)
-             for m in fam]
-    rows = [[xb.gns_inner(xa) for xb in elems] for xa in elems]
-    return fam, rows

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from . import scalars
 from .algebra import CuntzElement, Monomial, expanded, levels
 from .errors import TermBudgetError
-from .exact_linalg import RowReducer, span_equal
+from .exact_linalg import RowReducer, rank, span_equal
 from .fock import EMPTY_WORD, format_word, words_of_length, words_up_to
 
 # the largest span that ``commutant`` solves: measured on a 2 vCPU
@@ -93,6 +94,12 @@ def span_dimension(d, L):
     return d ** (2 * L) + 2 * sum(d ** (2 * L - j) for j in range(1, L + 1))
 
 
+def default_span(d):
+    """The longest word length, at most 2, whose span fits
+    ``DIMENSION_CAP``: 2 up to d = 7, then 1."""
+    return max(n for n in (1, 2) if span_dimension(d, n) <= DIMENSION_CAP)
+
+
 def commutant(weights, L, generators):
     """The elements of the word-length <= L span that commute with every
     generator: ``(basis, vectors)``, the canonical basis and a basis of
@@ -141,11 +148,11 @@ class MasaProbeReport(scalars.Frozen):
 def masa_commutant_probe(weights, L=None):
     """Solve x . g = g . x within the word-length <= L span, for all
     diagonal generators g = M(I, I) with |I| <= L, and compare the
-    solution space with the diagonal span.  By default L is the longest,
-    at most 2, whose span fits ``DIMENSION_CAP``."""
+    solution space with the diagonal span.  By default L is
+    ``default_span``."""
     d = weights.d
     if L is None:
-        L = max(n for n in (1, 2) if span_dimension(d, n) <= DIMENSION_CAP)
+        L = default_span(d)
     diagonal_words = words_up_to(d, L)
     generators = [CuntzElement.monomial(weights, I, I) for I in diagonal_words]
     basis, solution = commutant(weights, L, generators)
@@ -153,12 +160,11 @@ def masa_commutant_probe(weights, L=None):
     diagonal = [{index[piece]: one for piece, one in
                  expanded([(Monomial(I, I), Fraction(1))], d, {0: L})}
                 for I in diagonal_words]
-    diag_reducer = RowReducer()
     return MasaProbeReport(
         max_len=L,
         span_dimension=len(basis),
         commutant_dimension=len(solution),
-        diagonal_dimension=sum(map(diag_reducer.add_row, diagonal)),
+        diagonal_dimension=rank(diagonal),
         matches_diagonal=span_equal(solution, diagonal),
         generator_count=len(generators),
     )
@@ -217,27 +223,30 @@ def alpha_endo(x):
     return out
 
 
-def _flip_element(weights):
-    terms = {}
-    one = weights.mode.one
-    for i in range(1, weights.d + 1):
-        for j in range(1, weights.d + 1):
-            terms[Monomial((i, j), (j, i))] = one
-    return CuntzElement(terms, weights)
+def flip_unitaries(weights):
+    """u_1, u_2, ...: u_k = u_{k-1} . alpha^{k-1}(v) with u_1 = v, where
+    v = sum_{i, j} M(ij, ji) swaps the two innermost tensor slots."""
+    letters = range(1, weights.d + 1)
+    u = power = CuntzElement({Monomial((i, j), (j, i)): weights.mode.one
+                              for i in letters for j in letters}, weights)
+    while True:
+        yield u
+        power = alpha_endo(power)
+        u = u * power
 
 
 def flip_unitary(weights, k):
-    """u_k = v . alpha(v) . ... . alpha^{k-1}(v), where v swaps the two
-    innermost tensor slots."""
+    """u_k = v . alpha(v) . ... . alpha^{k-1}(v)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    v = _flip_element(weights)
-    out = v
-    power = v
-    for _ in range(1, k):
-        power = alpha_endo(power)
-        out = out * power
-    return out
+    return next(islice(flip_unitaries(weights), k - 1, None))
+
+
+def default_steps(d):
+    """The most steps, at most 6, whose flip unitary u_n (d^(n+1) terms)
+    has at most 3^7 terms: 6 up to d = 3, 4 at d = 4, 3 at d = 5 and
+    6, then 2."""
+    return max(n for n in range(2, 7) if d ** (n + 1) <= 3 ** 7)
 
 
 class DRReport(scalars.Frozen):
@@ -254,8 +263,9 @@ class DRReport(scalars.Frozen):
         }
 
 
-def dr_convergence(R, weights, n_max=6):
-    """GNS distance of u_n . R . u_n* from alpha(R) for n = 1..n_max.
+def dr_convergence(R, weights, n_max=None):
+    """GNS distance of u_n . R . u_n* from alpha(R) for n = 1..n_max,
+    by default ``default_steps(d)``.
 
     R must be a diagonal monomial M(I, I).  Reports the exact GNS norm
     per step, the first n with an exactly zero difference, and the last
@@ -269,9 +279,10 @@ def dr_convergence(R, weights, n_max=6):
     first_zero = None
     stable_through = None
     partial = False
+    if n_max is None:
+        n_max = default_steps(weights.d)
     try:
-        for n in range(1, n_max + 1):
-            u = flip_unitary(weights, n)
+        for n, u in zip(range(1, n_max + 1), flip_unitaries(weights)):
             delta = target - u * R * u.adjoint()
             nsq = delta.gns_norm_sq()
             norms.append(math.sqrt(complex(nsq).real))

@@ -23,7 +23,7 @@ from .choi_effros import (
     op_left_creation,
     op_right_creation,
 )
-from .exact_linalg import RowReducer, is_psd
+from .exact_linalg import is_psd, rank
 from .fock import (
     TruncatedOperator,
     WeightVector,
@@ -34,7 +34,6 @@ from .fock import (
     words_up_to,
 )
 from .modular import (
-    gram_matrix,
     kms_failures,
     monomial_family,
     phase_base,
@@ -46,7 +45,12 @@ from .quantization import (
     random_exact_unitary,
     symbolic_gamma,
 )
-from .structure import dr_convergence, masa_commutant_probe
+from .structure import (
+    default_span,
+    default_steps,
+    dr_convergence,
+    masa_commutant_probe,
+)
 
 
 # -- shared random generators ------------------------------------------------
@@ -203,47 +207,44 @@ def verify_relations(seed=7, cut=8):
 # -- vacuum state / Gram data -------------------------------------------------------
 
 
-def truncated_family_rank(weights, max_len, cut):
-    """Rank of the vectorized compressions of all monomials with
-    |I|, |J| <= max_len — the independent linear-algebra view of the
-    GNS dimension."""
-    fam = monomial_family(weights.d, max_len)
-    keys = {}
-    vectors = []
-    for mono in fam:
-        op = CuntzElement.monomial(weights, mono.I, mono.J).to_truncated(cut)
-        vec = {}
-        for key, val in op.entries.items():
-            if key not in keys:
-                keys[key] = len(keys)
-            vec[keys[key]] = weights.mode.rational(val)
-        vectors.append(vec)
-    reducer = RowReducer(len(keys))
-    for vec in vectors:
-        row = [Fraction(0)] * len(keys)
-        for j, v in vec.items():
-            row[j] = v
-        reducer.add_row(row)
-    return reducer.rank
+def _suffix_root(mono):
+    """M(I, J) with the longest common trailing word of I and J stripped."""
+    I, J = mono
+    while I and J and I[-1] == J[-1]:
+        I, J = I[:-1], J[:-1]
+    return I, J
 
 
 def verify_phi(max_len=None, weights=None):
     """Gram matrix of the monomial GNS vectors: PSD, and rank equal to
-    the rank of the truncated compression family.  By default the span
-    is the longest, at most 2, whose family has at most 100 monomials:
-    2 at d = 2, then 1 (d = 9 gives exactly 100)."""
+    the rank of the truncated compression family, the independent
+    linear-algebra view of the GNS dimension.  By default the span is
+    ``structure.default_span``, masa's.
+
+    phi(M(I', J')* M(I, J)) is nonzero only when one monomial is the
+    other with a common suffix added, and every entry of a monomial's
+    compression keeps its common-suffix root, so the Gram matrix and
+    the compression family are block-diagonal over the roots: each
+    block is tested on its own and the ranks add."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
     if max_len is None:
-        max_len = max(n for n in (1, 2)
-                      if len(words_up_to(weights.d, n)) ** 2 <= 100)
-    fam, rows = gram_matrix(weights, max_len)
-    rational = [[weights.mode.rational(v) for v in row] for row in rows]
-    psd = is_psd(rational)
-    reducer = RowReducer(len(fam))
-    for row in rational:
-        reducer.add_row(row)
-    gram_rank = reducer.rank
-    fam_rank = truncated_family_rank(weights, max_len, cut=2 * max_len)
+        max_len = default_span(weights.d)
+    fam = monomial_family(weights.d, max_len)
+    classes = {}
+    for mono in fam:
+        classes.setdefault(_suffix_root(mono), []).append(mono)
+    rational = weights.mode.rational
+    psd = True
+    gram_rank = fam_rank = 0
+    for members in classes.values():
+        elems = [CuntzElement.monomial(weights, I, J) for I, J in members]
+        # G[a][b] = phi(M_a* . M_b)
+        gram = [[rational(xb.gns_inner(xa)) for xb in elems] for xa in elems]
+        psd = psd and is_psd(gram)
+        gram_rank += rank(gram)
+        fam_rank += rank(
+            {key: rational(v) for key, v in
+             x.to_truncated(2 * max_len).entries.items()} for x in elems)
     spot = (
         CuntzElement.monomial(weights, (1,), (1,)).vacuum_state()
         == weights.weight(1)
@@ -338,13 +339,11 @@ def verify_masa(max_len=None, weights=None):
 
 
 def verify_dr(n_max=None, weights=None):
-    """The DR probe on each diagonal word of length <= 2.  By default it
-    runs the most steps, at most 6, whose flip unitary u_n (d^(n+1)
-    terms) has at most 3^7 terms: 6 up to d = 3, 4 at d = 4, 3 at
-    d = 5 and 6, then 2."""
+    """The DR probe on each diagonal word of length <= 2; by default
+    over ``structure.default_steps`` steps."""
     weights = weights or WeightVector([Fraction(1, 3), Fraction(2, 3)])
     if n_max is None:
-        n_max = max(n for n in range(2, 7) if weights.d ** (n + 1) <= 3 ** 7)
+        n_max = default_steps(weights.d)
     reports = []
     ok = True
     for m in range(0, 3):

@@ -16,8 +16,11 @@ from fockboundary.algebra import CuntzElement
 from fockboundary.choi_effros import op_right_creation
 from fockboundary.classification import classify, exponent_decomposition
 from fockboundary.errors import StabilizationError
+from fockboundary.exact_linalg import is_psd, rank
 from fockboundary.fock import WeightVector
+from fockboundary.modular import monomial_family
 from fockboundary.scalars import GaussianRational
+from fockboundary.structure import span_dimension
 
 
 class TestCriterion1CuntzRelations:
@@ -76,6 +79,40 @@ class TestCriterion3Faithfulness:
         assert rep["psd"]
         assert rep["gram_rank"] == rep["truncated_family_rank"] == 40
         assert rep["ok"]
+
+    def test_default_span_at_three_letters(self):
+        rep = verify.verify_phi(
+            weights=WeightVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]))
+        assert rep["family_size"] == 169
+        assert rep["gram_rank"] == rep["truncated_family_rank"] == 153
+        assert rep["psd"] and rep["ok"]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_ranks_are_the_span_dimension(self, d, max_len):
+        # the GNS vectors of the monomials span the word-length <= L span
+        rep = verify.verify_phi(max_len=max_len, weights=WeightVector.uniform(d))
+        assert rep["ok"]
+        assert (rep["gram_rank"] == rep["truncated_family_rank"]
+                == span_dimension(d, max_len))
+
+    @pytest.mark.parametrize("d, max_len", [(2, 2), (3, 1)])
+    def test_per_class_verdicts_match_the_whole_family_gram(self, d, max_len):
+        # the dense Gram of the whole family, G[a][b] = phi(M_a* . M_b)
+        weights = WeightVector([Fraction(k, d * (d + 1) // 2)
+                                for k in range(1, d + 1)])
+        elems = [CuntzElement.monomial(weights, m.I, m.J)
+                 for m in monomial_family(d, max_len)]
+        rational = weights.mode.rational
+        gram = [[rational(xb.gns_inner(xa)) for xb in elems] for xa in elems]
+        compressions = [{key: rational(v) for key, v in
+                         x.to_truncated(2 * max_len).entries.items()}
+                        for x in elems]
+        rep = verify.verify_phi(max_len=max_len, weights=weights)
+        assert rep["family_size"] == len(elems)
+        assert rep["psd"] == is_psd(gram)
+        assert rep["gram_rank"] == rank(gram)
+        assert rep["truncated_family_rank"] == rank(compressions)
 
 
 class TestCriterion4Modular:

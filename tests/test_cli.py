@@ -149,6 +149,21 @@ class TestProduct:
                      str(bad), str(bad)]) == 2
 
 
+def _at_nine_letters(argv, timeout=10):
+    """The report of ``fockboundary.cli`` run on argv at nine uniform
+    weights in a subprocess, which must exit 0 within ``timeout`` s."""
+    src = str(Path(fockboundary.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    run = subprocess.run(
+        [sys.executable, "-m", "fockboundary.cli", *argv,
+         "--weights", ",".join(["1/9"] * 9)],
+        env=env, capture_output=True, text=True, timeout=timeout)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
 class TestVerifyAndDeterminism:
     def test_verify_relations_exit_0(self, capsys):
         code, _ = run(capsys, "verify", "relations", "--seed", "7")
@@ -166,16 +181,7 @@ class TestVerifyAndDeterminism:
 
     def test_delta_at_nine_letters_ends_within_5_s(self):
         # the span is computed from d: words of up to 2 letters at d = 9
-        src = str(Path(fockboundary.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        run = subprocess.run(
-            [sys.executable, "-m", "fockboundary.cli", "verify", "delta",
-             "--weights", ",".join(["1/9"] * 9)],
-            env=env, capture_output=True, text=True, timeout=5)
-        assert run.returncode == 0, run.stderr
-        rep = json.loads(run.stdout)
+        rep = _at_nine_letters(["verify", "delta"], timeout=5)
         assert rep["ok"] and rep["max_len"] == 2 and rep["kms_pairs"] > 0
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -213,16 +219,7 @@ class TestVerifyAndDeterminism:
     ])
     def test_commutant_probes_at_nine_letters_end_within_10_s(self, argv):
         # the default span is computed from d: words of up to 1 letter at d = 9
-        src = str(Path(fockboundary.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        run = subprocess.run(
-            [sys.executable, "-m", "fockboundary.cli", *argv,
-             "--weights", ",".join(["1/9"] * 9)],
-            env=env, capture_output=True, text=True, timeout=10)
-        assert run.returncode == 0, run.stderr
-        rep = json.loads(run.stdout)
+        rep = _at_nine_letters(argv)
         probe = rep["probe"] if argv[0] == "verify" else rep["report"]
         assert probe["max_len"] == 1 and probe["span_dimension"] == 99
 
@@ -232,17 +229,14 @@ class TestVerifyAndDeterminism:
     ])
     def test_phi_and_dr_at_nine_letters_end_within_10_s(self, suite, span):
         # the span is computed from d, as delta's and masa's are
-        src = str(Path(fockboundary.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        run = subprocess.run(
-            [sys.executable, "-m", "fockboundary.cli", "verify", suite,
-             "--weights", ",".join(["1/9"] * 9)],
-            env=env, capture_output=True, text=True, timeout=10)
-        assert run.returncode == 0, run.stderr
-        rep = json.loads(run.stdout)
+        rep = _at_nine_letters(["verify", suite])
         assert rep["ok"] and rep[span[0]] == span[1]
+
+    def test_probe_dr_at_nine_letters_ends_within_10_s(self):
+        # the probe takes verify dr's step rule: 2 steps at d = 9
+        rep = _at_nine_letters(["probe", "dr", "--word", "1"])
+        assert rep["ok"] and not rep["report"]["partial"]
+        assert len(rep["report"]["gns_norms"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
